@@ -11,9 +11,10 @@ the exact source versions it was derived from.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 PARENT_REF_PREFIX = "parent_"
 
@@ -272,19 +273,32 @@ class Schema:
         )
 
         self.rules: tuple[MappingRule, ...] = tuple(rules)
-        self._rules_by_source: dict[str, list[MappingRule]] = {}
+        rules_by_source: dict[str, list[MappingRule]] = {}
         self._rule_by_target: dict[str, MappingRule] = {}
         for rule in self.rules:
             for st in rule.source_types:
                 if st not in self.types:
                     raise UnknownTypeError(f"rule {rule.name!r} consumes unknown type {st!r}")
-                self._rules_by_source.setdefault(st, []).append(rule)
+                rules_by_source.setdefault(st, []).append(rule)
             for tt in rule.target_types:
                 if tt in self._rule_by_target:
                     raise SchemaError(f"target type {tt!r} produced by more than one rule")
                 if tt in self.types:
                     raise SchemaError(f"target type {tt!r} collides with a source type")
                 self._rule_by_target[tt] = rule
+
+        # Per-type key maps: the key-level queries below only attach an id.
+        # Keys that share an id sort by type, so sorted types give sorted keys.
+        self._rules_by_source: dict[str, tuple[MappingRule, ...]] = {
+            st: tuple(rules) for st, rules in rules_by_source.items()
+        }
+        self._affected_types: dict[str, tuple[str, ...]] = {
+            st: tuple(sorted({tt for rule in rules for tt in rule.target_types}))
+            for st, rules in rules_by_source.items()
+        }
+        self._parent_types: dict[str, tuple[str, ...]] = {
+            name: tuple(sorted(et.parents)) for name, et in self.types.items()
+        }
 
         self.target_order: tuple[str, ...] = _toposort(self._target_parents())
         self._target_rank = {tt: i for i, tt in enumerate(self.target_order)}
@@ -295,7 +309,7 @@ class Schema:
         for tt, rule in self._rule_by_target.items():
             for st in rule.source_types:
                 for parent_source in self.types[st].parents:
-                    for prule in self._rules_by_source.get(parent_source, []):
+                    for prule in self._rules_by_source.get(parent_source, ()):
                         parents[tt].update(t for t in prule.target_types if t != tt)
         return parents
 
@@ -310,7 +324,7 @@ class Schema:
         return self._target_rank[ttype]
 
     def rules_for_source(self, etype: str) -> tuple[MappingRule, ...]:
-        return tuple(self._rules_by_source.get(etype, ()))
+        return self._rules_by_source.get(etype, ())
 
     def rule_for_target(self, ttype: str) -> MappingRule:
         try:
@@ -319,18 +333,16 @@ class Schema:
             raise UnknownTypeError(f"no rule produces target type {ttype!r}") from None
 
     def affected_targets(self, skey: Key) -> tuple[Key, ...]:
-        """All target keys whose expected state depends on a source key."""
-        out: list[Key] = []
-        for rule in self.rules_for_source(skey.etype):
-            out.extend(rule.target_keys(skey.id))
-        return tuple(sorted(set(out)))
+        """All target keys whose expected state depends on a source key, sorted."""
+        gid = skey.id
+        return tuple(Key(tt, gid) for tt in self._affected_types.get(skey.etype, ()))
 
     def parent_source_keys(self, record: SourceRecord) -> tuple[Key, ...]:
         """Parent instances referenced by a record via its parent_* fields."""
-        et = self.types[record.key.etype]
+        value = record.value
         keys = []
-        for ptype in sorted(et.parents):
-            ref = record.value.get(PARENT_REF_PREFIX + ptype)
+        for ptype in self._parent_types[record.key.etype]:
+            ref = value.get(PARENT_REF_PREFIX + ptype)
             if ref is not None:
                 keys.append(Key(ptype, ref))
         return tuple(keys)

@@ -20,7 +20,10 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import itemgetter
+from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from .domain import (
@@ -42,12 +45,20 @@ def encode_key(key: Key | None) -> list[str] | None:
     return [key.etype, key.id] if key is not None else None
 
 
+# One encoder for every exported line; `json.dumps` with keyword arguments
+# would build a new encoder per call.
+_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 class EventLog:
     """Append-only, totally ordered record of everything a run did.
 
-    Entries are plain dicts already shaped like their exported JSON line;
-    the digest is over the canonical export, so two runs with equal digests
-    did byte-identical things.
+    Entries are plain dicts already shaped like their exported JSON line: one
+    compact, sorted-key JSON object per line, each ending in a newline.  The
+    digest is over that canonical export, so two runs with equal digests did
+    byte-identical things.  Entries stay unserialized until the run ends and
+    are then serialized once: `digest(path)` writes the export to `path` in
+    the same pass that hashes it.
     """
 
     def __init__(self) -> None:
@@ -64,14 +75,17 @@ class EventLog:
         return len(self.entries)
 
     def export_lines(self) -> Iterable[str]:
-        for entry in self.entries:
-            yield json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        return map(_encode_line, self.entries)
 
-    def digest(self) -> str:
+    def digest(self, path: str | Path | None = None) -> str:
+        """sha256 of the export; the exported bytes also go to `path` if given."""
         h = hashlib.sha256()
-        for line in self.export_lines():
-            h.update(line.encode("utf-8"))
-            h.update(b"\n")
+        with open(path, "wb") if path is not None else nullcontext() as fh:
+            for line in self.export_lines():
+                data = (line + "\n").encode("utf-8")
+                h.update(data)
+                if fh is not None:
+                    fh.write(data)
         return h.hexdigest()
 
     @staticmethod
@@ -269,6 +283,40 @@ def time_to_converge(
             continue
         worst = max(worst, prefix_settle[idx - 1] - commits[idx - 1])
     return worst
+
+
+def window_ttcs(
+    updates: Iterable[tuple[int, int | None]], windows: Iterable[tuple[int, int]]
+) -> list[int | None]:
+    """`time_to_converge` for every (t0, t1) window, from one pass over updates.
+
+    After a stable sort by commit time, the TTC at instant s is the gap
+    (latest settlement so far minus commit time) at the last update committed
+    at or before s.  Within a run of equal commit times the last update has
+    the largest gap, so a window's TTC is the largest gap from the update
+    that t0 sees through the last update committed at or before t1.
+    """
+    pairs = sorted(updates, key=itemgetter(0))
+    commits = [c for c, _ in pairs]
+    gaps: list[int] = []  # one per update before the first unsettled one
+    best = 0
+    for c, s in pairs:
+        if s is None:
+            break
+        if s > best:
+            best = s
+        gaps.append(best - c)
+    out: list[int | None] = []
+    for t0, t1 in windows:
+        end = bisect_right(commits, t1)
+        if end == 0:
+            out.append(0)
+        elif end > len(gaps):
+            out.append(NOT_SETTLED)
+        else:
+            start = max(bisect_right(commits, t0, 0, end) - 1, 0)
+            out.append(max(0, max(gaps[start:end])))
+    return out
 
 
 @dataclass

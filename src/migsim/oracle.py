@@ -166,32 +166,51 @@ def settlement_times(
     return out
 
 
-def window_ttc_bruteforce(
-    pairs: list[tuple[int, int | None]], t0: int, t1: int
+def settlement_prefix(
+    pairs: Iterable[tuple[int, int | None]],
+) -> tuple[list[int], list[int]]:
+    """Commit times in commit order, and the latest settlement over each
+    prefix, up to (not including) the first unsettled update."""
+    relevant = sorted(pairs, key=lambda p: p[0])
+    commits = [c for c, _ in relevant]
+    prefix: list[int] = []
+    best = 0
+    for _, s in relevant:
+        if s is None:
+            break
+        best = max(best, s)
+        prefix.append(best)
+    return commits, prefix
+
+
+def window_ttc_per_tick(
+    commits: list[int], prefix: list[int], t0: int, t1: int
 ) -> int | None:
     """Per-tick evaluation of the window TTC definition.
 
     For every instant s in [t0, t1]: snapshot settlement (latest settlement
     over updates committed at or before s) minus last update time at s.
+    Undefined (None) when any update committed by t1 never settled.
     """
-    relevant = sorted(((c, s) for c, s in pairs if c <= t1), key=lambda p: p[0])
-    if not relevant:
+    end = bisect_right(commits, t1)
+    if end == 0:
         return 0
-    if any(s is None for _, s in relevant):
+    if end > len(prefix):
         return None
-    commits = [c for c, _ in relevant]
-    prefix = []
-    best = 0
-    for _, s in relevant:
-        best = max(best, s)  # type: ignore[arg-type]
-        prefix.append(best)
     worst = 0
     for s_at in range(t0, t1 + 1):
-        idx = bisect_right(commits, s_at)
+        idx = bisect_right(commits, s_at, 0, end)
         if idx == 0:
             continue
         worst = max(worst, prefix[idx - 1] - commits[idx - 1])
     return worst
+
+
+def window_ttc_bruteforce(
+    pairs: list[tuple[int, int | None]], t0: int, t1: int
+) -> int | None:
+    """Window TTC of (commit_time, settle_time) pairs, evaluated per tick."""
+    return window_ttc_per_tick(*settlement_prefix(pairs), t0, t1)
 
 
 def ordering_violations(replay: LogReplay, schema: Schema) -> list[dict]:
@@ -308,10 +327,12 @@ def oracle_verify(
 
     # Sampled window TTC, recomputed per tick.
     if report is not None:
+        commits, prefix = settlement_prefix(commit_pairs)
         mismatches = []
         for sample in report.get("samples", []):
-            got = window_ttc_bruteforce(
-                commit_pairs,
+            got = window_ttc_per_tick(
+                commits,
+                prefix,
                 sample["at"] - scenario.metrics.ttc_window,
                 sample["at"],
             )

@@ -35,7 +35,8 @@ from .metrics import (
     SettlementTracker,
     consistency_rate,
     loop_gauges,
-    time_to_converge,
+    time_to_converge,  # noqa: F401  re-exported: bench/tracing.py wraps it here
+    window_ttcs,
 )
 from .oracle import OracleReport, oracle_verify
 from .ramp import RampController
@@ -492,13 +493,17 @@ def run_scenario(
     sim.registry.check_algebra()
 
     # Window TTC per sample, with full end-of-run settlement knowledge.
-    update_pairs = sim.settlement.updates_as_pairs()
-    for sample in sim.samples:
-        sample.window_ttc = time_to_converge(
-            update_pairs, sample.at - scn.metrics.ttc_window, sample.at
-        )
+    ttcs = window_ttcs(
+        sim.settlement.updates_as_pairs(),
+        [(sample.at - scn.metrics.ttc_window, sample.at) for sample in sim.samples],
+    )
+    for sample, ttc in zip(sim.samples, ttcs):
+        sample.window_ttc = ttc
 
-    report = _assemble_report(sim)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    report = _assemble_report(sim, out_dir)
     if scn.toggles.run_oracle:
         oracle_report = oracle_verify(sim.log.entries, scn, report.as_dict())
         report.oracle = oracle_report.as_dict()
@@ -521,11 +526,13 @@ def run_scenario(
         oracle_report=sim_oracle,
     )
     if out_dir is not None:
-        _write_artifacts(result, scn, Path(out_dir))
+        _write_artifacts(result, scn, out_dir)
     return result
 
 
-def _assemble_report(sim: _SimState) -> RunReport:
+def _assemble_report(sim: _SimState, out_dir: Path | None) -> RunReport:
+    """Final rates and counters; the log digest pass also writes
+    `eventlog.jsonl` into `out_dir` when one is given."""
     scn = sim.scenario
     flipped = sim.ramp is not None and sim.ramp.flipped
     if flipped and sim.flip_rates is not None:
@@ -558,7 +565,9 @@ def _assemble_report(sim: _SimState) -> RunReport:
         final_settled=final_settled,
         final_counts=counts,
         rejected_writes=sim.rejected_writes,
-        log_digest=sim.log.digest(),
+        log_digest=sim.log.digest(
+            out_dir / "eventlog.jsonl" if out_dir is not None else None
+        ),
     )
     return report
 
@@ -595,11 +604,8 @@ def _check_expectations(scn: Scenario, report: RunReport) -> list[str]:
 
 
 def _write_artifacts(result: SimResult, scenario: Scenario, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Every artifact but `eventlog.jsonl`, which the digest pass wrote."""
     (out_dir / "scenario.json").write_text(serialize(scenario), encoding="utf-8")
-    with open(out_dir / "eventlog.jsonl", "w", encoding="utf-8") as fh:
-        for line in result.log.export_lines():
-            fh.write(line + "\n")
     (out_dir / "report.json").write_text(
         json.dumps(result.report.as_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

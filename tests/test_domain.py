@@ -21,6 +21,9 @@ from migsim.domain import (
     register_schema,
     split_rule,
 )
+from migsim.scenario import load_file
+
+from conftest import build_figure3_schema, build_split_schema, scenario_path
 
 
 def src(etype: str, gid: str, value: dict | None, counter: int, t: int = 0) -> SourceRecord:
@@ -277,3 +280,67 @@ def test_map_source_deterministic(records):
     for record in records:
         recs = {record.key: record}
         assert map_source(rule, recs) == map_source(rule, recs)
+
+
+def _affected_targets_by_definition(schema, skey: Key) -> tuple[Key, ...]:
+    out = []
+    for rule in schema.rules:
+        if skey.etype in rule.source_types:
+            out.extend(rule.target_keys(skey.id))
+    return tuple(sorted(set(out)))
+
+
+def _parent_target_keys_by_definition(schema, sources) -> tuple[Key, ...]:
+    out = set()
+    for rec in sources.values():
+        if rec.tombstone:
+            continue
+        for ptype in sorted(schema.types[rec.key.etype].parents):
+            ref = rec.value.get("parent_" + ptype)
+            if ref is not None:
+                out.update(_affected_targets_by_definition(schema, Key(ptype, ref)))
+    return tuple(sorted(out))
+
+
+def _reshape_schema():
+    return load_file(scenario_path("reshape")).build_schema()
+
+
+class TestPerTypeKeyMaps:
+    """The precomputed per-type maps answer exactly what the definitions say."""
+
+    @pytest.fixture(params=["figure3", "split", "reshape"])
+    def schema(self, request):
+        builders = {
+            "figure3": build_figure3_schema,
+            "split": build_split_schema,
+            "reshape": _reshape_schema,
+        }
+        return builders[request.param]()
+
+    def test_affected_targets(self, schema):
+        for etype in [*schema.types, "not_a_type"]:
+            for gid in ("1", "42"):
+                key = Key(etype, gid)
+                assert schema.affected_targets(key) == _affected_targets_by_definition(
+                    schema, key
+                )
+
+    def test_rules_for_source(self, schema):
+        for etype in schema.types:
+            want = tuple(r for r in schema.rules if etype in r.source_types)
+            assert schema.rules_for_source(etype) == want
+
+    def test_parent_target_keys(self, schema):
+        for rule in schema.rules:
+            for gid, ref in (("1", "7"), ("2", "2")):
+                for tomb in (False, True):
+                    sources = {}
+                    for stype in rule.source_types:
+                        parents = schema.types[stype].parents
+                        value = {} if tomb else {"parent_" + p: ref for p in parents}
+                        key = Key(stype, gid)
+                        sources[key] = SourceRecord(key, value, VersionStamp(1, 0), tomb)
+                    assert schema.parent_target_keys(
+                        sources
+                    ) == _parent_target_keys_by_definition(schema, sources)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+from hypothesis import given, strategies as st
 
 from migsim.domain import Key, TargetRecord, VersionStamp
 from migsim.healing import Trigger
@@ -12,6 +15,7 @@ from migsim.metrics import (
     consistency_rate,
     loop_gauges,
     time_to_converge,
+    window_ttcs,
 )
 
 from conftest import build_pipeline
@@ -95,6 +99,41 @@ class TestTimeToConverge:
     def test_pre_window_updates_still_count(self):
         # Settlement of an old update reaches into the window.
         assert time_to_converge([(10, 40)], 20, 30) == 30
+
+
+def _commit_ordered(steps_and_delays):
+    """(commit_time, settle_time) pairs in commit order; None never settled."""
+    pairs, commit = [], 0
+    for step, delay in steps_and_delays:
+        commit += step
+        pairs.append((commit, None if delay is None else commit + delay))
+    return pairs
+
+
+update_pairs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+    ),
+    max_size=25,
+).map(_commit_ordered)
+
+
+class TestWindowTTCs:
+    def test_matches_hand_built_cases(self):
+        pairs = [(10, 12), (11, 16)]
+        assert window_ttcs(pairs, [(0, 20), (12, 20), (0, 9), (0, 10)]) == [5, 5, 0, 2]
+
+    def test_unsettled_update_blocks_only_later_windows(self):
+        pairs = [(1, 3), (5, None)]
+        assert window_ttcs(pairs, [(0, 4), (0, 5)]) == [2, None]
+
+    @given(update_pairs, st.lists(st.tuples(st.integers(-3, 40), st.integers(0, 25)), max_size=8))
+    def test_equals_time_to_converge_for_every_window(self, pairs, raw_windows):
+        windows = [(t1 - span, t1) for span, t1 in raw_windows]
+        windows += [(t1 - 10, t1) for t1 in range(0, 60, 3)]
+        got = window_ttcs(pairs, windows)
+        assert got == [time_to_converge(pairs, t0, t1) for t0, t1 in windows]
 
 
 class TestRegistry:
@@ -211,3 +250,13 @@ class TestEventLog:
         log.append(4, "sample", qlen=2)
         parsed = EventLog.parse_lines(log.export_lines())
         assert parsed.entries == log.entries
+
+    def test_digest_pass_writes_the_export(self, tmp_path):
+        log = EventLog()
+        log.append(0, "commit", Key("p", "1"), op="write", val={"b": "2", "a": "1"})
+        log.append(2, "sample", qlen=0, phase="steady")
+        path = tmp_path / "eventlog.jsonl"
+        digest = log.digest(path)
+        data = path.read_bytes()
+        assert digest == log.digest() == hashlib.sha256(data).hexdigest()
+        assert data.decode("utf-8").splitlines() == list(log.export_lines())

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -197,3 +199,11 @@ class TestArtifacts:
         assert (out / "oracle.txt").exists()
         lines = (out / "eventlog.jsonl").read_text().splitlines()
         assert len(lines) == len(result.log.entries)
+
+    def test_eventlog_written_by_digest_pass_matches_digest(self, tmp_path):
+        result = run_scenario(load("small"), out_dir=tmp_path / "run")
+        data = (tmp_path / "run" / "eventlog.jsonl").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == result.report.log_digest
+        assert data.decode("utf-8").splitlines() == list(result.log.export_lines())
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["log_digest"] == result.report.log_digest
