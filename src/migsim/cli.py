@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -42,18 +43,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 2
     log_path = Path(args.eventlog)
     try:
-        with open(log_path, "r", encoding="utf-8") as fh:
-            log = EventLog.parse_lines(fh)
+        data = log_path.read_bytes()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    log = EventLog.parse_lines(data.decode("utf-8").splitlines())
     report_doc = None
+    digest_ok = True
     sibling = log_path.parent / "report.json"
     if sibling.exists():
         report_doc = json.loads(sibling.read_text(encoding="utf-8"))
     oracle = oracle_verify(log.entries, scenario, report_doc)
     print(oracle.to_text())
-    return 0 if oracle.ok else 1
+    if report_doc is not None:
+        # The report's digest covers the exact bytes of the exported log.
+        got = hashlib.sha256(data).hexdigest()
+        claimed = report_doc.get("log_digest")
+        digest_ok = got == claimed
+        if digest_ok:
+            print("log digest: ok")
+        else:
+            print(f"log digest: MISMATCH (eventlog.jsonl {got} != report {claimed})")
+    return 0 if oracle.ok and digest_ok else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -43,6 +43,11 @@ class TransformError(Exception):
     """A rule failed on well-formed-looking input; the signature of a mapping bug."""
 
 
+class InvariantError(AssertionError):
+    """An internal invariant does not hold: always a bug, never a fault to
+    recover from.  Raised explicitly so that `python -O` keeps the check."""
+
+
 class Key(NamedTuple):
     etype: str
     id: str

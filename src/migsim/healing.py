@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .domain import (
     DiscrepancyClass,
+    InvariantError,
     Key,
     Schema,
     TargetRecord,
@@ -242,15 +243,16 @@ class Healer:
         # within a run, so "seen live once" stays true.
         self._present: set[Key] = set()
 
-    def _parents_present(self, sources) -> tuple[bool, Key | None]:
+    def _missing_parent(self, sources) -> Key | None:
+        """First parent target record the group needs that is absent, if any."""
         for pkey in self.schema.parent_target_keys(sources):
             if pkey in self._present:
                 continue
             rec = self.target.get(pkey)
             if rec is None:
-                return False, pkey
+                return pkey
             self._present.add(pkey)
-        return True, None
+        return None
 
     def validate_and_fix(self, key: Key, now: int | None = None) -> FixOutcome:
         """Reconcile one target key against the latest source state.
@@ -282,19 +284,19 @@ class Healer:
 
         if expected is None:
             # Live data with no surviving source: bury it in place.
-            assert actual is not None
+            if actual is None:
+                raise InvariantError(f"{key}: absent on both sides yet inconsistent")
             fix = TargetRecord(key, {}, dict(actual.provenance), True)
         else:
             fix = expected
 
         if not fix.tombstone:
             try:
-                ok, missing = self._parents_present(sources)
+                missing = self._missing_parent(sources)
             except StoreUnavailable:
                 self.registry.fix_failure += 1
                 return FixOutcome(FixStatus.FAILED, "unavailable")
-            if not ok:
-                assert missing is not None
+            if missing is not None:
                 self.queue.enqueue(
                     missing, Trigger.DUALWRITE, now, fix_source_time(sources)
                 )
@@ -340,7 +342,6 @@ class Healer:
             self.registry.dequeued += 1
             self.registry.in_queue_latency.add(now - event.enqueued_at)
             self.registry.pipeline_latency.add(now - event.source_update_time)
-            self.registry.fix_latency.add(0)
             if outcome.status is FixStatus.FIXED:
                 report.fixed += 1
                 self.log.append(now, "dequeue", event.target_key, res="fixed")

@@ -28,11 +28,13 @@ from typing import Callable, Iterable, Mapping
 
 from .domain import (
     DiscrepancyClass,
+    InvariantError,
     Key,
     Schema,
     SourceRecord,
     TargetRecord,
     TransformError,
+    UnknownTypeError,
     VersionStamp,
     at_least_as_fresh,
     compare_records,
@@ -133,7 +135,6 @@ class MetricsRegistry:
     retries: int = 0
     attempts_total: int = 0
     in_queue_latency: Histogram = field(default_factory=Histogram)
-    fix_latency: Histogram = field(default_factory=Histogram)
     pipeline_latency: Histogram = field(default_factory=Histogram)
 
     @property
@@ -141,9 +142,17 @@ class MetricsRegistry:
         return self.enqueued - self.dequeued - self.dead_lettered
 
     def check_algebra(self) -> None:
-        assert self.dequeued <= self.enqueued
-        assert self.queue_length >= 0
-        assert self.fix_success + self.fix_failure + self.validation_success >= self.dequeued
+        """Raise InvariantError unless the counters are mutually consistent."""
+        if self.dequeued > self.enqueued:
+            raise InvariantError(f"dequeued {self.dequeued} > enqueued {self.enqueued}")
+        if self.queue_length < 0:
+            raise InvariantError(f"queue length {self.queue_length} < 0")
+        settled = self.fix_success + self.fix_failure + self.validation_success
+        if settled < self.dequeued:
+            raise InvariantError(
+                f"fix_success + fix_failure + validation_success {settled}"
+                f" < dequeued {self.dequeued}"
+            )
 
     def counters_dict(self) -> dict:
         return {
@@ -160,7 +169,6 @@ class MetricsRegistry:
             "attempts_total": self.attempts_total,
             "queue_length": self.queue_length,
             "in_queue_latency": self.in_queue_latency.as_dict(),
-            "fix_latency": self.fix_latency.as_dict(),
             "pipeline_latency": self.pipeline_latency.as_dict(),
         }
 
@@ -452,7 +460,7 @@ class ConsistencyTracker:
     def mark_target(self, tkey: Key) -> None:
         try:
             rule = self.schema.rule_for_target(tkey.etype)
-        except Exception:
+        except UnknownTypeError:
             return
         tag = (rule.name, tkey.id)
         self._group_rule[tag] = rule

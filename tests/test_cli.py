@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -75,6 +76,21 @@ class TestVerify:
         )
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+    def test_verify_checks_digest_against_report(self, run_dir, capsys):
+        main(["verify", str(run_dir / "eventlog.jsonl"), str(scenario_path("small"))])
+        assert "log digest: ok" in capsys.readouterr().out
+
+    def test_verify_fails_on_log_truncated_by_one_line(self, run_dir, tmp_path, capsys):
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        lines = (run_dir / "eventlog.jsonl").read_text().splitlines(keepends=True)
+        (cut / "eventlog.jsonl").write_text("".join(lines[:-1]))
+        shutil.copy(run_dir / "report.json", cut / "report.json")
+        code = main(["verify", str(cut / "eventlog.jsonl"), str(scenario_path("small"))])
+        assert code == 1
+        assert "log digest: MISMATCH" in capsys.readouterr().out
 
 
 class TestReport:

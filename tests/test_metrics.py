@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from migsim.domain import Key, TargetRecord, VersionStamp
+from migsim.domain import InvariantError, Key, TargetRecord, VersionStamp
 from migsim.healing import Trigger
 from migsim.metrics import (
     ConsistencyTracker,
@@ -155,6 +159,35 @@ class TestRegistry:
         assert r.in_queue_latency.mean == pytest.approx(4.0)
 
 
+    @pytest.mark.parametrize(
+        "counters",
+        [
+            {"enqueued": 1, "dequeued": 2, "fix_success": 2},
+            {"enqueued": 2, "dequeued": 1, "dead_lettered": 2, "fix_success": 1},
+            {"enqueued": 2, "dequeued": 2, "fix_success": 1},
+        ],
+        ids=["dequeued_past_enqueued", "negative_queue", "unaccounted_dequeues"],
+    )
+    def test_broken_algebra_raises(self, counters):
+        with pytest.raises(InvariantError):
+            MetricsRegistry(**counters).check_algebra()
+
+    def test_broken_algebra_raises_under_optimize(self):
+        # `python -O` strips assert statements; the check must not be one.
+        code = (
+            "from migsim.domain import InvariantError\n"
+            "from migsim.metrics import MetricsRegistry\n"
+            "try:\n"
+            "    MetricsRegistry(enqueued=1, dequeued=2).check_algebra()\n"
+            "except InvariantError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
 class TestLoopGauges:
     def test_empty_queue(self, pipeline):
         assert loop_gauges(pipeline.queue, 25) == (0, 0)
@@ -233,6 +266,14 @@ class TestConsistencyTracker:
         overall, _, expected, bad = tracker.rates(0, 10)
         assert (expected, bad) == (1, 1)
         assert overall == 0.0
+
+
+    def test_unknown_target_type_is_ignored(self, pipeline):
+        tracker = ConsistencyTracker(
+            pipeline.schema, pipeline.legacy.read, pipeline.target.peek
+        )
+        tracker.mark_target(Key("not_a_type", "1"))
+        assert tracker.rates(0, 10) == (1.0, 1.0, 0, 0)
 
 
 class TestEventLog:
