@@ -433,7 +433,9 @@ class ConsistencyTracker:
 
     Caches a verdict per rule group and re-evaluates only groups whose
     sources or targets changed since the last sample.  Produces exactly the
-    numbers the full scan would; tests hold it to that.
+    numbers the full scan would; tests hold it to that.  `mark_source`
+    expects commit times in nondecreasing order, as the virtual clock
+    gives them.
     """
 
     def __init__(self, schema: Schema, read_source, peek_target):
@@ -444,8 +446,9 @@ class ConsistencyTracker:
         self._group_rule: dict[tuple[str, str], object] = {}
         self._expected_count: dict[tuple[str, str], int] = {}
         self._bad_count: dict[tuple[str, str], int] = {}
+        # Newest commit time per group, kept in commit order so that the
+        # groups still inside any staleness bound form a suffix.
         self._last_update: dict[tuple[str, str], int] = {}
-        self._recent: dict[tuple[str, str], int] = {}
         self._total_expected = 0
         self._total_bad = 0
 
@@ -454,8 +457,8 @@ class ConsistencyTracker:
             tag = (rule.name, skey.id)
             self._group_rule[tag] = rule
             self._dirty.add(tag)
+            self._last_update.pop(tag, None)
             self._last_update[tag] = commit_time
-            self._recent[tag] = commit_time
 
     def mark_target(self, tkey: Key) -> None:
         try:
@@ -488,17 +491,16 @@ class ConsistencyTracker:
     def rates(self, at: int, staleness_bound: int) -> tuple[float, float, int, int]:
         """(overall, settled_only, expected_total, inconsistent_total) at `at`."""
         self._refresh()
+        # A group is settled once at - last_update > staleness_bound, the
+        # same test consistency_rate applies to its newest source.  The bound
+        # moves between samples, so nothing is pruned.
         cutoff = at - staleness_bound
-        for tag in [t for t, lu in self._recent.items() if lu <= cutoff]:
-            del self._recent[tag]
-        recent_expected = sum(
-            self._expected_count.get(tag, 0)
-            for tag, lu in self._recent.items()
-            if lu > cutoff
-        )
-        recent_bad = sum(
-            self._bad_count.get(tag, 0) for tag, lu in self._recent.items() if lu > cutoff
-        )
+        recent_expected = recent_bad = 0
+        for tag, last_update in reversed(self._last_update.items()):
+            if last_update < cutoff:
+                break
+            recent_expected += self._expected_count.get(tag, 0)
+            recent_bad += self._bad_count.get(tag, 0)
         overall = (
             (self._total_expected - self._total_bad) / self._total_expected
             if self._total_expected

@@ -268,6 +268,30 @@ class TestConsistencyTracker:
         assert overall == 0.0
 
 
+    def test_settled_exactly_at_bound_matches_full_scan(self, pipeline):
+        # Settled means at - newest > bound: a commit at t=0 is still
+        # unsettled at t=10 with bound 10, so no settled key is inconsistent.
+        tracker = ConsistencyTracker(
+            pipeline.schema, pipeline.legacy.read, pipeline.target.peek
+        )
+        event = pipeline.commit("project", "1", {"n": "x"})
+        tracker.mark_source(event.key, 0)
+        want = consistency_rate(
+            pipeline.schema, pipeline.legacy.records, pipeline.target.records, 10, 10
+        )
+        assert want[:2] == (0.0, 1.0)
+        assert tracker.rates(10, 10)[:2] == want[:2]
+
+    def test_growing_bound_reopens_settled_groups(self, pipeline):
+        tracker = ConsistencyTracker(
+            pipeline.schema, pipeline.legacy.read, pipeline.target.peek
+        )
+        event = pipeline.commit("project", "1", {"n": "x"})
+        tracker.mark_source(event.key, 0)
+        views = (pipeline.schema, pipeline.legacy.records, pipeline.target.records)
+        for at, bound in ((20, 10), (21, 30)):
+            assert tracker.rates(at, bound)[:2] == consistency_rate(*views, at, bound)[:2]
+
     def test_unknown_target_type_is_ignored(self, pipeline):
         tracker = ConsistencyTracker(
             pipeline.schema, pipeline.legacy.read, pipeline.target.peek
