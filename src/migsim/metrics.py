@@ -435,7 +435,9 @@ class ConsistencyTracker:
     sources or targets changed since the last sample.  Produces exactly the
     numbers the full scan would; tests hold it to that.  `mark_source`
     expects commit times in nondecreasing order, as the virtual clock
-    gives them.
+    gives them.  A rule whose transform changes behaviour over time (an
+    injected mapping bug) must be re-marked with `mark_rule` whenever it
+    does.
     """
 
     def __init__(self, schema: Schema, read_source, peek_target):
@@ -468,6 +470,10 @@ class ConsistencyTracker:
         tag = (rule.name, tkey.id)
         self._group_rule[tag] = rule
         self._dirty.add(tag)
+
+    def mark_rule(self, rule_name: str) -> None:
+        """Re-evaluate every known group of one rule at the next refresh."""
+        self._dirty.update(tag for tag in self._group_rule if tag[0] == rule_name)
 
     def _refresh(self) -> None:
         for tag in sorted(self._dirty):

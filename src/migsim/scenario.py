@@ -159,6 +159,9 @@ class BugSpec:
     active_until: int
     requeue_at: int | None = None
 
+    def active_at(self, now: int) -> bool:
+        return self.active_from <= now < self.active_until
+
 
 @dataclass(frozen=True)
 class ExpectSpec:

@@ -138,7 +138,7 @@ class SimResult:
 
 def _wrap_with_bug(transform, bug: BugSpec, clock: Clock):
     def buggy(sources):
-        if bug.active_from <= clock.now < bug.active_until:
+        if bug.active_at(clock.now):
             for skey, rec in sources.items():
                 if (
                     skey.etype == bug.etype
@@ -246,6 +246,10 @@ class _SimState:
         self.live_ops: list[tuple[int, str, str]] = []
         self.samples: list[ConsistencyReport] = []
         self.flip_rates: tuple[float, float] | None = None
+        # Whether the injected mapping bug was active at the tracker's last
+        # refresh; its cached verdicts for the bug's rule hold only while
+        # that state lasts.
+        self._bug_active = False
         self.rejected_writes = 0
 
         def _on_accept(record: TargetRecord, now: int) -> None:
@@ -358,6 +362,13 @@ class _SimState:
         observed = self.settlement.settled_latency_max(now - window, now)
         return max(2 * observed, self.scenario.metrics.staleness_floor)
 
+    def _tracker_rates(self, now: int, bound: int) -> tuple[float, float, int, int]:
+        bug = self.scenario.bug
+        if bug is not None and bug.active_at(now) != self._bug_active:
+            self._bug_active = not self._bug_active
+            self.ctracker.mark_rule(bug.rule)
+        return self.ctracker.rates(now, bound)
+
     def phase_label(self, now: int) -> str:
         if self.ramp is not None and self.ramp.flipped:
             return "post"
@@ -378,7 +389,7 @@ class _SimState:
             overall, settled = self.flip_rates
             expected = bad = 0
         else:
-            overall, settled, expected, bad = self.ctracker.rates(now, bound)
+            overall, settled, expected, bad = self._tracker_rates(now, bound)
         qlen, age = loop_gauges(self.queue, now)
         report = ConsistencyReport(
             at=now,

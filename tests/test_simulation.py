@@ -8,10 +8,13 @@ import pytest
 
 from migsim.domain import Key
 from migsim.healing import Trigger
+from migsim.metrics import consistency_rate
 from migsim.scenario import Scenario, load_file
-from migsim.simulation import run_scenario
+from migsim.simulation import _SimState, run_scenario
 
 from conftest import SCENARIO_DIR, build_pipeline, scenario_path
+
+BENCH_SCENARIO_DIR = SCENARIO_DIR.parent / "bench" / "scenarios"
 
 # The default scenario is exercised (five seeds deep) by the acceptance
 # suite; everything else shipped runs here.
@@ -174,6 +177,31 @@ class TestRampIntegration:
         freeze_ttc = time_to_converge(pairs, 100, 140)
         assert bursty_ttc is not None and freeze_ttc is not None
         assert freeze_ttc <= bursty_ttc
+
+
+class TestTrackerAgainstFullScan:
+    def test_recorded_samples_equal_full_scan_across_bug_window(self, monkeypatch):
+        # The injected mapping bug depends on the clock, so group verdicts
+        # cached while it was active go stale once it switches off.
+        rows = []
+        sample_report = _SimState.sample_report
+
+        def checked(self, now, record=True):
+            report = sample_report(self, now, record)
+            if record:
+                overall, settled, _ = consistency_rate(
+                    self.schema, self.legacy.records, self.target.records,
+                    now, report.staleness_bound,
+                )
+                rows.append((now, report.overall_rate, report.settled_rate, overall, settled))
+            return report
+
+        monkeypatch.setattr(_SimState, "sample_report", checked)
+        scenario = load_file(BENCH_SCENARIO_DIR / "reshape_queue.json")
+        assert scenario.bug is not None and scenario.ramp.enabled is False
+        run_scenario(scenario, seed=1)
+        assert len(rows) > 10
+        assert [row for row in rows if row[1:3] != row[3:5]] == []
 
 
 class TestTriggerEquivalence:
