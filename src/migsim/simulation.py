@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .domain import (
-    DiscrepancyClass,
     Key,
     Schema,
     SourceRecord,
@@ -341,15 +340,8 @@ class _SimState:
     def flip_measurements(self, now: int) -> tuple[int, int]:
         """At the flip: unsettled source updates and the residual exact diff."""
         lost = self.settlement.unsettled_count()
-        overall, settled, counts = consistency_rate(
-            self.schema,
-            self.legacy.records,
-            self.target.records,
-            now,
-            self._staleness_bound(now),
-        )
-        discrepancies = sum(
-            n for cls, n in counts.items() if cls is not DiscrepancyClass.CONSISTENT
+        overall, settled, _expected, discrepancies = self._tracker_rates(
+            now, self._staleness_bound(now)
         )
         self.flip_rates = (overall, settled)
         return lost, discrepancies

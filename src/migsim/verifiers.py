@@ -462,33 +462,25 @@ class OfflineVerifier:
         horizon = source_snapshot.taken_at - cutoff
         read = source_snapshot.records.get
         for rule, gid in iter_groups(self.schema, source_snapshot.records):
-            try:
-                expected, sources = self.schema.group_expected(rule, gid, read)
-            except TransformError:
-                sources = {
-                    k: rec
-                    for k in rule.input_keys(gid)
-                    if (rec := source_snapshot.records.get(k)) is not None
-                }
-                sut = fix_source_time(sources)
-                if sut > horizon:
-                    report.skipped_recent_groups += 1
-                    continue
-                report.scanned_groups += 1
-                for tkey in rule.target_keys(gid):
-                    report.scanned_keys += 1
-                    counts["transform_error"] = counts.get("transform_error", 0) + 1
-                    report.enqueued += 1
-                    self.queue.enqueue(tkey, Trigger.OFFLINE, now, sut)
-                continue
-            if not sources:
-                continue
+            # The horizon is checked before mapping: recent groups cost one
+            # read per input key, not a transform.
+            sources = {k: rec for k in rule.input_keys(gid) if (rec := read(k)) is not None}
             newest = fix_source_time(sources)
             if newest > horizon:
                 report.skipped_recent_groups += 1
                 continue
             report.scanned_groups += 1
-            for tkey, exp in expected.items():
+            try:
+                expected = map_source(rule, sources)
+            except TransformError:
+                for tkey in rule.target_keys(gid):
+                    report.scanned_keys += 1
+                    counts["transform_error"] = counts.get("transform_error", 0) + 1
+                    report.enqueued += 1
+                    self.queue.enqueue(tkey, Trigger.OFFLINE, now, newest)
+                continue
+            for exp in expected:
+                tkey = exp.key
                 report.scanned_keys += 1
                 verdict = compare_records(exp, target_view.get(tkey))
                 counts[verdict.value] = counts.get(verdict.value, 0) + 1

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from migsim.domain import Key
+from migsim.domain import DiscrepancyClass, Key
 from migsim.healing import Trigger
 from migsim.metrics import consistency_rate
 from migsim.scenario import Scenario, load_file
@@ -202,6 +202,35 @@ class TestTrackerAgainstFullScan:
         run_scenario(scenario, seed=1)
         assert len(rows) > 10
         assert [row for row in rows if row[1:3] != row[3:5]] == []
+
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            scenario_path("ramp_pair_drained"),
+            scenario_path("ramp_pair_forced"),
+            BENCH_SCENARIO_DIR / "paper_default.json",
+        ],
+        ids=lambda p: p.stem,
+    )
+    def test_flip_measurements_equal_full_scan(self, monkeypatch, path):
+        flips = []
+        flip_measurements = _SimState.flip_measurements
+
+        def checked(self, now):
+            lost, discrepancies = flip_measurements(self, now)
+            overall, settled, counts = consistency_rate(
+                self.schema, self.legacy.records, self.target.records,
+                now, self._staleness_bound(now),
+            )
+            bad = sum(n for cls, n in counts.items() if cls is not DiscrepancyClass.CONSISTENT)
+            flips.append(((*self.flip_rates, discrepancies), (overall, settled, bad)))
+            return lost, discrepancies
+
+        monkeypatch.setattr(_SimState, "flip_measurements", checked)
+        run_scenario(load_file(path), seed=1)
+        assert len(flips) == 1
+        assert flips[0][0] == flips[0][1]
 
 
 class TestTriggerEquivalence:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from migsim import domain, verifiers
 from migsim.domain import BOOTSTRAP_COUNTER, Key, TargetRecord, VersionStamp
 from migsim.healing import Trigger
 from migsim.stores import ChangeEvent, Clock, FaultProfile, LegacyStore, Snapshot, SourceRecord
@@ -300,6 +301,25 @@ class TestOfflineVerify:
         report = self._run(pipeline, [old, recent], cutoff=24, taken_at=100)
         assert report.scanned_groups == 1
         assert report.skipped_recent_groups == 1
+
+    def test_recent_groups_are_skipped_before_mapping(self, pipeline, monkeypatch):
+        calls = []
+
+        def counted(rule, sources):
+            calls.append(rule.name)
+            return real(rule, sources)
+
+        real = domain.map_source
+        monkeypatch.setattr(domain, "map_source", counted)
+        monkeypatch.setattr(verifiers, "map_source", counted)
+        recent = [srec("project", str(i), {"n": "x"}, t=95) for i in range(3)]
+        report = self._run(pipeline, recent, cutoff=24, taken_at=100)
+        assert calls == []
+        assert report.as_dict() == {
+            "run_at": 100, "snapshot_time": 100, "cutoff": 24, "scanned_groups": 0,
+            "scanned_keys": 0, "skipped_recent_groups": 3, "counts": {}, "enqueued": 0,
+            "consistency_rate": 1.0,
+        }
 
     def test_report_text_contains_rate(self, pipeline):
         report = self._run(pipeline, [])
