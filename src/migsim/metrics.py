@@ -43,10 +43,6 @@ from .domain import (
 NOT_SETTLED = None  # sentinel spelled out where a settlement is still open
 
 
-def encode_key(key: Key | None) -> list[str] | None:
-    return [key.etype, key.id] if key is not None else None
-
-
 # One encoder for every exported line; `json.dumps` with keyword arguments
 # would build a new encoder per call.
 _encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -61,6 +57,14 @@ class EventLog:
     byte-identical things.  Entries stay unserialized until the run ends and
     are then serialized once: `digest(path)` writes the export to `path` in
     the same pass that hashes it.
+
+    Entries share the run's own immutable objects instead of copying them:
+    the `Key` under "key", a commit's `VersionStamp` under "ver", record
+    value maps under "val", and provenance rows as tuples.  Keys and stamps
+    are tuples, so they export as the same JSON arrays a copy would.  Value
+    maps are never mutated after creation (`map_source` requires fresh maps
+    from transforms, and the legacy store copies what it commits), so a
+    shared map exports the bytes it had when it was logged.
     """
 
     def __init__(self) -> None:
@@ -69,7 +73,7 @@ class EventLog:
     def append(self, t: int, kind: str, key: Key | None = None, **data) -> None:
         entry = {"seq": len(self.entries) + 1, "t": t, "k": kind}
         if key is not None:
-            entry["key"] = encode_key(key)
+            entry["key"] = key
         entry.update(data)
         self.entries.append(entry)
 
@@ -92,10 +96,19 @@ class EventLog:
 
     @staticmethod
     def parse_lines(lines: Iterable[str]) -> "EventLog":
+        """Entries shaped as `append` builds them: a `Key` under "key", a
+        `VersionStamp` under "ver" and tuple provenance rows."""
         log = EventLog()
         for line in lines:
             if line.strip():
-                log.entries.append(json.loads(line))
+                entry = json.loads(line)
+                if "key" in entry:
+                    entry["key"] = Key(*entry["key"])
+                if "ver" in entry:
+                    entry["ver"] = VersionStamp(*entry["ver"])
+                if "prov" in entry:
+                    entry["prov"] = [tuple(row) for row in entry["prov"]]
+                log.entries.append(entry)
         return log
 
 
@@ -173,75 +186,93 @@ class MetricsRegistry:
         }
 
 
-@dataclass
-class _UpdateState:
-    key: Key
-    stamp: VersionStamp
-    waiting: set[Key]
-    settle_time: int | None = None
-
-
 class SettlementTracker:
     """Streaming settlement times for every source update.
 
     Fed with commits and accepted target writes as they happen; answers
     settlement, unsettled counts, and window TTC questions at any point.
+    Updates live in parallel lists, one slot per update in commit order;
+    commits must arrive in nondecreasing commit time, as the virtual clock
+    gives them.
     """
 
     def __init__(self, affected_targets: Callable[[Key], tuple[Key, ...]]):
         self._affected = affected_targets
-        self._updates: list[_UpdateState] = []
-        self._by_index: dict[tuple[Key, int], int] = {}
-        self._open_by_target: dict[Key, set[int]] = {}
+        self._keys: list[Key] = []
+        self._stamps: list[VersionStamp] = []
+        self._commit_times: list[int] = []
+        self._settle_times: list[int | None] = []
+        self._waiting: list[int] = []  # affected targets not yet caught up
+        # Open update slots per target key; a key is dropped once none is open.
+        self._open_by_target: dict[Key, list[int]] = {}
         self._unsettled = 0
+        # (source key, counter) -> slot, extended on lookup to the first
+        # `_indexed` updates.
+        self._index: dict[tuple[Key, int], int] = {}
+        self._indexed = 0
 
     def on_commit(self, key: Key, stamp: VersionStamp) -> None:
+        commit_time = stamp.commit_time
+        if self._commit_times and commit_time < self._commit_times[-1]:
+            raise InvariantError(
+                f"commit of {key} at {commit_time} after one at {self._commit_times[-1]}"
+            )
         targets = self._affected(key)
-        state = _UpdateState(key, stamp, set(targets))
-        idx = len(self._updates)
-        self._updates.append(state)
-        self._by_index[(key, stamp.counter)] = idx
-        if not state.waiting:
-            state.settle_time = stamp.commit_time
+        idx = len(self._keys)
+        self._keys.append(key)
+        self._stamps.append(stamp)
+        self._commit_times.append(commit_time)
+        self._waiting.append(len(targets))
+        if not targets:
+            self._settle_times.append(commit_time)
             return
+        self._settle_times.append(NOT_SETTLED)
         self._unsettled += 1
+        open_by_target = self._open_by_target
         for tkey in targets:
-            self._open_by_target.setdefault(tkey, set()).add(idx)
+            open_here = open_by_target.get(tkey)
+            if open_here is None:
+                open_by_target[tkey] = [idx]
+            else:
+                open_here.append(idx)
 
     def on_accepted_put(self, record: TargetRecord, now: int) -> None:
         open_here = self._open_by_target.get(record.key)
-        if not open_here:
+        if open_here is None:
             return
-        satisfied = []
+        provenance = record.provenance
+        keys, stamps, waiting = self._keys, self._stamps, self._waiting
+        still_open = []
         for idx in open_here:
-            state = self._updates[idx]
-            have = record.provenance.get(state.key)
-            if have is not None and at_least_as_fresh(have, state.stamp):
-                satisfied.append(idx)
-        for idx in satisfied:
-            open_here.discard(idx)
-            state = self._updates[idx]
-            state.waiting.discard(record.key)
-            if not state.waiting and state.settle_time is None:
-                state.settle_time = now
+            have = provenance.get(keys[idx])
+            if have is None or not at_least_as_fresh(have, stamps[idx]):
+                still_open.append(idx)
+                continue
+            waiting[idx] -= 1
+            if waiting[idx] == 0:
+                self._settle_times[idx] = now
                 self._unsettled -= 1
+        if still_open:
+            self._open_by_target[record.key] = still_open
+        else:
+            del self._open_by_target[record.key]
 
     def settlement_time(self, key: Key, stamp: VersionStamp) -> int | None:
         """Ticks at which the update settled, or None if it never did."""
-        idx = self._by_index.get((key, stamp.counter))
+        for idx in range(self._indexed, len(self._keys)):
+            self._index[(self._keys[idx], self._stamps[idx].counter)] = idx
+        self._indexed = len(self._keys)
+        idx = self._index.get((key, stamp.counter))
         if idx is None:
             raise KeyError(f"unknown update {key} v{stamp.counter}")
-        return self._updates[idx].settle_time
+        return self._settle_times[idx]
 
     def unsettled_count(self) -> int:
         return self._unsettled
 
-    def unsettled_updates(self) -> list[tuple[Key, VersionStamp]]:
-        return [(s.key, s.stamp) for s in self._updates if s.settle_time is None]
-
     def updates_as_pairs(self) -> list[tuple[int, int | None]]:
         """(commit_time, settle_time) per update, in commit order."""
-        return [(s.stamp.commit_time, s.settle_time) for s in self._updates]
+        return list(zip(self._commit_times, self._settle_times))
 
     def window_ttc(self, t0: int, t1: int) -> int | None:
         return time_to_converge(self.updates_as_pairs(), t0, t1)
@@ -253,10 +284,13 @@ class SettlementTracker:
         that have not settled yet, so stragglers do not inflate the bound
         (their failure to settle is exactly what the bound must expose).
         """
+        commit_times = self._commit_times
+        lo = bisect_right(commit_times, t0)
+        hi = bisect_right(commit_times, t1, lo)
         worst = 0
-        for state in self._updates:
-            if t0 < state.stamp.commit_time <= t1 and state.settle_time is not None:
-                worst = max(worst, state.settle_time - state.stamp.commit_time)
+        for commit, settle in zip(commit_times[lo:hi], self._settle_times[lo:hi]):
+            if settle is not None and settle - commit > worst:
+                worst = settle - commit
         return worst
 
 

@@ -72,24 +72,40 @@ class OracleReport:
 
 
 def _decode_key(raw) -> Key:
-    return Key(raw[0], raw[1])
+    """A logged key: the run's own `Key`, or a JSON [type, id] pair."""
+    return raw if type(raw) is Key else Key(raw[0], raw[1])
+
+
+def _decode_stamp(raw) -> VersionStamp:
+    return raw if type(raw) is VersionStamp else VersionStamp(raw[0], raw[1])
 
 
 class LogReplay:
-    """Flat, order-preserving decomposition of an event log."""
+    """Flat, order-preserving decomposition of an event log.
+
+    Commits are decoded once: `sources[i]` is the source record that
+    `commits[i]` wrote.  Puts stay as their raw entries and are decoded only
+    where a check needs a record.
+    """
 
     def __init__(self, entries: Iterable[dict]):
         self.commits: list[dict] = []
+        self.sources: list[SourceRecord] = []
         self.migration_puts: list[dict] = []
         self.samples: list[dict] = []
         self.queue_transitions: list[dict] = []
         self.flip_time: int | None = None
         self.flip_entry: dict | None = None
-        self.entries = list(entries)
-        for entry in self.entries:
+        for entry in entries:
             kind = entry["k"]
             if kind == "commit":
                 self.commits.append(entry)
+                key = _decode_key(entry["key"])
+                stamp = _decode_stamp(entry["ver"])
+                if entry["op"] == "delete":
+                    self.sources.append(SourceRecord(key, {}, stamp, True))
+                else:
+                    self.sources.append(SourceRecord(key, entry["val"], stamp, False))
             elif kind == "put":
                 if entry.get("out") == "accepted" and entry.get("cls") != "native":
                     self.migration_puts.append(entry)
@@ -103,28 +119,38 @@ class LogReplay:
 
     def source_state(self, before: int | None = None) -> dict[Key, SourceRecord]:
         state: dict[Key, SourceRecord] = {}
-        for entry in self.commits:
-            if before is not None and entry["t"] >= before:
-                continue
-            key = _decode_key(entry["key"])
-            stamp = VersionStamp(entry["ver"][0], entry["ver"][1])
-            if entry["op"] == "delete":
-                state[key] = SourceRecord(key, {}, stamp, True)
-            else:
-                state[key] = SourceRecord(key, entry["val"], stamp, False)
+        for entry, rec in zip(self.commits, self.sources):
+            if before is None or entry["t"] < before:
+                state[rec.key] = rec
         return state
 
     def target_state(self, before: int | None = None) -> dict[Key, TargetRecord]:
-        state: dict[Key, TargetRecord] = {}
+        last: dict[Key, dict] = {}
         for entry in self.migration_puts:
-            if before is not None and entry["t"] >= before:
-                continue
-            key = _decode_key(entry["key"])
-            prov = {
-                Key(et, gid): VersionStamp(c, ct) for et, gid, c, ct in entry["prov"]
-            }
-            state[key] = TargetRecord(key, entry.get("val", {}), prov, entry["tomb"])
-        return state
+            if before is None or entry["t"] < before:
+                last[_decode_key(entry["key"])] = entry
+        return {
+            key: TargetRecord(
+                key,
+                entry.get("val", {}),
+                {Key(et, gid): VersionStamp(c, ct) for et, gid, c, ct in entry["prov"]},
+                entry["tomb"],
+            )
+            for key, entry in last.items()
+        }
+
+
+def _first_covering_put(puts: list[dict], skey: Key, stamp: VersionStamp) -> int | None:
+    """Time of the first put whose provenance row for `skey` is at least as
+    fresh as `stamp`."""
+    etype, sid = skey
+    for entry in puts:
+        for et, gid, counter, commit_time in entry["prov"]:
+            if et == etype and gid == sid:
+                if at_least_as_fresh(VersionStamp(counter, commit_time), stamp):
+                    return entry["t"]
+                break
+    return None
 
 
 def settlement_times(
@@ -136,32 +162,19 @@ def settlement_times(
     for that source key at least as fresh as the update; an update with no
     affected targets settles at its own commit.
     """
-    puts_by_target: dict[Key, list[tuple[int, dict]]] = {}
+    puts_by_target: dict[Key, list[dict]] = {}
     for entry in replay.migration_puts:
-        tkey = _decode_key(entry["key"])
-        prov = {(et, gid): VersionStamp(c, ct) for et, gid, c, ct in entry["prov"]}
-        puts_by_target.setdefault(tkey, []).append((entry["t"], prov))
+        puts_by_target.setdefault(_decode_key(entry["key"]), []).append(entry)
     out: dict[tuple[str, str, int], int | None] = {}
-    for entry in replay.commits:
-        skey = _decode_key(entry["key"])
-        stamp = VersionStamp(entry["ver"][0], entry["ver"][1])
-        targets = schema.affected_targets(skey)
-        if not targets:
-            out[(skey.etype, skey.id, stamp.counter)] = stamp.commit_time
-            continue
+    for rec in replay.sources:
+        skey, stamp = rec.key, rec.version
         worst: int | None = stamp.commit_time
-        for tkey in targets:
-            found = None
-            for t, prov in puts_by_target.get(tkey, ()):
-                have = prov.get((skey.etype, skey.id))
-                if have is not None and at_least_as_fresh(have, stamp):
-                    found = t
-                    break
+        for tkey in schema.affected_targets(skey):
+            found = _first_covering_put(puts_by_target.get(tkey, ()), skey, stamp)
             if found is None:
                 worst = None
                 break
-            if worst is not None:
-                worst = max(worst, found)
+            worst = max(worst, found)
         out[(skey.etype, skey.id, stamp.counter)] = worst
     return out
 
@@ -218,22 +231,17 @@ def ordering_violations(replay: LogReplay, schema: Schema) -> list[dict]:
     violations: list[dict] = []
     source: dict[Key, SourceRecord] = {}
     target_present: set[Key] = set()
-    commits = iter(replay.commits)
+    commits = zip(replay.commits, replay.sources)
     puts = iter(replay.migration_puts)
     next_commit = next(commits, None)
     next_put = next(puts, None)
     while next_commit is not None or next_put is not None:
         take_commit = next_put is None or (
-            next_commit is not None and next_commit["seq"] <= next_put["seq"]
+            next_commit is not None and next_commit[0]["seq"] <= next_put["seq"]
         )
         if take_commit:
-            entry = next_commit
-            key = _decode_key(entry["key"])
-            stamp = VersionStamp(entry["ver"][0], entry["ver"][1])
-            if entry["op"] == "delete":
-                source[key] = SourceRecord(key, {}, stamp, True)
-            else:
-                source[key] = SourceRecord(key, entry["val"], stamp, False)
+            rec = next_commit[1]
+            source[rec.key] = rec
             next_commit = next(commits, None)
             continue
         entry = next_put
@@ -319,11 +327,10 @@ def oracle_verify(
     result.add("no live unexpected extras", extras == 0, f"extras={extras}")
 
     settles = settlement_times(replay, schema)
-    commit_pairs: list[tuple[int, int | None]] = []
-    for entry in replay.commits:
-        skey = _decode_key(entry["key"])
-        settle = settles[(skey.etype, skey.id, entry["ver"][0])]
-        commit_pairs.append((entry["ver"][1], settle))
+    commit_pairs = [
+        (rec.version.commit_time, settles[(rec.key.etype, rec.key.id, rec.version.counter)])
+        for rec in replay.sources
+    ]
 
     # Sampled window TTC, recomputed per tick.
     if report is not None:

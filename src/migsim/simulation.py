@@ -265,11 +265,7 @@ class _SimState:
 
     def _commit(self, key: Key, value, attach: bool) -> None:
         event = self.legacy.commit(key, value)
-        entry = {
-            "cseq": event.seq,
-            "ver": [event.new_version.counter, event.new_version.commit_time],
-            "op": event.op,
-        }
+        entry = {"cseq": event.seq, "ver": event.new_version, "op": event.op}
         if event.op == "write":
             entry["val"] = self.legacy.records[key].value
         self.log.append(self.clock.now, "commit", key, **entry)

@@ -196,13 +196,6 @@ class LegacyStore:
         return Snapshot(now, records)
 
 
-class WriteAttempt(NamedTuple):
-    seq: int
-    time: int
-    record: TargetRecord
-    outcome: str  # PutResult value or "unavailable"
-
-
 class TargetStore:
     """Destination store with freshness-guarded conditional writes.
 
@@ -216,7 +209,6 @@ class TargetStore:
         self.fault = fault
         self._rng = rng
         self.records: dict[Key, TargetRecord] = {}
-        self.write_log: list[WriteAttempt] = []
         self.op_count = 0
         self.on_accept: list[Callable[[TargetRecord, int], None]] = []
         self.event_log: EventLog | None = None
@@ -230,12 +222,11 @@ class TargetStore:
         return draw < self.fault.availability_p
 
     def _log_put(self, record: TargetRecord, outcome: str) -> None:
-        self.write_log.append(
-            WriteAttempt(len(self.write_log) + 1, self.clock.now, record, outcome)
-        )
         if self.event_log is None:
             return
         if outcome == PutResult.ACCEPTED.value:
+            # Rows are (type, id, counter, commit time); the value map is
+            # shared, not copied (see EventLog).
             self.event_log.append(
                 self.clock.now,
                 "put",
@@ -243,11 +234,8 @@ class TargetStore:
                 cls=self.writer_class,
                 out=outcome,
                 tomb=record.tombstone,
-                prov=sorted(
-                    [k.etype, k.id, v.counter, v.commit_time]
-                    for k, v in record.provenance.items()
-                ),
-                val=dict(record.value),
+                prov=sorted(k + v for k, v in record.provenance.items()),
+                val=record.value,
             )
         else:
             self.event_log.append(
@@ -297,12 +285,17 @@ class TargetStore:
         return dict(self.records)
 
     @staticmethod
-    def replay(write_log: Iterable[WriteAttempt]) -> dict[Key, TargetRecord]:
-        """Rebuild final contents from the audit log (accepted writes only)."""
+    def replay(entries: Iterable[dict]) -> dict[Key, TargetRecord]:
+        """Rebuild contents from the accepted freshness-guarded `put` entries
+        of an event log (native writes after a flip are not replayed)."""
         state: dict[Key, TargetRecord] = {}
-        for attempt in write_log:
-            if attempt.outcome == PutResult.ACCEPTED.value:
-                state[attempt.record.key] = attempt.record
+        for entry in entries:
+            if entry["k"] == "put" and entry["out"] == "accepted" and entry["cls"] != "native":
+                key = entry["key"]
+                provenance = {
+                    Key(et, gid): VersionStamp(c, ct) for et, gid, c, ct in entry["prov"]
+                }
+                state[key] = TargetRecord(key, entry["val"], provenance, entry["tomb"])
         return state
 
 

@@ -40,11 +40,14 @@ class TestEnqueue:
 class TestValidateAndFix:
     def test_already_consistent_writes_nothing(self, pipeline):
         pipeline.commit_and_replicate("project", "1", {"n": "x"})
-        writes_before = len(pipeline.target.write_log)
+        def puts():
+            return sum(1 for e in pipeline.log.entries if e["k"] == "put")
+
+        writes_before = puts()
         outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
         assert outcome.status is FixStatus.ALREADY_CONSISTENT
         # one read, zero writes
-        assert len(pipeline.target.write_log) == writes_before
+        assert puts() == writes_before
 
     def test_missing_record_fixed(self, pipeline):
         pipeline.commit("project", "1", {"n": "x"})

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from migsim.domain import InvariantError, Key, TargetRecord, VersionStamp
+from migsim.domain import InvariantError, Key, TargetRecord, VersionStamp, at_least_as_fresh
 from migsim.healing import Trigger
 from migsim.metrics import (
     ConsistencyTracker,
@@ -79,6 +79,113 @@ class TestSettlementTracker:
         assert tracker.settlement_time(key, VersionStamp(1, 10)) is None
         tracker.on_accepted_put(TargetRecord(Key("b_v2", "1"), {}, prov, False), 14)
         assert tracker.settlement_time(key, VersionStamp(1, 10)) == 14
+
+
+    def test_out_of_order_commit_raises(self):
+        tracker = SettlementTracker(affected)
+        tracker.on_commit(Key("p", "1"), VersionStamp(1, 10))
+        with pytest.raises(InvariantError):
+            tracker.on_commit(Key("p", "2"), VersionStamp(1, 9))
+
+
+def _fan_out(skey: Key) -> tuple[Key, ...]:
+    """"p" feeds one target, "q" two, "z" none."""
+    return {"p": (Key("a_v2", skey.id),), "q": (Key("a_v2", skey.id), Key("b_v2", skey.id)),
+            "z": ()}[skey.etype]
+
+
+_SOURCES = [Key(etype, gid) for etype in ("p", "q", "z") for gid in ("1", "2")]
+_TARGETS = sorted({tkey for skey in _SOURCES for tkey in _fan_out(skey)})
+
+# One step: (time advance, commit source index, or put (target index,
+# provenance choices)); a provenance choice per feeding source is None (no
+# entry), a counter offset from that source's current counter, or a
+# bootstrap stamp at an offset from the current time.
+_steps = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.one_of(
+            st.integers(0, len(_SOURCES) - 1),
+            st.tuples(
+                st.integers(0, len(_TARGETS) - 1),
+                st.lists(
+                    st.one_of(
+                        st.none(),
+                        st.tuples(st.just("c"), st.integers(-2, 1)),
+                        st.tuples(st.just("b"), st.integers(-4, 2)),
+                    ),
+                    min_size=2, max_size=2,
+                ),
+            ),
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestSettlementTrackerAgainstReference:
+    @given(_steps)
+    def test_matches_first_covering_put_per_target(self, steps):
+        tracker = SettlementTracker(_fan_out)
+        commits: list[tuple[Key, VersionStamp, int]] = []  # with position in the run
+        puts: list[tuple[int, TargetRecord, int]] = []
+        counters = {skey: 0 for skey in _SOURCES}
+        now = 0
+        for pos, (advance, action) in enumerate(steps):
+            now += advance
+            if isinstance(action, int):
+                skey = _SOURCES[action]
+                counters[skey] += 1
+                stamp = VersionStamp(counters[skey], now)
+                tracker.on_commit(skey, stamp)
+                commits.append((skey, stamp, pos))
+                continue
+            tkey = _TARGETS[action[0]]
+            feeding = [skey for skey in _SOURCES if tkey in _fan_out(skey)]
+            prov = {}
+            for skey, choice in zip(feeding, action[1]):
+                if choice is None:
+                    continue
+                kind, offset = choice
+                if kind == "c":
+                    prov[skey] = VersionStamp(max(counters[skey] + offset, 1), now)
+                else:
+                    prov[skey] = VersionStamp(0, max(now + offset, 0))
+            record = TargetRecord(tkey, {}, prov, False)
+            tracker.on_accepted_put(record, now)
+            puts.append((now, record, pos))
+
+        def reference(skey, stamp, committed_at):
+            settle = stamp.commit_time
+            for tkey in _fan_out(skey):
+                found = next(
+                    (
+                        t for t, rec, pos in puts
+                        if pos > committed_at and rec.key == tkey
+                        and skey in rec.provenance
+                        and at_least_as_fresh(rec.provenance[skey], stamp)
+                    ),
+                    None,
+                )
+                if found is None:
+                    return None
+                settle = max(settle, found)
+            return settle
+
+        expected = [reference(*c) for c in commits]
+        assert [tracker.settlement_time(k, s) for k, s, _ in commits] == expected
+        assert tracker.updates_as_pairs() == [
+            (s.commit_time, e) for (_, s, _), e in zip(commits, expected)
+        ]
+        assert tracker.unsettled_count() == sum(e is None for e in expected)
+        for t0 in range(-1, now + 1):
+            for t1 in range(t0, now + 2):
+                gaps = [
+                    e - s.commit_time
+                    for (_, s, _), e in zip(commits, expected)
+                    if e is not None and t0 < s.commit_time <= t1
+                ]
+                assert tracker.settled_latency_max(t0, t1) == max(gaps, default=0)
 
 
 class TestTimeToConverge:
@@ -315,6 +422,16 @@ class TestEventLog:
         log.append(4, "sample", qlen=2)
         parsed = EventLog.parse_lines(log.export_lines())
         assert parsed.entries == log.entries
+
+    def test_parse_lines_shapes_entries_like_append(self):
+        log = EventLog()
+        log.append(1, "commit", Key("p", "1"), ver=VersionStamp(2, 1), op="write", val={"n": "x"})
+        log.append(2, "put", Key("p_v2", "1"), out="accepted", prov=[("p", "1", 2, 1)], val={})
+        parsed = EventLog.parse_lines(log.export_lines())
+        assert parsed.entries == log.entries  # a list row would not equal a tuple row
+        commit, put = parsed.entries
+        assert type(commit["key"]) is Key and type(put["key"]) is Key
+        assert type(commit["ver"]) is VersionStamp
 
     def test_digest_pass_writes_the_export(self, tmp_path):
         log = EventLog()

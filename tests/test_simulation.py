@@ -8,7 +8,8 @@ import pytest
 
 from migsim.domain import DiscrepancyClass, Key
 from migsim.healing import Trigger
-from migsim.metrics import consistency_rate
+from migsim.metrics import EventLog, consistency_rate
+from migsim.oracle import oracle_verify
 from migsim.scenario import Scenario, load_file
 from migsim.simulation import _SimState, run_scenario
 
@@ -256,6 +257,12 @@ class TestArtifacts:
         assert (out / "oracle.txt").exists()
         lines = (out / "eventlog.jsonl").read_text().splitlines()
         assert len(lines) == len(result.log.entries)
+
+    def test_parsed_export_equals_run_entries_and_oracle(self, small_result):
+        parsed = EventLog.parse_lines(small_result.log.export_lines())
+        assert parsed.entries == small_result.log.entries
+        again = oracle_verify(parsed.entries, load("small"), small_result.report.as_dict())
+        assert again.as_dict() == small_result.oracle_report.as_dict()
 
     def test_eventlog_written_by_digest_pass_matches_digest(self, tmp_path):
         result = run_scenario(load("small"), out_dir=tmp_path / "run")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from migsim.domain import Key, TargetRecord, VersionStamp
+from migsim.metrics import EventLog
 from migsim.rng import named_stream
 from migsim.stores import (
     Clock,
@@ -170,13 +171,14 @@ class TestTargetStore:
 
     def test_write_log_replay_reproduces_final_state(self):
         store = make_target(availability=0.8, seed=9)
+        store.event_log = EventLog()
         for i in range(50):
             for counter in (1, 2):
                 try:
                     store.put_if_fresher(rec(str(i % 7), counter, t=i))
                 except StoreUnavailable:
                     pass
-        assert TargetStore.replay(store.write_log) == store.records
+        assert TargetStore.replay(store.event_log.entries) == store.records
 
     def test_bootstrap_default_loses_to_fresher_tombstone(self):
         # A stale snapshot load must not resurrect a deleted record.
