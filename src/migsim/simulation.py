@@ -351,6 +351,8 @@ class _SimState:
         return max(2 * observed, self.scenario.metrics.staleness_floor)
 
     def _tracker_rates(self, now: int, bound: int) -> tuple[float, float, int, int]:
+        """`ConsistencyTracker.rates`, kept exact across the injected bug's
+        switches on and off."""
         bug = self.scenario.bug
         if bug is not None and bug.active_at(now) != self._bug_active:
             self._bug_active = not self._bug_active

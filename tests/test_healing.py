@@ -39,10 +39,10 @@ class TestEnqueue:
 
 class TestValidateAndFix:
     def test_already_consistent_writes_nothing(self, pipeline):
-        pipeline.commit_and_replicate("project", "1", {"n": "x"})
         def puts():
             return sum(1 for e in pipeline.log.entries if e["k"] == "put")
 
+        pipeline.commit_and_replicate("project", "1", {"n": "x"})
         writes_before = puts()
         outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
         assert outcome.status is FixStatus.ALREADY_CONSISTENT

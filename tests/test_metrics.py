@@ -80,7 +80,6 @@ class TestSettlementTracker:
         tracker.on_accepted_put(TargetRecord(Key("b_v2", "1"), {}, prov, False), 14)
         assert tracker.settlement_time(key, VersionStamp(1, 10)) == 14
 
-
     def test_out_of_order_commit_raises(self):
         tracker = SettlementTracker(affected)
         tracker.on_commit(Key("p", "1"), VersionStamp(1, 10))
@@ -88,10 +87,11 @@ class TestSettlementTracker:
             tracker.on_commit(Key("p", "2"), VersionStamp(1, 9))
 
 
+_TARGET_TYPES = {"p": ("a_v2",), "q": ("a_v2", "b_v2"), "z": ()}
+
+
 def _fan_out(skey: Key) -> tuple[Key, ...]:
-    """"p" feeds one target, "q" two, "z" none."""
-    return {"p": (Key("a_v2", skey.id),), "q": (Key("a_v2", skey.id), Key("b_v2", skey.id)),
-            "z": ()}[skey.etype]
+    return tuple(Key(tt, skey.id) for tt in _TARGET_TYPES[skey.etype])
 
 
 _SOURCES = [Key(etype, gid) for etype in ("p", "q", "z") for gid in ("1", "2")]

@@ -204,7 +204,6 @@ class TestTrackerAgainstFullScan:
         assert len(rows) > 10
         assert [row for row in rows if row[1:3] != row[3:5]] == []
 
-
     @pytest.mark.parametrize(
         "path",
         [
