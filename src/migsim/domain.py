@@ -180,15 +180,13 @@ class MappingRule:
     target_types: tuple[str, ...]
     transform: Transform
 
+    # The key-level queries here and in `Schema` build their tuples from
+    # lists: a generator expression costs a frame per call.
     def input_keys(self, gid: str) -> tuple[Key, ...]:
-        return tuple(Key(st, gid) for st in self.source_types)
+        return tuple([Key(st, gid) for st in self.source_types])
 
     def target_keys(self, gid: str) -> tuple[Key, ...]:
-        return tuple(Key(tt, gid) for tt in self.target_types)
-
-    def key_map(self, skey: Key) -> tuple[tuple[Key, ...], tuple[Key, ...]]:
-        """Target keys affected by a source key, plus the full co-input set."""
-        return self.target_keys(skey.id), self.input_keys(skey.id)
+        return tuple([Key(tt, gid) for tt in self.target_types])
 
 
 def map_source(rule: MappingRule, sources: Mapping[Key, SourceRecord]) -> tuple[TargetRecord, ...]:
@@ -198,19 +196,22 @@ def map_source(rule: MappingRule, sources: Mapping[Key, SourceRecord]) -> tuple[
     every consumed record is a tombstone the outputs are tombstones too, so
     deletions survive translation.  An empty input set produces nothing.
     Transforms must return fresh (or never-mutated) value mappings; they are
-    attached to the produced records without copying.
+    attached to the produced records without copying.  Provenance is keyed by
+    each record's own `key`, so stored targets share the source's key objects.
     """
     if not sources:
         return ()
-    provenance = {k: rec.version for k, rec in sources.items()}
-    gid = next(iter(sources)).id
-    if all(rec.tombstone for rec in sources.values()):
-        return tuple(
-            TargetRecord(tk, {}, provenance, True) for tk in rule.target_keys(gid)
-        )
-    outputs = rule.transform(sources)
+    provenance = {}
+    live = False
+    for rec in sources.values():
+        provenance[rec.key] = rec.version
+        if not rec.tombstone:
+            live = True
+    if not live:
+        gid = next(iter(sources)).id
+        return tuple([TargetRecord(tk, {}, provenance, True) for tk in rule.target_keys(gid)])
     return tuple(
-        TargetRecord(tk, value, provenance, False) for tk, value in outputs
+        [TargetRecord(tk, value, provenance, False) for tk, value in rule.transform(sources)]
     )
 
 
@@ -301,8 +302,15 @@ class Schema:
             st: tuple(sorted({tt for rule in rules for tt in rule.target_types}))
             for st, rules in rules_by_source.items()
         }
-        self._parent_types: dict[str, tuple[str, ...]] = {
-            name: tuple(sorted(et.parents)) for name, et in self.types.items()
+        # Per source type, one row per parent type in sorted order: the
+        # record field that references the parent, the parent type, and the
+        # target types that parent affects.
+        self._parent_rows: dict[str, tuple[tuple[str, str, tuple[str, ...]], ...]] = {
+            name: tuple(
+                (PARENT_REF_PREFIX + ptype, ptype, self._affected_types.get(ptype, ()))
+                for ptype in sorted(et.parents)
+            )
+            for name, et in self.types.items()
         }
 
         self.target_order: tuple[str, ...] = _toposort(self._target_parents())
@@ -340,26 +348,31 @@ class Schema:
     def affected_targets(self, skey: Key) -> tuple[Key, ...]:
         """All target keys whose expected state depends on a source key, sorted."""
         gid = skey.id
-        return tuple(Key(tt, gid) for tt in self._affected_types.get(skey.etype, ()))
+        return tuple([Key(tt, gid) for tt in self._affected_types.get(skey.etype, ())])
 
     def parent_source_keys(self, record: SourceRecord) -> tuple[Key, ...]:
         """Parent instances referenced by a record via its parent_* fields."""
         value = record.value
         keys = []
-        for ptype in self._parent_types[record.key.etype]:
-            ref = value.get(PARENT_REF_PREFIX + ptype)
+        for field_name, ptype, _ttypes in self._parent_rows[record.key.etype]:
+            ref = value.get(field_name)
             if ref is not None:
                 keys.append(Key(ptype, ref))
         return tuple(keys)
 
     def parent_target_keys(self, sources: Mapping[Key, SourceRecord]) -> tuple[Key, ...]:
-        """Target records that must exist before this group's live outputs."""
+        """Target records that must exist before this group's live outputs,
+        sorted: callers read them in this order."""
         out: set[Key] = set()
         for rec in sources.values():
             if rec.tombstone:
                 continue
-            for pkey in self.parent_source_keys(rec):
-                out.update(self.affected_targets(pkey))
+            value = rec.value
+            for field_name, _ptype, ttypes in self._parent_rows[rec.key.etype]:
+                ref = value.get(field_name)
+                if ref is not None:
+                    for tt in ttypes:
+                        out.add(Key(tt, ref))
         return tuple(sorted(out))
 
     def group_expected(
@@ -371,6 +384,8 @@ class Schema:
             rec = read(k)
             if rec is not None:
                 sources[k] = rec
+        if not sources:
+            return {}, sources
         expected = {r.key: r for r in map_source(rule, sources)}
         return expected, sources
 

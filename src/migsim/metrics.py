@@ -44,8 +44,11 @@ NOT_SETTLED = None  # sentinel spelled out where a settlement is still open
 
 
 # One encoder for every exported line; `json.dumps` with keyword arguments
-# would build a new encoder per call.
-_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# would build a new encoder per call.  No circular-reference check: see
+# `EventLog`.
+_encode_line = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+).encode
 
 
 class EventLog:
@@ -65,6 +68,11 @@ class EventLog:
     maps are never mutated after creation (`map_source` requires fresh maps
     from transforms, and the legacy store copies what it commits), so a
     shared map exports the bytes it had when it was logged.
+
+    Entries are acyclic by construction: they hold only strings, numbers,
+    tuples, lists and flat value maps.  So the export encoder skips the
+    circular-reference check, which would otherwise keep an identity dict
+    of every container it enters.
     """
 
     def __init__(self) -> None:
@@ -467,9 +475,9 @@ class ConsistencyTracker:
 
     Caches a verdict per rule group and re-evaluates only groups whose
     sources or targets changed since the last sample.  Produces exactly the
-    numbers the full scan would; tests hold it to that.  `mark_source`
-    expects commit times in nondecreasing order, as the virtual clock
-    gives them.  A rule whose transform changes behaviour over time (an
+    numbers the full scan would, per-class counts included; tests hold it
+    to that.  `mark_source` expects commit times in nondecreasing order, as
+    the virtual clock gives them.  A rule whose transform changes behaviour over time (an
     injected mapping bug) must be re-marked with `mark_rule` whenever it
     does.
     """
@@ -481,7 +489,11 @@ class ConsistencyTracker:
         self._dirty: set[tuple[str, str]] = set()
         self._group_rule: dict[tuple[str, str], object] = {}
         self._expected_count: dict[tuple[str, str], int] = {}
-        self._bad_count: dict[tuple[str, str], int] = {}
+        # The classes of each group's inconsistent keys, for groups that
+        # have any; a group that fails to map counts as corrupt, as in the
+        # full scan.
+        self._bad_classes: dict[tuple[str, str], tuple[DiscrepancyClass, ...]] = {}
+        self._class_totals: dict[DiscrepancyClass, int] = {c: 0 for c in DiscrepancyClass}
         # Newest commit time per group, kept in commit order so that the
         # groups still inside any staleness bound form a suffix.
         self._last_update: dict[tuple[str, str], int] = {}
@@ -510,22 +522,31 @@ class ConsistencyTracker:
         self._dirty.update(tag for tag in self._group_rule if tag[0] == rule_name)
 
     def _refresh(self) -> None:
+        consistent = DiscrepancyClass.CONSISTENT
+        totals = self._class_totals
         for tag in sorted(self._dirty):
             rule = self._group_rule[tag]
             try:
                 expected, _sources = self.schema.group_expected(rule, tag[1], self._read)
                 n_expected = len(expected)
-                bad = 0
-                for tkey, exp in expected.items():
-                    if compare_records(exp, self._peek(tkey)) is not DiscrepancyClass.CONSISTENT:
-                        bad += 1
+                bad = [
+                    verdict
+                    for tkey, exp in expected.items()
+                    if (verdict := compare_records(exp, self._peek(tkey))) is not consistent
+                ]
             except TransformError:
                 n_expected = len(rule.target_types)
-                bad = n_expected
+                bad = [DiscrepancyClass.CORRUPT] * n_expected
             self._total_expected += n_expected - self._expected_count.get(tag, 0)
-            self._total_bad += bad - self._bad_count.get(tag, 0)
             self._expected_count[tag] = n_expected
-            self._bad_count[tag] = bad
+            old = self._bad_classes.pop(tag, ())
+            for verdict in old:
+                totals[verdict] -= 1
+            for verdict in bad:
+                totals[verdict] += 1
+            if bad:
+                self._bad_classes[tag] = tuple(bad)
+            self._total_bad += len(bad) - len(old)
         self._dirty.clear()
 
     def rates(self, at: int, staleness_bound: int) -> tuple[float, float, int, int]:
@@ -540,7 +561,7 @@ class ConsistencyTracker:
             if last_update < cutoff:
                 break
             recent_expected += self._expected_count.get(tag, 0)
-            recent_bad += self._bad_count.get(tag, 0)
+            recent_bad += len(self._bad_classes.get(tag, ()))
         overall = (
             (self._total_expected - self._total_bad) / self._total_expected
             if self._total_expected
@@ -550,6 +571,13 @@ class ConsistencyTracker:
         settled_bad = self._total_bad - recent_bad
         settled = (settled_total - settled_bad) / settled_total if settled_total else 1.0
         return overall, settled, self._total_expected, self._total_bad
+
+    def class_counts(self) -> dict[DiscrepancyClass, int]:
+        """Expected target keys per class, as `consistency_rate` counts them."""
+        self._refresh()
+        counts = dict(self._class_totals)
+        counts[DiscrepancyClass.CONSISTENT] = self._total_expected - self._total_bad
+        return counts
 
 
 def loop_gauges(queue, now: int) -> tuple[int, int]:

@@ -11,8 +11,8 @@ disagreement with the run report is flagged.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 from .domain import (
     DiscrepancyClass,
@@ -24,7 +24,6 @@ from .domain import (
     at_least_as_fresh,
     compare_records,
 )
-from .metrics import iter_groups
 from .scenario import Scenario
 
 
@@ -80,17 +79,60 @@ def _decode_stamp(raw) -> VersionStamp:
     return raw if type(raw) is VersionStamp else VersionStamp(raw[0], raw[1])
 
 
+def _decode_source(key: Key, entry: dict) -> SourceRecord:
+    """The source record a commit entry wrote."""
+    stamp = _decode_stamp(entry["ver"])
+    if entry["op"] == "delete":
+        return SourceRecord(key, {}, stamp, True)
+    return SourceRecord(key, entry["val"], stamp, False)
+
+
+def _decode_target(key: Key, entry: dict) -> TargetRecord:
+    """The target record an accepted put entry wrote."""
+    return TargetRecord(
+        key,
+        entry.get("val", {}),
+        {Key(et, gid): VersionStamp(c, ct) for et, gid, c, ct in entry["prov"]},
+        entry["tomb"],
+    )
+
+
+class _TargetView(Mapping):
+    """Read-only target state over the raw last accepted put per key.
+
+    Each lookup decodes a fresh `TargetRecord`, so records live only as long
+    as the check that reads them.
+    """
+
+    def __init__(self, last: dict[Key, dict]):
+        self._last = last
+
+    def __getitem__(self, key: Key) -> TargetRecord:
+        return _decode_target(key, self._last[key])
+
+    def get(self, key: Key, default=None):
+        entry = self._last.get(key)
+        return default if entry is None else _decode_target(key, entry)
+
+    def __iter__(self):
+        return iter(self._last)
+
+    def __len__(self) -> int:
+        return len(self._last)
+
+    def keys(self):
+        return self._last.keys()
+
+
 class LogReplay:
     """Flat, order-preserving decomposition of an event log.
 
-    Commits are decoded once: `sources[i]` is the source record that
-    `commits[i]` wrote.  Puts stay as their raw entries and are decoded only
-    where a check needs a record.
+    Commits and puts stay as their raw entries and are decoded only where a
+    check reads them.
     """
 
     def __init__(self, entries: Iterable[dict]):
         self.commits: list[dict] = []
-        self.sources: list[SourceRecord] = []
         self.migration_puts: list[dict] = []
         self.samples: list[dict] = []
         self.queue_transitions: list[dict] = []
@@ -100,12 +142,6 @@ class LogReplay:
             kind = entry["k"]
             if kind == "commit":
                 self.commits.append(entry)
-                key = _decode_key(entry["key"])
-                stamp = _decode_stamp(entry["ver"])
-                if entry["op"] == "delete":
-                    self.sources.append(SourceRecord(key, {}, stamp, True))
-                else:
-                    self.sources.append(SourceRecord(key, entry["val"], stamp, False))
             elif kind == "put":
                 if entry.get("out") == "accepted" and entry.get("cls") != "native":
                     self.migration_puts.append(entry)
@@ -118,26 +154,20 @@ class LogReplay:
                 self.flip_entry = entry
 
     def source_state(self, before: int | None = None) -> dict[Key, SourceRecord]:
-        state: dict[Key, SourceRecord] = {}
-        for entry, rec in zip(self.commits, self.sources):
+        """The last commit per key before `before`, decoded."""
+        last: dict[Key, dict] = {}
+        for entry in self.commits:
             if before is None or entry["t"] < before:
-                state[rec.key] = rec
-        return state
+                last[_decode_key(entry["key"])] = entry
+        return {key: _decode_source(key, entry) for key, entry in last.items()}
 
-    def target_state(self, before: int | None = None) -> dict[Key, TargetRecord]:
+    def target_state(self, before: int | None = None) -> Mapping[Key, TargetRecord]:
+        """The last accepted migration put per key before `before`."""
         last: dict[Key, dict] = {}
         for entry in self.migration_puts:
             if before is None or entry["t"] < before:
                 last[_decode_key(entry["key"])] = entry
-        return {
-            key: TargetRecord(
-                key,
-                entry.get("val", {}),
-                {Key(et, gid): VersionStamp(c, ct) for et, gid, c, ct in entry["prov"]},
-                entry["tomb"],
-            )
-            for key, entry in last.items()
-        }
+        return _TargetView(last)
 
 
 def _first_covering_put(puts: list[dict], skey: Key, stamp: VersionStamp) -> int | None:
@@ -166,8 +196,8 @@ def settlement_times(
     for entry in replay.migration_puts:
         puts_by_target.setdefault(_decode_key(entry["key"]), []).append(entry)
     out: dict[tuple[str, str, int], int | None] = {}
-    for rec in replay.sources:
-        skey, stamp = rec.key, rec.version
+    for entry in replay.commits:
+        skey, stamp = _decode_key(entry["key"]), _decode_stamp(entry["ver"])
         worst: int | None = stamp.commit_time
         for tkey in schema.affected_targets(skey):
             found = _first_covering_put(puts_by_target.get(tkey, ()), skey, stamp)
@@ -231,17 +261,17 @@ def ordering_violations(replay: LogReplay, schema: Schema) -> list[dict]:
     violations: list[dict] = []
     source: dict[Key, SourceRecord] = {}
     target_present: set[Key] = set()
-    commits = zip(replay.commits, replay.sources)
+    commits = iter(replay.commits)
     puts = iter(replay.migration_puts)
     next_commit = next(commits, None)
     next_put = next(puts, None)
     while next_commit is not None or next_put is not None:
         take_commit = next_put is None or (
-            next_commit is not None and next_commit[0]["seq"] <= next_put["seq"]
+            next_commit is not None and next_commit["seq"] <= next_put["seq"]
         )
         if take_commit:
-            rec = next_commit[1]
-            source[rec.key] = rec
+            skey = _decode_key(next_commit["key"])
+            source[skey] = _decode_source(skey, next_commit)
             next_commit = next(commits, None)
             continue
         entry = next_put
@@ -268,19 +298,26 @@ def final_diff(
     source_state: Mapping[Key, SourceRecord],
     target_state: Mapping[Key, TargetRecord],
 ) -> tuple[dict[str, int], int]:
-    """Classify every expected key; count live target-only extras separately."""
+    """Classify every expected key; count live target-only extras separately.
+
+    Groups are walked in no particular order: the counts do not depend on it.
+    """
+    gids: dict[str, set[str]] = {rule.name: set() for rule in schema.rules}
+    for skey in source_state:
+        for rule in schema.rules_for_source(skey.etype):
+            gids[rule.name].add(skey.id)
     counts: dict[str, int] = {}
     expected_keys: set[Key] = set()
-    for rule, gid in iter_groups(schema, source_state):
-        expected, _ = schema.group_expected(rule, gid, source_state.get)
-        for tkey, exp in expected.items():
-            expected_keys.add(tkey)
-            verdict = compare_records(exp, target_state.get(tkey))
-            counts[verdict.value] = counts.get(verdict.value, 0) + 1
+    read = source_state.get
+    for rule in schema.rules:
+        for gid in gids[rule.name]:
+            expected, _ = schema.group_expected(rule, gid, read)
+            for tkey, exp in expected.items():
+                expected_keys.add(tkey)
+                verdict = compare_records(exp, target_state.get(tkey)).value
+                counts[verdict] = counts.get(verdict, 0) + 1
     extras = sum(
-        1
-        for tkey, rec in target_state.items()
-        if tkey not in expected_keys and not rec.tombstone
+        1 for tkey in target_state.keys() - expected_keys if not target_state[tkey].tombstone
     )
     return counts, extras
 
@@ -327,10 +364,11 @@ def oracle_verify(
     result.add("no live unexpected extras", extras == 0, f"extras={extras}")
 
     settles = settlement_times(replay, schema)
-    commit_pairs = [
-        (rec.version.commit_time, settles[(rec.key.etype, rec.key.id, rec.version.counter)])
-        for rec in replay.sources
-    ]
+    commit_pairs = []
+    for entry in replay.commits:
+        etype, sid = _decode_key(entry["key"])
+        counter, commit_time = _decode_stamp(entry["ver"])
+        commit_pairs.append((commit_time, settles[(etype, sid, counter)]))
 
     # Sampled window TTC, recomputed per tick.
     if report is not None:

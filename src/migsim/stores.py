@@ -149,6 +149,8 @@ class LegacyStore:
         self.clock = clock
         self.records: dict[Key, SourceRecord] = {}
         self.change_log: list[ChangeEvent] = []
+        # Superseded versions per key, oldest first; the current version
+        # is `records[key]`.
         self._history: dict[Key, list[SourceRecord]] = {}
         self.commit_hooks: list[Callable[[ChangeEvent], None]] = []
 
@@ -167,8 +169,9 @@ class LegacyStore:
         else:
             rec = SourceRecord(key, dict(value), stamp, False)
             op = "write"
+        if prev is not None:
+            self._history.setdefault(key, []).append(prev)
         self.records[key] = rec
-        self._history.setdefault(key, []).append(rec)
         event = ChangeEvent(len(self.change_log) + 1, key, stamp, op)
         self.change_log.append(event)
         for hook in self.commit_hooks:
@@ -184,15 +187,17 @@ class LegacyStore:
     def take_snapshot(self, now: int) -> Snapshot:
         """Frozen copy of everything committed at or before `now`."""
         records: dict[Key, SourceRecord] = {}
-        for key, versions in self._history.items():
-            chosen = None
-            for rec in versions:
-                if rec.version.commit_time <= now:
-                    chosen = rec
+        history = self._history
+        for key, rec in self.records.items():
+            if rec.version.commit_time > now:
+                # Versions are committed in time order: walk back to the
+                # newest one committed by `now`, if any.
+                for rec in reversed(history.get(key, ())):
+                    if rec.version.commit_time <= now:
+                        break
                 else:
-                    break
-            if chosen is not None:
-                records[key] = chosen
+                    continue
+            records[key] = rec
         return Snapshot(now, records)
 
 

@@ -151,9 +151,12 @@ class BootstrapJob:
         self.mode = mode
         self.start_at = start_at
         self.report = BootstrapReport(mode=mode)
-        self._groups = self._ordered_groups()
+        # The snapshot and the group list are dropped once the job is done.
+        self._groups: list[tuple] | None = self._ordered_groups()
         self.report.groups_total = len(self._groups)
         self._cursor = 0
+        # Every direct-mode put carries this one bulk-load stamp.
+        self._default_stamp = VersionStamp(BOOTSTRAP_COUNTER, snapshot.taken_at)
         # Source keys whose target projection may be incomplete: their own
         # put failed or they descend from one that did.  Their dependants
         # are routed through the queue, which gates writes on parents.
@@ -167,7 +170,7 @@ class BootstrapJob:
 
     @property
     def done(self) -> bool:
-        return self._cursor >= len(self._groups)
+        return self._cursor >= self.report.groups_total
 
     def step(self, now: int, limiter: RateLimiter) -> int:
         """Process as many groups as spare capacity covers; returns ops used."""
@@ -195,6 +198,8 @@ class BootstrapJob:
                 now, "bootstrap", phase="end", groups=self.report.groups_processed,
                 puts=self.report.puts, failures=self.report.put_failures,
             )
+            self.snapshot = None
+            self._groups = None
         return used
 
     def _direct_load(self, rule, gid: str, now: int) -> None:
@@ -216,8 +221,8 @@ class BootstrapJob:
                 self.report.events_enqueued += 1
                 self.queue.enqueue(tkey, Trigger.BOOTSTRAP, now, sut)
             return
-        default_stamp = VersionStamp(BOOTSTRAP_COUNTER, self.snapshot.taken_at)
-        provenance = {k: default_stamp for k in sources}
+        default_stamp = self._default_stamp
+        provenance = {rec.key: default_stamp for rec in sources.values()}
         for record in map_source(rule, sources):
             stale_record = TargetRecord(record.key, record.value, provenance, record.tombstone)
             self.registry.attempts_total += 1

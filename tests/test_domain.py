@@ -306,17 +306,35 @@ def _reshape_schema():
     return load_file(scenario_path("reshape")).build_schema()
 
 
+def _merge_schema():
+    return register_schema(
+        [
+            EntityType("account"),
+            EntityType("profile", frozenset({"account"})),
+            EntityType("settings", frozenset({"account", "profile"})),
+        ],
+        [
+            identity_rule("account_rule", "account", "account_v2"),
+            merge_rule("user_rule", ("profile", "settings"), "user_v2"),
+        ],
+    )
+
+
+SCHEMA_BUILDERS = {
+    "figure3": build_figure3_schema,
+    "split": build_split_schema,
+    "merge": _merge_schema,
+    "reshape": _reshape_schema,
+}
+SCHEMAS = {name: build() for name, build in SCHEMA_BUILDERS.items()}
+
+
 class TestPerTypeKeyMaps:
     """The precomputed per-type maps answer exactly what the definitions say."""
 
-    @pytest.fixture(params=["figure3", "split", "reshape"])
+    @pytest.fixture(params=sorted(SCHEMA_BUILDERS))
     def schema(self, request):
-        builders = {
-            "figure3": build_figure3_schema,
-            "split": build_split_schema,
-            "reshape": _reshape_schema,
-        }
-        return builders[request.param]()
+        return SCHEMA_BUILDERS[request.param]()
 
     def test_affected_targets(self, schema):
         for etype in [*schema.types, "not_a_type"]:
@@ -344,3 +362,58 @@ class TestPerTypeKeyMaps:
                     assert schema.parent_target_keys(
                         sources
                     ) == _parent_target_keys_by_definition(schema, sources)
+
+
+group_ids = st.sampled_from(["1", "2", "7", "42"])
+
+
+@st.composite
+def schema_and_group(draw):
+    """A shipped-shape schema, one of its rules, and a random present subset
+    of that rule's inputs with random parent references and tombstones."""
+    schema = SCHEMAS[draw(st.sampled_from(sorted(SCHEMAS)))]
+    rule = draw(st.sampled_from(schema.rules))
+    gid = draw(group_ids)
+    sources = {}
+    for stype in rule.source_types:
+        if not draw(st.booleans()):
+            continue
+        tomb = draw(st.booleans())
+        value = {"n": draw(st.text(max_size=3))}
+        for parent in schema.types[stype].parents:
+            if draw(st.booleans()):
+                value["parent_" + parent] = draw(group_ids)
+        stamp = VersionStamp(draw(st.integers(0, 5)), draw(st.integers(0, 50)))
+        key = Key(stype, gid)
+        # The dict key is an equal but distinct object from the record's own.
+        sources[Key(stype, gid)] = SourceRecord(key, {} if tomb else value, stamp, tomb)
+    return schema, rule, sources
+
+
+@given(schema_and_group(), group_ids)
+def test_key_maps_match_definitions(case, gid):
+    schema, rule, sources = case
+    assert schema.parent_target_keys(sources) == _parent_target_keys_by_definition(
+        schema, sources
+    )
+    for etype in [*schema.types, *rule.target_types]:
+        key = Key(etype, gid)
+        assert schema.affected_targets(key) == _affected_targets_by_definition(schema, key)
+
+
+@given(schema_and_group())
+def test_map_source_provenance_is_the_consumed_stamps(case):
+    schema, rule, sources = case
+    out = map_source(rule, sources)
+    if not sources:
+        assert out == ()
+        return
+    assert [r.key for r in out] == list(rule.target_keys(next(iter(sources)).id))
+    want = {k: rec.version for k, rec in sources.items()}
+    for record in out:
+        assert record.provenance == want
+        assert list(record.provenance) == list(want)
+        # Provenance shares each source record's own key object.
+        own = {rec.key: rec.key for rec in sources.values()}
+        assert all(pkey is own[pkey] for pkey in record.provenance)
+        assert record.tombstone == all(rec.tombstone for rec in sources.values())

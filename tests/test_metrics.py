@@ -9,7 +9,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from migsim.domain import InvariantError, Key, TargetRecord, VersionStamp, at_least_as_fresh
+from migsim.domain import (
+    DiscrepancyClass,
+    EntityType,
+    InvariantError,
+    Key,
+    MappingRule,
+    TargetRecord,
+    TransformError,
+    VersionStamp,
+    at_least_as_fresh,
+    register_schema,
+)
 from migsim.healing import Trigger
 from migsim.metrics import (
     ConsistencyTracker,
@@ -398,6 +409,47 @@ class TestConsistencyTracker:
         views = (pipeline.schema, pipeline.legacy.records, pipeline.target.records)
         for at, bound in ((20, 10), (21, 30)):
             assert tracker.rates(at, bound)[:2] == consistency_rate(*views, at, bound)[:2]
+
+    def test_class_counts_match_full_scan(self):
+        # One group per class, plus a group whose rule fails to map.
+        def transform(sources):
+            (rec,) = [r for r in sources.values() if not r.tombstone]
+            if rec.value.get("n") == "bug":
+                raise TransformError("bug")
+            return [(Key("project_v2", rec.key.id), dict(rec.value))]
+
+        schema = register_schema(
+            [EntityType("project")],
+            [MappingRule("project_rule", ("project",), ("project_v2",), transform)],
+        )
+        p = build_pipeline(schema=schema)
+        tracker = ConsistencyTracker(p.schema, p.legacy.read, p.target.peek)
+        p.target.on_accept.append(lambda rec, now: tracker.mark_target(rec.key))
+        for gid in "123456":
+            p.commit_and_replicate("project", gid, {"n": "x"})
+            tracker.mark_source(Key("project", gid), 0)
+        for gid, value, delete in (("2", {"n": "y"}, False), ("3", None, True),
+                                   ("4", {"n": "bug"}, False)):
+            event = p.commit("project", gid, value, delete)
+            tracker.mark_source(event.key, 0)
+        del p.target.records[Key("project_v2", "5")]
+        stored = p.target.records[Key("project_v2", "6")]
+        p.target.records[stored.key] = stored._replace(value={"n": "other"})
+        tracker.mark_target(stored.key)
+        tracker.mark_target(Key("project_v2", "5"))
+        want = consistency_rate(p.schema, p.legacy.records, p.target.records, 0, 10)
+        assert tracker.class_counts() == want[2]
+        assert {c for c, n in want[2].items() if n} == {
+            DiscrepancyClass.CONSISTENT, DiscrepancyClass.STALE,
+            DiscrepancyClass.RESURRECTION, DiscrepancyClass.CORRUPT,
+            DiscrepancyClass.MISSING,
+        }
+        # Repairs move keys back to consistent.
+        p.commit_and_replicate("project", "2", {"n": "y"})
+        tracker.mark_source(Key("project", "2"), 0)
+        assert tracker.class_counts() == consistency_rate(
+            p.schema, p.legacy.records, p.target.records, 0, 10
+        )[2]
 
     def test_unknown_target_type_is_ignored(self, pipeline):
         tracker = ConsistencyTracker(

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
+from migsim.domain import Key, SourceRecord, TargetRecord, VersionStamp
 from migsim.metrics import time_to_converge
 from migsim.oracle import (
     LogReplay,
@@ -14,6 +17,7 @@ from migsim.oracle import (
 )
 from migsim.scenario import load_file
 from migsim.simulation import run_scenario
+from migsim.stores import TargetStore
 
 from conftest import build_figure3_schema, scenario_path
 
@@ -111,6 +115,21 @@ class TestHandBuiltCases:
         assert counts["resurrection"] == 1
         assert extras == 0
 
+    def test_final_diff_counts_live_extras_only(self):
+        schema = build_figure3_schema()
+        entries = [
+            commit_entry(0, "project", "1", 1),
+            put_entry(1, "project_v2", "1", [["project", "1", 1, 0]]),
+            # Targets whose sources never existed: two live, one deleted.
+            put_entry(1, "project_v2", "7", [["project", "7", 1, 0]]),
+            put_entry(1, "project_v2", "8", [["project", "8", 1, 0]]),
+            put_entry(1, "project_v2", "9", [["project", "9", 1, 0]], tomb=True),
+        ]
+        replay = LogReplay(entries)
+        counts, extras = final_diff(schema, replay.source_state(), replay.target_state())
+        assert counts == {"consistent": 1}
+        assert extras == 2
+
     def test_queue_replay_detects_mismatched_sample(self):
         entries = [
             {"seq": 1, "t": 0, "k": "enqueue", "key": ["project_v2", "1"], "trig": "nearline", "sut": 0},
@@ -150,3 +169,53 @@ class TestAgainstRuns:
         tampered = oracle_verify(result.log.entries, scenario, doc)
         failed = {c.name for c in tampered.checks if not c.ok}
         assert "window TTC matches report" in failed
+
+
+@pytest.fixture(scope="module", params=["small", "reshape", "mapping_bug"])
+def run_log(request):
+    scenario = load_file(scenario_path(request.param))
+    result = run_scenario(scenario)
+    return scenario, result.schema, result.log.entries
+
+
+def _cutoffs(scenario):
+    return [0, 1, *range(7, scenario.duration + 2, 29), None]
+
+
+class TestOnDemandReplay:
+    """The on-demand decodes answer what a full decode of the log does."""
+
+    def test_source_state_is_a_fold_over_every_commit(self, run_log):
+        scenario, _schema, entries = run_log
+        replay = LogReplay(entries)
+        for before in _cutoffs(scenario):
+            folded = {}
+            for entry in entries:
+                if entry["k"] != "commit" or (before is not None and entry["t"] >= before):
+                    continue
+                key = Key(*entry["key"])
+                stamp = VersionStamp(*entry["ver"])
+                tomb = entry["op"] == "delete"
+                folded[key] = SourceRecord(key, {} if tomb else entry["val"], stamp, tomb)
+            assert list(replay.source_state(before).items()) == list(folded.items())
+
+    def test_final_diff_over_view_equals_fully_decoded_dict(self, run_log):
+        scenario, schema, entries = run_log
+        replay = LogReplay(entries)
+        for before in _cutoffs(scenario):
+            kept = [e for e in entries if before is None or e["t"] < before]
+            decoded = TargetStore.replay(kept)
+            view = replay.target_state(before)
+            assert len(view) == len(decoded)
+            assert list(view) == list(decoded)
+            assert all(view[key] == rec and view.get(key) == rec for key, rec in decoded.items())
+            assert view.get(Key("no_such_type", "0")) is None
+            sources = replay.source_state(before)
+            assert final_diff(schema, sources, view) == final_diff(schema, sources, decoded)
+
+    def test_target_view_is_read_only(self, run_log):
+        _scenario, _schema, entries = run_log
+        view = LogReplay(entries).target_state()
+        key = next(iter(view))
+        with pytest.raises(TypeError):
+            view[key] = TargetRecord(key, {}, {}, True)

@@ -11,6 +11,7 @@ from migsim.healing import Trigger
 from migsim.metrics import EventLog, consistency_rate
 from migsim.oracle import oracle_verify
 from migsim.scenario import Scenario, load_file
+from migsim import simulation
 from migsim.simulation import _SimState, run_scenario
 
 from conftest import SCENARIO_DIR, build_pipeline, scenario_path
@@ -231,6 +232,52 @@ class TestTrackerAgainstFullScan:
         run_scenario(load_file(path), seed=1)
         assert len(flips) == 1
         assert flips[0][0] == flips[0][1]
+
+
+    @pytest.mark.parametrize(
+        "path",
+        [scenario_path(name) for name in [*FAST_SCENARIOS, "default"]]
+        + sorted(BENCH_SCENARIO_DIR.glob("*.json")),
+        ids=lambda p: f"{p.parent.name}/{p.stem}",
+    )
+    def test_tracker_counts_equal_full_scan_where_the_report_reads_them(
+        self, monkeypatch, path
+    ):
+        # The report reads the tracker at the flip on runs with one, and
+        # at `duration` on the others.
+        seen = []
+
+        def full_scan(sim, now):
+            return consistency_rate(
+                sim.schema, sim.legacy.records, sim.target.records,
+                now, sim._staleness_bound(now),
+            )
+
+        flip_measurements = _SimState.flip_measurements
+
+        def at_flip(self, now):
+            out = flip_measurements(self, now)
+            seen.append(((*self.flip_rates, self.ctracker.class_counts()), full_scan(self, now)))
+            return out
+
+        assemble = simulation._assemble_report
+
+        def at_end(sim, out_dir):
+            report = assemble(sim, out_dir)
+            if sim.flip_rates is None:
+                overall, settled, counts = full_scan(sim, sim.scenario.duration)
+                seen.append(
+                    ((report.final_overall, report.final_settled, sim.ctracker.class_counts()),
+                     (overall, settled, counts))
+                )
+                assert report.final_counts == {c.value: n for c, n in counts.items() if n}
+            return report
+
+        monkeypatch.setattr(_SimState, "flip_measurements", at_flip)
+        monkeypatch.setattr(simulation, "_assemble_report", at_end)
+        run_scenario(load_file(path), seed=1)
+        assert len(seen) == 1
+        assert seen[0][0] == seen[0][1]
 
 
 class TestTriggerEquivalence:

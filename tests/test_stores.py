@@ -5,9 +5,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from migsim.domain import Key, TargetRecord, VersionStamp
+from migsim.domain import Key, SourceRecord, TargetRecord, VersionStamp
 from migsim.metrics import EventLog
 from migsim.rng import named_stream
+from migsim.scenario import load_file
+from migsim.simulation import run_scenario
 from migsim.stores import (
     Clock,
     FaultProfile,
@@ -17,6 +19,8 @@ from migsim.stores import (
     StoreUnavailable,
     TargetStore,
 )
+
+from conftest import scenario_path
 
 
 def make_target(availability: float = 1.0, outages=(), seed: int = 3, clock=None) -> TargetStore:
@@ -99,6 +103,39 @@ class TestSnapshot:
         store.commit(Key("p", "1"), {"n": "b"})
         store.commit(Key("p", "2"), {"n": "c"})
         assert snap.contents_hash() == digest
+
+    def test_snapshot_at_every_tick_is_the_last_version_by_then(self):
+        result = run_scenario(load_file(scenario_path("small")))
+        commits = [e for e in result.log.entries if e["k"] == "commit"]
+        for t in range(result.report.duration + 1):
+            want = {}
+            for entry in commits:
+                if entry["ver"].commit_time <= t:
+                    tomb = entry["op"] == "delete"
+                    want[entry["key"]] = SourceRecord(
+                        entry["key"], {} if tomb else entry["val"], entry["ver"], tomb
+                    )
+            snap = result.legacy.take_snapshot(t)
+            assert list(snap.records.items()) == list(want.items()), f"t={t}"
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.booleans()), max_size=30))
+    def test_snapshot_of_random_history(self, steps):
+        # Each step advances the clock by 0-3 ticks and writes or deletes
+        # one of three keys.
+        clock = Clock(0)
+        store = LegacyStore(clock)
+        versions = []
+        for advance, gid, delete in steps:
+            clock.now += advance
+            key = Key("p", str(gid))
+            store.commit(key, None if delete else {"n": str(clock.now)})
+            versions.append(store.read(key))
+        for t in range(clock.now + 2):
+            want = {}
+            for version in versions:
+                if version.version.commit_time <= t:
+                    want[version.key] = version
+            assert list(store.take_snapshot(t).records.items()) == list(want.items())
 
     def test_export_round_trip_bit_exact(self):
         clock = Clock(2)
