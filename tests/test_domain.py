@@ -320,21 +320,20 @@ def _merge_schema():
     )
 
 
-SCHEMA_BUILDERS = {
-    "figure3": build_figure3_schema,
-    "split": build_split_schema,
-    "merge": _merge_schema,
-    "reshape": _reshape_schema,
+SCHEMAS = {
+    "figure3": build_figure3_schema(),
+    "split": build_split_schema(),
+    "merge": _merge_schema(),
+    "reshape": _reshape_schema(),
 }
-SCHEMAS = {name: build() for name, build in SCHEMA_BUILDERS.items()}
 
 
 class TestPerTypeKeyMaps:
     """The precomputed per-type maps answer exactly what the definitions say."""
 
-    @pytest.fixture(params=sorted(SCHEMA_BUILDERS))
+    @pytest.fixture(params=sorted(SCHEMAS))
     def schema(self, request):
-        return SCHEMA_BUILDERS[request.param]()
+        return SCHEMAS[request.param]
 
     def test_affected_targets(self, schema):
         for etype in [*schema.types, "not_a_type"]:

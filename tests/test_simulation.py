@@ -6,12 +6,12 @@ import json
 
 import pytest
 
+from migsim import simulation
 from migsim.domain import DiscrepancyClass, Key
 from migsim.healing import Trigger
 from migsim.metrics import EventLog, consistency_rate
 from migsim.oracle import oracle_verify
 from migsim.scenario import Scenario, load_file
-from migsim import simulation
 from migsim.simulation import _SimState, run_scenario
 
 from conftest import SCENARIO_DIR, build_pipeline, scenario_path
@@ -232,7 +232,6 @@ class TestTrackerAgainstFullScan:
         run_scenario(load_file(path), seed=1)
         assert len(flips) == 1
         assert flips[0][0] == flips[0][1]
-
 
     @pytest.mark.parametrize(
         "path",
