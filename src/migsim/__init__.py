@@ -18,7 +18,6 @@ from .domain import (
     TransformError,
     UnknownTypeError,
     VersionStamp,
-    compare,
     compare_records,
     identity_rule,
     map_source,

@@ -5,7 +5,10 @@ entity types with parent links plus mapping rules that are pure functions
 from source records to target records.  Everything downstream (dual writes,
 repair, verification) leans on two facts established here: transforms are
 deterministic, and every produced record carries a provenance vector naming
-the exact source versions it was derived from.
+the exact source versions it was derived from.  An injected mapping bug is
+data on the schema, consulted with an explicit time by `Schema.map_group`;
+`Schema.check_group` is the one place where a rule group is mapped and
+judged.
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ import heapq
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from .scenario import BugSpec
 
 PARENT_REF_PREFIX = "parent_"
 
@@ -41,6 +47,10 @@ class UnknownTypeError(SchemaError):
 
 class TransformError(Exception):
     """A rule failed on well-formed-looking input; the signature of a mapping bug."""
+
+
+class StoreUnavailable(Exception):
+    """Transient store failure; the operation left no trace and may be retried."""
 
 
 class InvariantError(AssertionError):
@@ -85,6 +95,10 @@ class TargetRecord(NamedTuple):
     value: Mapping[str, str]
     provenance: Mapping[Key, VersionStamp]
     tombstone: bool
+
+
+SourceRead = Callable[[Key], SourceRecord | None]
+TargetRead = Callable[[Key], TargetRecord | None]
 
 
 def provenance_covers(
@@ -144,16 +158,6 @@ def compare_records(
     if actual.tombstone == expected.tombstone and actual.value == expected.value:
         return DiscrepancyClass.CONSISTENT
     return DiscrepancyClass.CORRUPT
-
-
-def compare(
-    expected: Mapping[Key, TargetRecord], actual: Mapping[Key, TargetRecord]
-) -> dict[Key, DiscrepancyClass]:
-    """Classify every key present on either side."""
-    out: dict[Key, DiscrepancyClass] = {}
-    for key in sorted(set(expected) | set(actual)):
-        out[key] = compare_records(expected.get(key), actual.get(key))
-    return out
 
 
 @dataclass(frozen=True)
@@ -260,9 +264,16 @@ def merge_rule(name: str, sources: Iterable[str], target: str) -> MappingRule:
 
 
 class Schema:
-    """Registered entity types and rules with frozen topological orders."""
+    """Registered entity types and rules with frozen topological orders.
 
-    def __init__(self, types: Iterable[EntityType], rules: Iterable[MappingRule]):
+    `fault` is the run's injected mapping bug, if any; `map_group` and so
+    `check_group` consult it, `group_expected` never does.
+    """
+
+    def __init__(
+        self, types: Iterable[EntityType], rules: Iterable[MappingRule], fault: BugSpec | None
+    ):
+        self.fault = fault
         self.types: dict[str, EntityType] = {}
         for et in types:
             if et.name in self.types:
@@ -376,23 +387,79 @@ class Schema:
         return tuple(sorted(out))
 
     def group_expected(
-        self, rule: MappingRule, gid: str, read: Callable[[Key], SourceRecord | None]
+        self, rule: MappingRule, gid: str, read: SourceRead
     ) -> tuple[dict[Key, TargetRecord], dict[Key, SourceRecord]]:
-        """Expected target records for one rule group, plus the inputs read."""
-        sources: dict[Key, SourceRecord] = {}
-        for k in rule.input_keys(gid):
-            rec = read(k)
-            if rec is not None:
-                sources[k] = rec
+        """Expected target records for one rule group under the intended
+        mapping, without the fault, plus the inputs read."""
+        sources = read_group(rule, gid, read)
         if not sources:
             return {}, sources
-        expected = {r.key: r for r in map_source(rule, sources)}
-        return expected, sources
+        return {r.key: r for r in map_source(rule, sources)}, sources
+
+    def map_group(
+        self, rule: MappingRule, sources: dict[Key, SourceRecord], now: int
+    ) -> tuple[dict[Key, TargetRecord], str]:
+        """The map step of `check_group`: (expected, bug).
+
+        Applies the fault if it breaks the group at `now`, or else the rule,
+        to the group's sources (`read_group`).  `bug` is "" when the group
+        mapped and "mapping_bug: <message>" when it did not; `expected` is
+        then empty.
+        """
+        if not sources:
+            return {}, ""
+        if self.fault is not None:
+            broken = self.fault.broken_source(rule.name, sources, now)
+            if broken is not None:
+                return {}, f"mapping_bug: injected mapping bug on {broken}"
+        try:
+            outputs = map_source(rule, sources)
+        except TransformError as exc:
+            return {}, f"mapping_bug: {exc}"
+        return {r.key: r for r in outputs}, ""
+
+    def check_group(
+        self, rule: MappingRule, sources: dict[Key, SourceRecord], get: TargetRead,
+        keys: Iterable[Key], now: int,
+    ) -> tuple[dict[Key, TargetRecord], dict[Key, DiscrepancyClass | None], str]:
+        """Map one rule group and judge the requested target keys against
+        it: (expected, verdicts, bug), as `map_group` plus one verdict per key.
+
+        Each key is read with `get` in the order given, and only the keys
+        given: with a faulty store every read draws from its fault stream.
+        A verdict is None when its read raised StoreUnavailable.  A group
+        that fails to map reads no target at all; each requested key is
+        then corrupt, and `bug` says why.
+        """
+        expected, bug = self.map_group(rule, sources, now)
+        if bug:
+            return expected, dict.fromkeys(keys, DiscrepancyClass.CORRUPT), bug
+        verdicts: dict[Key, DiscrepancyClass | None] = {}
+        for tkey in keys:
+            try:
+                actual = get(tkey)
+            except StoreUnavailable:
+                verdicts[tkey] = None
+                continue
+            verdicts[tkey] = compare_records(expected.get(tkey), actual)
+        return expected, verdicts, bug
 
 
-def register_schema(types: Iterable[EntityType], rules: Iterable[MappingRule]) -> Schema:
+def read_group(rule: MappingRule, gid: str, read: SourceRead) -> dict[Key, SourceRecord]:
+    """The present source records of one rule group, in input-key order."""
+    sources: dict[Key, SourceRecord] = {}
+    for k in rule.input_keys(gid):
+        rec = read(k)
+        if rec is not None:
+            sources[k] = rec
+    return sources
+
+
+def register_schema(
+    types: Iterable[EntityType], rules: Iterable[MappingRule], fault: BugSpec | None = None
+) -> Schema:
     """Validate and freeze a schema; raises CycleError / UnknownTypeError."""
-    return Schema(types, rules)
+    return Schema(types, rules, fault)
 
 
 def _toposort(parents: dict[str, set[str]]) -> tuple[str, ...]:

@@ -12,8 +12,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .domain import Key, Schema, TransformError
-from .healing import SelfHealingQueue, Trigger
+from .domain import Key, Schema, read_group
+from .healing import ParentGate, SelfHealingQueue, Trigger
 from .stores import ChangeEvent, Clock, LegacyStore, StoreUnavailable, TargetStore
 
 
@@ -48,7 +48,7 @@ class DualWriter:
         self.clock = clock
         self.enabled = enabled
         self._pending: deque[DualWriteTask] = deque()
-        self._present: set[Key] = set()  # positive cache; records never vanish
+        self._parents = ParentGate(schema, target)
 
     def on_commit(self, change: ChangeEvent) -> DualWriteTask:
         """Schedule replication; scheduling itself cannot fail."""
@@ -83,11 +83,9 @@ class DualWriter:
         skey = task.change.key
         failed: list[Key] = []
         for rule in self.schema.rules_for_source(skey.etype):
-            try:
-                expected, sources = self.schema.group_expected(
-                    rule, skey.id, self.legacy.read
-                )
-            except TransformError:
+            sources = read_group(rule, skey.id, self.legacy.read)
+            expected, bug = self.schema.map_group(rule, sources, now)
+            if bug:
                 failed.extend(rule.target_keys(skey.id))
                 continue
             outputs = sorted(
@@ -96,7 +94,7 @@ class DualWriter:
             for idx, record in enumerate(outputs):
                 if not record.tombstone:
                     try:
-                        ok = self._parents_present(sources)
+                        ok = self._parents.missing(sources) is None
                     except StoreUnavailable:
                         ok = False
                     if not ok:
@@ -108,19 +106,10 @@ class DualWriter:
                     failed.extend(r.key for r in outputs[idx:])
                     break
                 if not record.tombstone:
-                    self._present.add(record.key)
+                    self._parents.note(record.key)
         if not failed:
             return ReplicateResult.DONE
         commit_time = task.change.new_version.commit_time
         for tkey in sorted(set(failed)):
             self.queue.enqueue(tkey, Trigger.DUALWRITE, now, commit_time)
         return ReplicateResult.FAILED_ENQUEUED
-
-    def _parents_present(self, sources) -> bool:
-        for pkey in self.schema.parent_target_keys(sources):
-            if pkey in self._present:
-                continue
-            if self.target.get(pkey) is None:
-                return False
-            self._present.add(pkey)
-        return True

@@ -10,8 +10,7 @@ moves it strictly forward.
 from __future__ import annotations
 
 import heapq
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -21,8 +20,8 @@ from .domain import (
     Key,
     Schema,
     TargetRecord,
-    TransformError,
-    compare_records,
+    compare_records,  # noqa: F401  re-exported: bench/tracing.py wraps it here
+    read_group,
 )
 from .metrics import EventLog, MetricsRegistry
 from .stores import Clock, LegacyStore, PutResult, StoreUnavailable, TargetStore
@@ -197,24 +196,35 @@ class SelfHealingQueue:
             )
         return len(letters)
 
-    def dump_lines(self, now: int) -> list[str]:
-        """Debug view: one line per queued event with its age."""
-        lines = []
-        for event in sorted(self._by_key.values(), key=lambda e: (e.due, e.seq)):
-            lines.append(
-                json.dumps(
-                    {
-                        "key": [event.target_key.etype, event.target_key.id],
-                        "trigger": event.trigger.value,
-                        "attempts": event.attempts,
-                        "due": event.due,
-                        "age": now - event.enqueued_at,
-                        "data_age": now - event.source_update_time,
-                    },
-                    sort_keys=True,
-                )
-            )
-        return lines
+
+class ParentGate:
+    """Which parent target record a group's live outputs still wait for.
+
+    A positive cache over `TargetStore.get`: target records are never
+    compacted away within a run, so a record seen once stays present.  Each
+    writer keeps its own gate; a shared one would skip reads, and every
+    read draws from the target's fault stream.
+    """
+
+    def __init__(self, schema: Schema, target: TargetStore):
+        self.schema = schema
+        self.target = target
+        self._present: set[Key] = set()
+
+    def missing(self, sources) -> Key | None:
+        """First parent target record the group needs that is absent, if
+        any; raises StoreUnavailable when a read fails."""
+        for pkey in self.schema.parent_target_keys(sources):
+            if pkey in self._present:
+                continue
+            if self.target.get(pkey) is None:
+                return pkey
+            self._present.add(pkey)
+        return None
+
+    def note(self, key: Key) -> None:
+        """Record a live write of `key`."""
+        self._present.add(key)
 
 
 class Healer:
@@ -239,20 +249,7 @@ class Healer:
         self.log = log
         self.clock = clock
         self.policy = policy
-        # Positive presence only: target records are never compacted away
-        # within a run, so "seen live once" stays true.
-        self._present: set[Key] = set()
-
-    def _missing_parent(self, sources) -> Key | None:
-        """First parent target record the group needs that is absent, if any."""
-        for pkey in self.schema.parent_target_keys(sources):
-            if pkey in self._present:
-                continue
-            rec = self.target.get(pkey)
-            if rec is None:
-                return pkey
-            self._present.add(pkey)
-        return None
+        self._parents = ParentGate(schema, target)
 
     def validate_and_fix(self, key: Key, now: int | None = None) -> FixOutcome:
         """Reconcile one target key against the latest source state.
@@ -264,35 +261,31 @@ class Healer:
         now = self.clock.now if now is None else now
         self.registry.attempts_total += 1
         rule = self.schema.rule_for_target(key.etype)
-        try:
-            expected_all, sources = self.schema.group_expected(rule, key.id, self.legacy.read)
-        except TransformError as exc:
+        sources = read_group(rule, key.id, self.legacy.read)
+        expected, verdicts, bug = self.schema.check_group(
+            rule, sources, self.target.get, (key,), now
+        )
+        verdict = verdicts[key]
+        if bug or verdict is None:
             self.registry.validation_failure += 1
-            return FixOutcome(FixStatus.FAILED, f"mapping_bug: {exc}")
-        expected = expected_all.get(key)
-        try:
-            actual = self.target.get(key)
-        except StoreUnavailable:
-            self.registry.validation_failure += 1
-            return FixOutcome(FixStatus.FAILED, "unavailable")
-
-        verdict = compare_records(expected, actual)
+            return FixOutcome(FixStatus.FAILED, bug or "unavailable")
         if verdict is DiscrepancyClass.CONSISTENT:
             self.registry.validation_success += 1
             return FixOutcome(FixStatus.ALREADY_CONSISTENT)
         self.registry.validation_failure += 1
 
-        if expected is None:
-            # Live data with no surviving source: bury it in place.
+        fix = expected.get(key)
+        if fix is None:
+            # Live data with no surviving source: bury it in place.  The
+            # peek sees the record the check just read.
+            actual = self.target.peek(key)
             if actual is None:
                 raise InvariantError(f"{key}: absent on both sides yet inconsistent")
             fix = TargetRecord(key, {}, dict(actual.provenance), True)
-        else:
-            fix = expected
 
         if not fix.tombstone:
             try:
-                missing = self._missing_parent(sources)
+                missing = self._parents.missing(sources)
             except StoreUnavailable:
                 self.registry.fix_failure += 1
                 return FixOutcome(FixStatus.FAILED, "unavailable")
@@ -309,7 +302,7 @@ class Healer:
             self.registry.fix_failure += 1
             return FixOutcome(FixStatus.FAILED, "unavailable")
         if not fix.tombstone:
-            self._present.add(key)
+            self._parents.note(key)
         if result is PutResult.STALE_REJECTED:
             # Freshness race resolved in the target's favor.
             self.registry.validation_success += 1

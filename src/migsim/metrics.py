@@ -21,7 +21,7 @@ import hashlib
 import json
 from bisect import bisect_right
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -33,11 +33,11 @@ from .domain import (
     Schema,
     SourceRecord,
     TargetRecord,
-    TransformError,
     UnknownTypeError,
     VersionStamp,
     at_least_as_fresh,
-    compare_records,
+    compare_records,  # noqa: F401  re-exported: bench/tracing.py wraps it here
+    read_group,
 )
 
 NOT_SETTLED = None  # sentinel spelled out where a settlement is still open
@@ -176,22 +176,11 @@ class MetricsRegistry:
             )
 
     def counters_dict(self) -> dict:
-        return {
-            "enqueued": self.enqueued,
-            "coalesced": self.coalesced,
-            "dequeued": self.dequeued,
-            "dead_lettered": self.dead_lettered,
-            "requeued": self.requeued,
-            "validation_success": self.validation_success,
-            "validation_failure": self.validation_failure,
-            "fix_success": self.fix_success,
-            "fix_failure": self.fix_failure,
-            "retries": self.retries,
-            "attempts_total": self.attempts_total,
-            "queue_length": self.queue_length,
-            "in_queue_latency": self.in_queue_latency.as_dict(),
-            "pipeline_latency": self.pipeline_latency.as_dict(),
-        }
+        counters = {name: value for name, value in vars(self).items() if isinstance(value, int)}
+        counters["queue_length"] = self.queue_length
+        counters["in_queue_latency"] = self.in_queue_latency.as_dict()
+        counters["pipeline_latency"] = self.pipeline_latency.as_dict()
+        return counters
 
 
 class SettlementTracker:
@@ -385,18 +374,7 @@ class ConsistencyReport:
     inconsistent_keys: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "at": self.at,
-            "phase": self.phase,
-            "overall_rate": self.overall_rate,
-            "settled_rate": self.settled_rate,
-            "queue_length": self.queue_length,
-            "max_in_loop_age": self.max_in_loop_age,
-            "staleness_bound": self.staleness_bound,
-            "window_ttc": self.window_ttc,
-            "expected_keys": self.expected_keys,
-            "inconsistent_keys": self.inconsistent_keys,
-        }
+        return asdict(self)
 
 
 def consistency_rate(
@@ -411,7 +389,8 @@ def consistency_rate(
     Returns (overall, settled_only, per-class counts) where overall is the
     fraction of mapped expected target keys whose comparison is consistent
     and settled_only restricts to keys whose every contributing update is
-    older than the staleness bound.  Empty expectations rate 1.0.
+    older than the staleness bound.  Empty expectations rate 1.0.  The
+    schema's fault is applied as of `at`.
     """
     counts: dict[DiscrepancyClass, int] = {c: 0 for c in DiscrepancyClass}
     total = 0
@@ -419,29 +398,15 @@ def consistency_rate(
     settled_total = 0
     settled_consistent = 0
     read = source_view.get
+    get = target_view.get
     for rule, gid in iter_groups(schema, source_view):
-        try:
-            expected, sources = schema.group_expected(rule, gid, read)
-        except TransformError:
-            # A mapping bug makes the group untranslatable; its keys count
-            # as corrupt until the code is fixed.
-            sources = {
-                k: rec for k in rule.input_keys(gid) if (rec := read(k)) is not None
-            }
-            newest = max(rec.version.commit_time for rec in sources.values())
-            settled = at - newest > staleness_bound
-            for _tkey in rule.target_keys(gid):
-                counts[DiscrepancyClass.CORRUPT] += 1
-                total += 1
-                if settled:
-                    settled_total += 1
-            continue
-        if not expected:
-            continue
+        sources = read_group(rule, gid, read)
+        _expected, verdicts, _bug = schema.check_group(
+            rule, sources, get, rule.target_keys(gid), at
+        )
         newest = max(rec.version.commit_time for rec in sources.values())
         settled = at - newest > staleness_bound
-        for tkey, exp in expected.items():
-            verdict = compare_records(exp, target_view.get(tkey))
+        for verdict in verdicts.values():
             counts[verdict] += 1
             total += 1
             ok = verdict is DiscrepancyClass.CONSISTENT
@@ -474,12 +439,11 @@ class ConsistencyTracker:
     """Incremental consistency bookkeeping for cheap per-sample reports.
 
     Caches a verdict per rule group and re-evaluates only groups whose
-    sources or targets changed since the last sample.  Produces exactly the
-    numbers the full scan would, per-class counts included; tests hold it
-    to that.  `mark_source` expects commit times in nondecreasing order, as
-    the virtual clock gives them.  A rule whose transform changes behaviour over time (an
-    injected mapping bug) must be re-marked with `mark_rule` whenever it
-    does.
+    sources or targets changed since the last refresh, plus every group of
+    the fault's rule whenever the fault switches on or off.  Produces
+    exactly the numbers the full scan would, per-class counts included;
+    tests hold it to that.  `mark_source` expects commit times in
+    nondecreasing order, as the virtual clock gives them.
     """
 
     def __init__(self, schema: Schema, read_source, peek_target):
@@ -499,6 +463,10 @@ class ConsistencyTracker:
         self._last_update: dict[tuple[str, str], int] = {}
         self._total_expected = 0
         self._total_bad = 0
+        # The instant of the last refresh, and whether the fault was active
+        # then: cached verdicts of its rule hold only while that lasts.
+        self._at = 0
+        self._fault_active = False
 
     def mark_source(self, skey: Key, commit_time: int) -> None:
         for rule in self.schema.rules_for_source(skey.etype):
@@ -517,26 +485,26 @@ class ConsistencyTracker:
         self._group_rule[tag] = rule
         self._dirty.add(tag)
 
-    def mark_rule(self, rule_name: str) -> None:
-        """Re-evaluate every known group of one rule at the next refresh."""
-        self._dirty.update(tag for tag in self._group_rule if tag[0] == rule_name)
-
-    def _refresh(self) -> None:
+    def _refresh(self, at: int) -> None:
+        self._at = at
+        fault = self.schema.fault
+        if fault is not None and fault.active_at(at) != self._fault_active:
+            self._fault_active = not self._fault_active
+            self._dirty.update(tag for tag in self._group_rule if tag[0] == fault.rule)
         consistent = DiscrepancyClass.CONSISTENT
         totals = self._class_totals
         for tag in sorted(self._dirty):
             rule = self._group_rule[tag]
-            try:
-                expected, _sources = self.schema.group_expected(rule, tag[1], self._read)
-                n_expected = len(expected)
-                bad = [
-                    verdict
-                    for tkey, exp in expected.items()
-                    if (verdict := compare_records(exp, self._peek(tkey))) is not consistent
-                ]
-            except TransformError:
-                n_expected = len(rule.target_types)
-                bad = [DiscrepancyClass.CORRUPT] * n_expected
+            gid = tag[1]
+            sources = read_group(rule, gid, self._read)
+            if sources:
+                _expected, verdicts, _bug = self.schema.check_group(
+                    rule, sources, self._peek, rule.target_keys(gid), at
+                )
+                n_expected = len(verdicts)
+                bad = [verdict for verdict in verdicts.values() if verdict is not consistent]
+            else:
+                n_expected, bad = 0, []  # a group with no source expects nothing
             self._total_expected += n_expected - self._expected_count.get(tag, 0)
             self._expected_count[tag] = n_expected
             old = self._bad_classes.pop(tag, ())
@@ -551,7 +519,7 @@ class ConsistencyTracker:
 
     def rates(self, at: int, staleness_bound: int) -> tuple[float, float, int, int]:
         """(overall, settled_only, expected_total, inconsistent_total) at `at`."""
-        self._refresh()
+        self._refresh(at)
         # A group is settled once at - last_update > staleness_bound, the
         # same test consistency_rate applies to its newest source.  The bound
         # moves between samples, so nothing is pruned.
@@ -573,8 +541,9 @@ class ConsistencyTracker:
         return overall, settled, self._total_expected, self._total_bad
 
     def class_counts(self) -> dict[DiscrepancyClass, int]:
-        """Expected target keys per class, as `consistency_rate` counts them."""
-        self._refresh()
+        """Expected target keys per class, as `consistency_rate` counts them,
+        as of the last `rates` call (or tick 0 before any)."""
+        self._refresh(self._at)
         counts = dict(self._class_totals)
         counts[DiscrepancyClass.CONSISTENT] = self._total_expected - self._total_bad
         return counts

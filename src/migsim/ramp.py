@@ -9,7 +9,7 @@ is the other side of the same trade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from .metrics import ConsistencyReport, EventLog
@@ -82,15 +82,7 @@ class SwitchReport:
     blocked_reasons: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "unavailability_window": self.unavailability_window,
-            "lost_updates": self.lost_updates,
-            "post_switch_discrepancies": self.post_switch_discrepancies,
-            "flip_time": self.flip_time,
-            "rejected_writes": self.rejected_writes,
-            "blocked_reasons": list(self.blocked_reasons),
-        }
+        return asdict(self)
 
 
 class RampController:

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
 from .domain import (
     EntityType,
+    Key,
     MappingRule,
     Schema,
+    SourceRecord,
     identity_rule,
     merge_rule,
     register_schema,
@@ -162,6 +165,18 @@ class BugSpec:
     def active_at(self, now: int) -> bool:
         return self.active_from <= now < self.active_until
 
+    def broken_source(
+        self, rule_name: str, sources: Mapping[Key, SourceRecord], now: int
+    ) -> Key | None:
+        """The source on which this bug breaks a group of `rule_name` at `now`:
+        the first live one of its type whose id matches.  None when it maps."""
+        if rule_name == self.rule and self.active_at(now):
+            for skey, rec in sources.items():
+                if skey.etype == self.etype and not rec.tombstone:
+                    if int(skey.id) % self.id_mod == self.id_rem:
+                        return skey
+        return None
+
 
 @dataclass(frozen=True)
 class ExpectSpec:
@@ -204,9 +219,10 @@ class Scenario:
     toggles: TogglesSpec = TogglesSpec()
 
     def build_schema(self) -> Schema:
+        """The run's schema; the injected bug, if any, is its fault."""
         types = [EntityType(t.name, frozenset(t.parents)) for t in self.types]
         rules = [r.build() for r in self.rules]
-        return register_schema(types, rules)
+        return register_schema(types, rules, self.bug)
 
     def settle_delay(self) -> int:
         if self.toggles.settle_delay is not None:

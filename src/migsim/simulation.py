@@ -13,17 +13,10 @@ from a named substream of the scenario seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .domain import (
-    Key,
-    Schema,
-    SourceRecord,
-    TargetRecord,
-    TransformError,
-    VersionStamp,
-)
+from .domain import Key, Schema, SourceRecord, TargetRecord, VersionStamp
 from .dualwrite import DualWriter
 from .healing import Healer, SelfHealingQueue
 from .metrics import (
@@ -40,7 +33,7 @@ from .metrics import (
 from .oracle import OracleReport, oracle_verify
 from .ramp import RampController
 from .rng import named_stream
-from .scenario import BugSpec, Scenario, serialize
+from .scenario import Scenario, serialize
 from .stores import ChangeStream, Clock, LegacyStore, StoreUnavailable, TargetStore
 from .verifiers import BootstrapJob, NearlineVerifier, OfflineVerifier, RateLimiter, ShadowReader
 from .workload import OP_DELETE, OP_READ, OP_WRITE, WorkloadGenerator
@@ -75,27 +68,7 @@ class RunReport:
         return oracle_ok and not self.expect_failures
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "duration": self.duration,
-            "initial_records": self.initial_records,
-            "samples": [s.as_dict() for s in self.samples],
-            "bootstrap": self.bootstrap,
-            "switch": self.switch,
-            "counters": self.counters,
-            "attempts_total": self.attempts_total,
-            "attempts_ratio": self.attempts_ratio,
-            "dead_letters": self.dead_letters,
-            "final_overall": self.final_overall,
-            "final_settled": self.final_settled,
-            "final_counts": self.final_counts,
-            "rejected_writes": self.rejected_writes,
-            "log_digest": self.log_digest,
-            "oracle": self.oracle,
-            "expect_failures": self.expect_failures,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
     def headline(self) -> str:
         last = self.samples[-1] if self.samples else None
@@ -135,39 +108,6 @@ class SimResult:
     oracle_report: OracleReport | None = None
 
 
-def _wrap_with_bug(transform, bug: BugSpec, clock: Clock):
-    def buggy(sources):
-        if bug.active_at(clock.now):
-            for skey, rec in sources.items():
-                if (
-                    skey.etype == bug.etype
-                    and not rec.tombstone
-                    and int(skey.id) % bug.id_mod == bug.id_rem
-                ):
-                    raise TransformError(f"injected mapping bug on {skey}")
-        return transform(sources)
-
-    return buggy
-
-
-def _build_schema(scenario: Scenario, clock: Clock) -> Schema:
-    from .domain import EntityType, MappingRule, register_schema
-
-    types = [EntityType(t.name, frozenset(t.parents)) for t in scenario.types]
-    rules = []
-    for spec in scenario.rules:
-        rule = spec.build()
-        if scenario.bug is not None and scenario.bug.rule == spec.name:
-            rule = MappingRule(
-                rule.name,
-                rule.source_types,
-                rule.target_types,
-                _wrap_with_bug(rule.transform, scenario.bug, clock),
-            )
-        rules.append(rule)
-    return register_schema(types, rules)
-
-
 class _RampStatus:
     """Telemetry bundle the ramp controller polls each tick."""
 
@@ -203,7 +143,7 @@ class _SimState:
         self.clock = Clock(0)
         self.log = EventLog()
         self.registry = MetricsRegistry()
-        self.schema = _build_schema(scenario, self.clock)
+        self.schema = scenario.build_schema()
         self.legacy = LegacyStore(self.clock)
         self.target = TargetStore(
             self.clock, scenario.fault, named_stream(seed, "target_ops")
@@ -245,10 +185,6 @@ class _SimState:
         self.live_ops: list[tuple[int, str, str]] = []
         self.samples: list[ConsistencyReport] = []
         self.flip_rates: tuple[float, float] | None = None
-        # Whether the injected mapping bug was active at the tracker's last
-        # refresh; its cached verdicts for the bug's rule hold only while
-        # that state lasts.
-        self._bug_active = False
         self.rejected_writes = 0
 
         def _on_accept(record: TargetRecord, now: int) -> None:
@@ -336,7 +272,7 @@ class _SimState:
     def flip_measurements(self, now: int) -> tuple[int, int]:
         """At the flip: unsettled source updates and the residual exact diff."""
         lost = self.settlement.unsettled_count()
-        overall, settled, _expected, discrepancies = self._tracker_rates(
+        overall, settled, _expected, discrepancies = self.ctracker.rates(
             now, self._staleness_bound(now)
         )
         self.flip_rates = (overall, settled)
@@ -349,15 +285,6 @@ class _SimState:
         window = self.scenario.metrics.ttc_window
         observed = self.settlement.settled_latency_max(now - window, now)
         return max(2 * observed, self.scenario.metrics.staleness_floor)
-
-    def _tracker_rates(self, now: int, bound: int) -> tuple[float, float, int, int]:
-        """`ConsistencyTracker.rates`, kept exact across the injected bug's
-        switches on and off."""
-        bug = self.scenario.bug
-        if bug is not None and bug.active_at(now) != self._bug_active:
-            self._bug_active = not self._bug_active
-            self.ctracker.mark_rule(bug.rule)
-        return self.ctracker.rates(now, bound)
 
     def phase_label(self, now: int) -> str:
         if self.ramp is not None and self.ramp.flipped:
@@ -379,7 +306,7 @@ class _SimState:
             overall, settled = self.flip_rates
             expected = bad = 0
         else:
-            overall, settled, expected, bad = self._tracker_rates(now, bound)
+            overall, settled, expected, bad = self.ctracker.rates(now, bound)
         qlen, age = loop_gauges(self.queue, now)
         report = ConsistencyReport(
             at=now,
@@ -455,7 +382,7 @@ def run_scenario(
             sim.log.append(
                 now, "snapshot", taken=snap.taken_at, lut=snap.last_update_time, n=len(snap)
             )
-            sim.offline.run(snap, sim.target.frozen_view(), scn.offline.cutoff, now)
+            sim.offline.run(snap, sim.target.records, scn.offline.cutoff, now)
 
         if (
             scn.bug is not None
@@ -542,7 +469,7 @@ def _assemble_report(sim: _SimState, out_dir: Path | None) -> RunReport:
     else:
         # The tracker stands in for a full scan: the last sample refreshed
         # it at `duration` under this same bound.
-        final_overall, final_settled, _expected, _bad = sim._tracker_rates(
+        final_overall, final_settled, _expected, _bad = sim.ctracker.rates(
             scn.duration, sim._staleness_bound(scn.duration)
         )
         counts = {cls.value: n for cls, n in sim.ctracker.class_counts().items() if n}

@@ -1,7 +1,7 @@
 """In-process legacy store with change stream, and target store with faults.
 
-The legacy store is the reference: always available, append-only change
-log, full per-key history so snapshots can be cut at any past tick.  The
+The legacy store is the reference: always available, one sequence number
+per commit, full per-key history so snapshots can be cut at any past tick.  The
 target store injects unavailability from a seeded fault profile and guards
 every write with a freshness check, which is what lets repair and dual
 writes race without transactions.
@@ -9,9 +9,7 @@ writes race without transactions.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -20,6 +18,7 @@ import numpy as np
 from .domain import (
     Key,
     SourceRecord,
+    StoreUnavailable,
     TargetRecord,
     VersionStamp,
     provenance_regresses,
@@ -27,10 +26,6 @@ from .domain import (
 from .metrics import EventLog
 
 EMPTY_TIME = -1  # last_update_time of an empty snapshot
-
-
-class StoreUnavailable(Exception):
-    """Transient store failure; the operation left no trace and may be retried."""
 
 
 class PutResult(str, Enum):
@@ -88,77 +83,23 @@ class Snapshot:
     def __len__(self) -> int:
         return len(self.records)
 
-    def export_lines(self) -> list[str]:
-        """One canonical line per record; header first."""
-        lines = [
-            json.dumps(
-                {"taken_at": self.taken_at, "last_update_time": self.last_update_time},
-                sort_keys=True,
-            )
-        ]
-        for key in sorted(self.records):
-            rec = self.records[key]
-            lines.append(
-                json.dumps(
-                    {
-                        "type": key.etype,
-                        "id": key.id,
-                        "counter": rec.version.counter,
-                        "commit_time": rec.version.commit_time,
-                        "tombstone": rec.tombstone,
-                        "value": dict(sorted(rec.value.items())),
-                    },
-                    sort_keys=True,
-                )
-            )
-        return lines
-
-    @classmethod
-    def parse_lines(cls, lines: Iterable[str]) -> "Snapshot":
-        it = iter(lines)
-        header = json.loads(next(it))
-        records: dict[Key, SourceRecord] = {}
-        for line in it:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            key = Key(row["type"], row["id"])
-            records[key] = SourceRecord(
-                key,
-                row["value"],
-                VersionStamp(row["counter"], row["commit_time"]),
-                row["tombstone"],
-            )
-        snap = cls(header["taken_at"], records)
-        if snap.last_update_time != header["last_update_time"]:
-            raise ValueError("snapshot header does not match records")
-        return snap
-
-    def contents_hash(self) -> str:
-        digest = hashlib.sha256()
-        for line in self.export_lines():
-            digest.update(line.encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
-
 
 class LegacyStore:
-    """Source of truth.  Always available; every commit is logged and kept."""
+    """Source of truth.  Always available; every version is kept."""
 
     def __init__(self, clock: Clock):
         self.clock = clock
         self.records: dict[Key, SourceRecord] = {}
-        self.change_log: list[ChangeEvent] = []
+        self._seq = 0  # sequence number of the latest commit
         # Superseded versions per key, oldest first; the current version
         # is `records[key]`.
         self._history: dict[Key, list[SourceRecord]] = {}
-        self.commit_hooks: list[Callable[[ChangeEvent], None]] = []
 
     def commit(self, key: Key, value: Mapping[str, str] | None) -> ChangeEvent:
-        """Store a new version (value=None deletes) and append a change event.
+        """Store a new version (value=None deletes) and return its change event.
 
-        Downstream hooks run only after the commit is fully recorded, so the
-        legacy write path never observes replication outcomes.
+        The caller hands the event downstream only after the commit is fully
+        recorded, so the legacy write path never observes replication outcomes.
         """
         prev = self.records.get(key)
         counter = (prev.version.counter if prev else 0) + 1
@@ -172,17 +113,14 @@ class LegacyStore:
         if prev is not None:
             self._history.setdefault(key, []).append(prev)
         self.records[key] = rec
-        event = ChangeEvent(len(self.change_log) + 1, key, stamp, op)
-        self.change_log.append(event)
-        for hook in self.commit_hooks:
-            hook(event)
-        return event
+        self._seq += 1
+        return ChangeEvent(self._seq, key, stamp, op)
 
     def read(self, key: Key) -> SourceRecord | None:
         return self.records.get(key)
 
     def max_seq(self) -> int:
-        return len(self.change_log)
+        return self._seq
 
     def take_snapshot(self, now: int) -> Snapshot:
         """Frozen copy of everything committed at or before `now`."""
@@ -284,10 +222,6 @@ class TargetStore:
     def peek(self, key: Key) -> TargetRecord | None:
         """Monitoring read: no availability draw, never fails."""
         return self.records.get(key)
-
-    def frozen_view(self) -> dict[Key, TargetRecord]:
-        """Point-in-time copy for offline verification and reporting."""
-        return dict(self.records)
 
     @staticmethod
     def replay(entries: Iterable[dict]) -> dict[Key, TargetRecord]:

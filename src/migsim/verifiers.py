@@ -3,15 +3,17 @@
 Bootstrap replays a snapshot at a controlled rate; nearline checks every
 change-stream delivery; shadow reads piggyback on live reads; offline bulk
 verification sweeps paired snapshots and catches whatever the online paths
-missed.  All four converge on the same validate-and-fix primitive, so the
-eventual repaired state never depends on which trigger noticed first.
+missed.  Each one maps and judges a rule group with `Schema.check_group`
+(bootstrap uses its map step alone), which also decides what a group that
+fails to map means; the trigger only acts on the outcome.  All four feed
+the same validate-and-fix primitive, so the eventual repaired state never
+depends on which trigger noticed first.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -22,10 +24,10 @@ from .domain import (
     Schema,
     SourceRecord,
     TargetRecord,
-    TransformError,
     VersionStamp,
-    compare_records,
-    map_source,
+    compare_records,  # noqa: F401  re-exported: bench/tracing.py wraps it here
+    map_source,  # noqa: F401  re-exported: bench/tracing.py wraps it here
+    read_group,
 )
 from .healing import SelfHealingQueue, Trigger, fix_source_time
 from .metrics import EventLog, MetricsRegistry, iter_groups
@@ -77,18 +79,6 @@ class RateLimiter:
 
 
 @dataclass
-class VerifyCursor:
-    """Monotone progress marker for a verifier."""
-
-    position: int = 0
-
-    def advance(self, to: int) -> None:
-        if to < self.position:
-            raise ValueError("cursor may not move backwards")
-        self.position = to
-
-
-@dataclass
 class BootstrapReport:
     mode: str
     started_at: int | None = None
@@ -106,17 +96,7 @@ class BootstrapReport:
         return self.finished_at - self.started_at + 1
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "duration_ticks": self.duration_ticks,
-            "groups_total": self.groups_total,
-            "groups_processed": self.groups_processed,
-            "puts": self.puts,
-            "put_failures": self.put_failures,
-            "events_enqueued": self.events_enqueued,
-        }
+        return {**asdict(self), "duration_ticks": self.duration_ticks}
 
 
 class BootstrapJob:
@@ -125,8 +105,9 @@ class BootstrapJob:
     Groups are replayed in dependency order of their source types.  In
     direct mode each produced record is written with a snapshot-time
     default provenance stamp, so any later repair or dual write supersedes
-    it; failures fall through to the queue.  In queue mode every group just
-    enqueues a validation event and the queue does the writing.
+    it; failed writes and groups that fail to map fall through to the
+    queue.  In queue mode every group just enqueues a validation event and
+    the queue does the writing.
     """
 
     def __init__(
@@ -188,10 +169,11 @@ class BootstrapJob:
             self._cursor += 1
             self.report.groups_processed += 1
             used += cost
+            sources = read_group(rule, gid, self.snapshot.records.get)
             if self.mode == "direct":
-                self._direct_load(rule, gid, now)
+                self._direct_load(rule, gid, sources, now)
             else:
-                self._enqueue_group(rule, gid, now)
+                self._enqueue_group(rule, gid, sources, now)
         if self.done and self.report.finished_at is None:
             self.report.finished_at = now
             self.log.append(
@@ -202,28 +184,25 @@ class BootstrapJob:
             self._groups = None
         return used
 
-    def _direct_load(self, rule, gid: str, now: int) -> None:
-        sources = {
-            k: rec
-            for k in rule.input_keys(gid)
-            if (rec := self.snapshot.records.get(k)) is not None
-        }
+    def _direct_load(self, rule, gid: str, sources, now: int) -> None:
         parent_refs = set()
         for rec in sources.values():
             if not rec.tombstone:
                 parent_refs.update(self.schema.parent_source_keys(rec))
-        if parent_refs & self._failed_sources:
-            # A parent's load is incomplete; writing this group directly
-            # could put a live child ahead of its parent.
+        # A parent whose load is incomplete could let a live child land
+        # ahead of it, and a group that fails to map has nothing to write:
+        # either way the group goes through the queue.
+        blocked = bool(parent_refs & self._failed_sources)
+        if not blocked:
+            expected, bug = self.schema.map_group(rule, sources, now)
+            blocked = bool(bug)
+        if blocked:
             self._failed_sources.update(sources)
-            sut = fix_source_time(sources)
-            for tkey in rule.target_keys(gid):
-                self.report.events_enqueued += 1
-                self.queue.enqueue(tkey, Trigger.BOOTSTRAP, now, sut)
+            self._enqueue_group(rule, gid, sources, now)
             return
         default_stamp = self._default_stamp
         provenance = {rec.key: default_stamp for rec in sources.values()}
-        for record in map_source(rule, sources):
+        for record in expected.values():
             stale_record = TargetRecord(record.key, record.value, provenance, record.tombstone)
             self.registry.attempts_total += 1
             self.report.puts += 1
@@ -237,12 +216,7 @@ class BootstrapJob:
                     record.key, Trigger.BOOTSTRAP, now, fix_source_time(sources)
                 )
 
-    def _enqueue_group(self, rule, gid: str, now: int) -> None:
-        sources = {
-            k: rec
-            for k in rule.input_keys(gid)
-            if (rec := self.snapshot.records.get(k)) is not None
-        }
+    def _enqueue_group(self, rule, gid: str, sources, now: int) -> None:
         sut = fix_source_time(sources)
         for tkey in rule.target_keys(gid):
             self.report.events_enqueued += 1
@@ -274,7 +248,6 @@ class NearlineVerifier:
         self.log = log
         self.clock = clock
         self.settle_delay = settle_delay
-        self.cursor = VerifyCursor()
         self._due: list[tuple[int, int, ChangeEvent]] = []
         self.checked = 0
         self.mismatches = 0
@@ -293,23 +266,17 @@ class NearlineVerifier:
     def verify(self, event: ChangeEvent, now: int) -> NearlineResult:
         """Compare every affected target key against freshly mapped sources."""
         self.checked += 1
-        self.cursor.advance(max(self.cursor.position, event.seq))
         skey = event.key
         commit_time = event.new_version.commit_time
         bad: list[Key] = []
         for rule in self.schema.rules_for_source(skey.etype):
-            try:
-                expected, _sources = self.schema.group_expected(rule, skey.id, self.legacy.read)
-            except TransformError:
-                bad.extend(rule.target_keys(skey.id))
-                continue
-            for tkey in rule.target_keys(skey.id):
-                try:
-                    actual = self.target.get(tkey)
-                except StoreUnavailable:
-                    bad.append(tkey)  # conservative: cannot confirm, let the queue look
-                    continue
-                verdict = compare_records(expected.get(tkey), actual)
+            sources = read_group(rule, skey.id, self.legacy.read)
+            _expected, verdicts, _bug = self.schema.check_group(
+                rule, sources, self.target.get, rule.target_keys(skey.id), now
+            )
+            for tkey, verdict in verdicts.items():
+                # A key whose read failed is bad too: it cannot be confirmed,
+                # so the queue looks at it.
                 if verdict is not DiscrepancyClass.CONSISTENT:
                     bad.append(tkey)
         if not bad:
@@ -372,20 +339,14 @@ class ShadowReader:
             def read(k: Key, _observed=observed) -> SourceRecord | None:
                 return _observed if k == _observed.key else self.legacy.read(k)
 
-            try:
-                expected, _sources = self.schema.group_expected(rule, skey.id, read)
-            except TransformError as exc:
-                bad.extend((tk, f"mapping_bug: {exc}") for tk in rule.target_keys(skey.id))
-                continue
-            for tkey in rule.target_keys(skey.id):
-                try:
-                    actual = self.target.get(tkey)
-                except StoreUnavailable:
-                    bad.append((tkey, "unavailable"))
-                    continue
-                verdict = compare_records(expected.get(tkey), actual)
+            _expected, verdicts, bug = self.schema.check_group(
+                rule, read_group(rule, skey.id, read), self.target.get,
+                rule.target_keys(skey.id), now,
+            )
+            for tkey, verdict in verdicts.items():
                 if verdict is not DiscrepancyClass.CONSISTENT:
-                    bad.append((tkey, verdict.value))
+                    reason = bug or ("unavailable" if verdict is None else verdict.value)
+                    bad.append((tkey, reason))
         if not bad:
             return ShadowResult(ShadowOutcome.MATCH)
         self.discrepancies += 1
@@ -417,14 +378,8 @@ class OfflineReport:
 
     def as_dict(self) -> dict:
         return {
-            "run_at": self.run_at,
-            "snapshot_time": self.snapshot_time,
-            "cutoff": self.cutoff,
-            "scanned_groups": self.scanned_groups,
-            "scanned_keys": self.scanned_keys,
-            "skipped_recent_groups": self.skipped_recent_groups,
+            **asdict(self),
             "counts": dict(sorted(self.counts.items())),
-            "enqueued": self.enqueued,
             "consistency_rate": self.consistency_rate,
         }
 
@@ -442,13 +397,13 @@ class OfflineReport:
 
 
 class OfflineVerifier:
-    """Full sweep over paired snapshots, feeding misses back to the queue."""
+    """Full sweep of a source snapshot against the target, feeding misses
+    back to the queue."""
 
     def __init__(self, schema: Schema, queue: SelfHealingQueue, log: EventLog):
         self.schema = schema
         self.queue = queue
         self.log = log
-        self.cursor = VerifyCursor()
 
     def run(
         self,
@@ -459,42 +414,39 @@ class OfflineVerifier:
     ) -> OfflineReport:
         """Scan groups whose newest update is older than the cutoff.
 
-        The cutoff exists so an in-flight update racing the snapshot pair is
+        The cutoff exists so an in-flight update racing the snapshot is
         never flagged; everything genuinely settled and wrong is enqueued.
+        `target_view` may be the live target records: nothing writes the
+        target during a sweep.  A group that fails to map counts its keys
+        as "transform_error" and logs no verify line for them.
         """
         report = OfflineReport(now, source_snapshot.taken_at, cutoff)
         counts: dict[str, int] = {}
         horizon = source_snapshot.taken_at - cutoff
         read = source_snapshot.records.get
+        get = target_view.get
         for rule, gid in iter_groups(self.schema, source_snapshot.records):
             # The horizon is checked before mapping: recent groups cost one
             # read per input key, not a transform.
-            sources = {k: rec for k in rule.input_keys(gid) if (rec := read(k)) is not None}
+            sources = read_group(rule, gid, read)
             newest = fix_source_time(sources)
             if newest > horizon:
                 report.skipped_recent_groups += 1
                 continue
             report.scanned_groups += 1
-            try:
-                expected = map_source(rule, sources)
-            except TransformError:
-                for tkey in rule.target_keys(gid):
-                    report.scanned_keys += 1
-                    counts["transform_error"] = counts.get("transform_error", 0) + 1
-                    report.enqueued += 1
-                    self.queue.enqueue(tkey, Trigger.OFFLINE, now, newest)
-                continue
-            for exp in expected:
-                tkey = exp.key
+            _expected, verdicts, bug = self.schema.check_group(
+                rule, sources, get, rule.target_keys(gid), now
+            )
+            for tkey, verdict in verdicts.items():
                 report.scanned_keys += 1
-                verdict = compare_records(exp, target_view.get(tkey))
-                counts[verdict.value] = counts.get(verdict.value, 0) + 1
+                name = "transform_error" if bug else verdict.value
+                counts[name] = counts.get(name, 0) + 1
                 if verdict is not DiscrepancyClass.CONSISTENT:
                     report.enqueued += 1
                     self.queue.enqueue(tkey, Trigger.OFFLINE, now, newest)
-                    self.log.append(now, "verify", tkey, src="offline", res=verdict.value)
+                    if not bug:
+                        self.log.append(now, "verify", tkey, src="offline", res=name)
         report.counts = counts
-        self.cursor.advance(max(self.cursor.position, source_snapshot.taken_at))
         self.log.append(
             now,
             "offline_done",

@@ -106,11 +106,13 @@ class TestReplicate:
         def run(enabled: bool):
             p = build_pipeline(availability=0.5, seed=11)
             p.dualwriter.enabled = enabled
+            events = []
             for i in range(20):
                 event = p.commit("project", str(i), {"n": f"v{i}"})
+                events.append((event.seq, event.key, event.new_version))
                 p.dualwriter.on_commit(event)
                 p.dualwriter.run_due(p.clock.now)
-            return [(e.seq, e.key, e.new_version) for e in p.legacy.change_log]
+            return events, p.legacy.records
 
         assert run(True) == run(False)
 

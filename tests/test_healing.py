@@ -246,13 +246,6 @@ class TestProcess:
         pipeline.queue.reschedule(popped[0], 2)
         assert len(pipeline.queue) == 1
 
-    def test_queue_dump_lists_events_with_ages(self, pipeline):
-        pipeline.queue.enqueue(Key("project_v2", "1"), Trigger.NEARLINE, 5, 3)
-        lines = pipeline.queue.dump_lines(9)
-        assert len(lines) == 1
-        assert '"age": 4' in lines[0]
-        assert '"data_age": 6' in lines[0]
-
 
 class TestCounterAlgebra:
     def test_every_removal_is_justified(self):

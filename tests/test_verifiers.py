@@ -14,7 +14,6 @@ from migsim.verifiers import (
     RateLimiter,
     ShadowOutcome,
     ShadowReader,
-    VerifyCursor,
 )
 
 from conftest import build_pipeline
@@ -60,14 +59,6 @@ class TestRateLimiter:
         limiter.begin_tick(1)
         limiter.finish()
         assert limiter.usage_trace == [(0, 2, 1)]
-
-
-class TestVerifyCursor:
-    def test_monotone(self):
-        cursor = VerifyCursor()
-        cursor.advance(5)
-        with pytest.raises(ValueError):
-            cursor.advance(4)
 
 
 class TestBootstrap:
