@@ -2,8 +2,8 @@
 
 Bootstrap replays a snapshot at a controlled rate; nearline checks every
 change-stream delivery; shadow reads piggyback on live reads; offline bulk
-verification sweeps paired snapshots and catches whatever the online paths
-missed.  Each one maps and judges a rule group with `Schema.check_group`
+verification sweeps a source snapshot against the target and catches
+whatever the online paths missed.  Each one maps and judges a rule group with `Schema.check_group`
 (bootstrap uses its map step alone), which also decides what a group that
 fails to map means; the trigger only acts on the outcome.  All four feed
 the same validate-and-fix primitive, so the eventual repaired state never
