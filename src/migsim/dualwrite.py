@@ -26,7 +26,6 @@ class ReplicateResult(str, Enum):
 class DualWriteTask:
     change: ChangeEvent
     created_at: int
-    affected_targets: tuple[Key, ...]
 
 
 class DualWriter:
@@ -52,9 +51,7 @@ class DualWriter:
 
     def on_commit(self, change: ChangeEvent) -> DualWriteTask:
         """Schedule replication; scheduling itself cannot fail."""
-        task = DualWriteTask(
-            change, self.clock.now, self.schema.affected_targets(change.key)
-        )
+        task = DualWriteTask(change, self.clock.now)
         if self.enabled:
             self._pending.append(task)
         return task

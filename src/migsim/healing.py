@@ -24,7 +24,7 @@ from .domain import (
     read_group,
 )
 from .metrics import EventLog, MetricsRegistry
-from .stores import Clock, LegacyStore, PutResult, StoreUnavailable, TargetStore
+from .stores import Clock, LegacyStore, PutResult, StoreUnavailable, TargetStore, Ticks
 
 
 class Trigger(str, Enum):
@@ -68,8 +68,8 @@ class ValidationEvent:
 @dataclass(frozen=True)
 class RetryPolicy:
     max_attempts: int = 10
-    backoff_base: int = 1
-    backoff_cap: int = 64
+    backoff_base: Ticks = 1
+    backoff_cap: Ticks = 64
     rate_limit: int = 100  # events processed per tick
 
     def __post_init__(self) -> None:

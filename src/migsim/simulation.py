@@ -163,11 +163,11 @@ class _SimState:
         )
         self.nearline = NearlineVerifier(
             self.schema, self.legacy, self.target, self.queue,
-            self.log, self.clock, scenario.settle_delay(),
+            self.log, scenario.settle_delay(),
         )
         self.shadow = ShadowReader(
             self.schema, self.legacy, self.target, self.queue, self.log,
-            self.clock, scenario.toggles.shadow_alarm_interval,
+            scenario.toggles.shadow_alarm_interval,
         )
         self.offline = OfflineVerifier(self.schema, self.queue, self.log)
         self.settlement = SettlementTracker(self.schema.affected_targets)

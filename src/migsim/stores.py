@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Annotated, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,6 +40,11 @@ class Clock:
     now: int = 0
 
 
+# A duration or point in time, in ticks.  To type checkers it is an int; the
+# scenario codec reads the mark and accepts "90m" / "10h" / "3d" for it.
+Ticks = Annotated[int, "ticks"]
+
+
 class ChangeEvent(NamedTuple):
     seq: int
     key: Key
@@ -52,8 +57,8 @@ class FaultProfile:
     """Time-scheduled unavailability and change-stream degradation."""
 
     availability_p: float = 1.0
-    outage_windows: tuple[tuple[int, int], ...] = ()
-    stream_lag: int = 0
+    outage_windows: tuple[tuple[Ticks, Ticks], ...] = ()
+    stream_lag: Ticks = 0
     stream_drop_p: float = 0.0
 
     def __post_init__(self) -> None:

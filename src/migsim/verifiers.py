@@ -31,7 +31,7 @@ from .domain import (
 )
 from .healing import SelfHealingQueue, Trigger, fix_source_time
 from .metrics import EventLog, MetricsRegistry, iter_groups
-from .stores import ChangeEvent, Clock, LegacyStore, Snapshot, StoreUnavailable, TargetStore
+from .stores import ChangeEvent, LegacyStore, Snapshot, StoreUnavailable, TargetStore
 
 
 class RateLimiter:
@@ -238,7 +238,6 @@ class NearlineVerifier:
         target: TargetStore,
         queue: SelfHealingQueue,
         log: EventLog,
-        clock: Clock,
         settle_delay: int,
     ):
         self.schema = schema
@@ -246,7 +245,6 @@ class NearlineVerifier:
         self.target = target
         self.queue = queue
         self.log = log
-        self.clock = clock
         self.settle_delay = settle_delay
         self._due: list[tuple[int, int, ChangeEvent]] = []
         self.checked = 0
@@ -310,7 +308,6 @@ class ShadowReader:
         target: TargetStore,
         queue: SelfHealingQueue,
         log: EventLog,
-        clock: Clock,
         alarm_interval: int = 10,
     ):
         self.schema = schema
@@ -318,7 +315,6 @@ class ShadowReader:
         self.target = target
         self.queue = queue
         self.log = log
-        self.clock = clock
         self.alarm_interval = alarm_interval
         self._last_alarm: dict[Key, int] = {}
         self.reads = 0

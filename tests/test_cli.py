@@ -43,6 +43,14 @@ class TestRun:
     def test_missing_scenario_is_usage_error(self):
         assert main(["run", "/nonexistent/scenario.json"]) == 2
 
+    def test_non_object_section_is_usage_error(self, tmp_path, capsys):
+        doc = json.loads(scenario_path("small").read_text())
+        doc["workload"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: workload: expected an object\n"
+
     def test_failed_expectation_is_nonzero_exit(self, tmp_path):
         doc = json.loads(scenario_path("small").read_text())
         doc["expect"]["max_attempts_ratio"] = 0.0001

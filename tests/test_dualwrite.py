@@ -8,20 +8,10 @@ from conftest import build_pipeline, build_split_schema
 
 
 class TestOnCommit:
-    def test_task_carries_affected_targets(self, pipeline):
+    def test_task_carries_creation_time(self, pipeline):
         event = pipeline.commit("project", "1", {"n": "x"})
         task = pipeline.dualwriter.on_commit(event)
-        assert task.affected_targets == (Key("project_v2", "1"),)
         assert task.created_at >= event.new_version.commit_time
-
-    def test_split_rule_fans_out(self):
-        p = build_pipeline(schema=build_split_schema())
-        event = p.commit("candidate", "1", {"profile": "x", "note": "y"})
-        task = p.dualwriter.on_commit(event)
-        assert task.affected_targets == (
-            Key("candidate_core_v2", "1"),
-            Key("candidate_notes_v2", "1"),
-        )
 
     def test_task_created_even_during_target_outage(self):
         p = build_pipeline(outages=((0, 100),))

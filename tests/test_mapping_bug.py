@@ -68,12 +68,12 @@ def _dualwrite(p, event):
 
 
 def _nearline(p, event):
-    verifier = NearlineVerifier(p.schema, p.legacy, p.target, p.queue, p.log, p.clock, 0)
+    verifier = NearlineVerifier(p.schema, p.legacy, p.target, p.queue, p.log, 0)
     return verifier.verify(event, 0)
 
 
 def _shadow(p, event):
-    reader = ShadowReader(p.schema, p.legacy, p.target, p.queue, p.log, p.clock)
+    reader = ShadowReader(p.schema, p.legacy, p.target, p.queue, p.log)
     return reader.on_read(SOURCE, p.legacy.read(SOURCE), 0)
 
 

@@ -172,7 +172,7 @@ class TestNearline:
         pipeline.dualwriter.run_due(0)
         verifier = NearlineVerifier(
             pipeline.schema, pipeline.legacy, pipeline.target, pipeline.queue,
-            pipeline.log, pipeline.clock, settle_delay=0,
+            pipeline.log, settle_delay=0,
         )
         assert verifier.verify(event, 0) is NearlineResult.VERIFIED
         assert len(pipeline.queue) == 0
@@ -181,7 +181,7 @@ class TestNearline:
         event = pipeline.commit("project", "1", {"n": "x"})  # never replicated
         verifier = NearlineVerifier(
             pipeline.schema, pipeline.legacy, pipeline.target, pipeline.queue,
-            pipeline.log, pipeline.clock, settle_delay=0,
+            pipeline.log, settle_delay=0,
         )
         assert verifier.verify(event, 0) is NearlineResult.ENQUEUED
         queued = {e.target_key for e in pipeline.queue.pending()}
@@ -193,7 +193,7 @@ class TestNearline:
     def test_delivery_plus_settle_delay_schedules_check(self, pipeline):
         verifier = NearlineVerifier(
             pipeline.schema, pipeline.legacy, pipeline.target, pipeline.queue,
-            pipeline.log, pipeline.clock, settle_delay=5,
+            pipeline.log, settle_delay=5,
         )
         event = ChangeEvent(1, Key("project", "1"), VersionStamp(1, 10), "write")
         verifier.on_delivery(event, 12)  # commit at 10, stream lag 2
@@ -207,7 +207,7 @@ class TestNearline:
         p = build_pipeline(outages=((0, 10),))
         event = p.commit("project", "1", {"n": "x"})
         verifier = NearlineVerifier(
-            p.schema, p.legacy, p.target, p.queue, p.log, p.clock, settle_delay=0
+            p.schema, p.legacy, p.target, p.queue, p.log, settle_delay=0
         )
         assert verifier.verify(event, 0) is NearlineResult.ENQUEUED
 
@@ -215,7 +215,7 @@ class TestNearline:
 class TestShadowRead:
     def _reader(self, p, interval=10) -> ShadowReader:
         return ShadowReader(
-            p.schema, p.legacy, p.target, p.queue, p.log, p.clock, alarm_interval=interval
+            p.schema, p.legacy, p.target, p.queue, p.log, alarm_interval=interval
         )
 
     def test_consistent_key_matches_quietly(self, pipeline):
