@@ -44,8 +44,8 @@ from .metrics import (
     loop_gauges,
     time_to_converge,
 )
-from .ramp import Clearance, RampCriteria, RampPlan, SwitchReport, check_clearance
-from .scenario import ConfigError, Scenario, load_file, parse, serialize
+from .ramp import Clearance, SwitchReport, check_clearance
+from .scenario import ConfigError, RampSpec, Scenario, load_file, parse, serialize
 from .simulation import RunReport, SimResult, run_scenario
 from .stores import (
     ChangeEvent,

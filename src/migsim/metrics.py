@@ -294,40 +294,14 @@ class SettlementTracker:
 def time_to_converge(
     updates: Iterable[tuple[int, int | None]], t0: int, t1: int
 ) -> int | None:
-    """Window TTC over (commit_time, settle_time) pairs; None when unsettled.
-
-    TTC at an instant only changes when an update lands, so the maximum over
-    the window equals the maximum over the window start plus every commit
-    instant inside it.
-    """
-    pairs = list(updates)
-    if any(a[0] > b[0] for a, b in zip(pairs, pairs[1:])):
-        pairs.sort(key=lambda p: p[0])
-    relevant = [(c, s) for c, s in pairs if c <= t1]
-    if not relevant:
-        return 0
-    if any(s is None for _, s in relevant):
-        return NOT_SETTLED
-    commits = [c for c, _ in relevant]
-    prefix_settle: list[int] = []
-    best = 0
-    for _, s in relevant:
-        best = max(best, s)  # type: ignore[arg-type]
-        prefix_settle.append(best)
-    worst = 0
-    instants = sorted({t0, *[c for c in commits if t0 <= c <= t1]})
-    for s_at in instants:
-        idx = bisect_right(commits, s_at)
-        if idx == 0:
-            continue
-        worst = max(worst, prefix_settle[idx - 1] - commits[idx - 1])
-    return worst
+    """`window_ttcs` for the one window (t0, t1); None when unsettled."""
+    return window_ttcs(updates, [(t0, t1)])[0]
 
 
 def window_ttcs(
     updates: Iterable[tuple[int, int | None]], windows: Iterable[tuple[int, int]]
 ) -> list[int | None]:
-    """`time_to_converge` for every (t0, t1) window, from one pass over updates.
+    """Window TTC for every (t0, t1) window, t0 <= t1, from one pass over updates.
 
     After a stable sort by commit time, the TTC at instant s is the gap
     (latest settlement so far minus commit time) at the last update committed

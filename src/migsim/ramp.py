@@ -10,34 +10,12 @@ is the other side of the same trade.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from enum import Enum
+from typing import TYPE_CHECKING
 
 from .metrics import ConsistencyReport, EventLog
 
-TICKS_PER_DAY = 1440
-
-
-@dataclass(frozen=True)
-class RampPlan:
-    ramp_time: int
-    mode: str = "drained"  # "drained" | "forced"
-    bulk_freeze_lead: int = 3 * TICKS_PER_DAY
-    freeze_timeout: int = 60
-    clearance_lead: int = 10
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("drained", "forced"):
-            raise ValueError(f"unknown ramp mode {self.mode!r}")
-        if self.bulk_freeze_lead < 0 or self.freeze_timeout < 0:
-            raise ValueError("freeze parameters must be >= 0")
-
-
-@dataclass(frozen=True)
-class RampCriteria:
-    required_settled_rate: float = 1.0
-    max_queue_length: int = 0
-    max_window_ttc: int | None = None  # None: use the current staleness bound
-    require_no_dead_letters: bool = True
+if TYPE_CHECKING:
+    from .scenario import RampSpec
 
 
 @dataclass
@@ -47,26 +25,30 @@ class Clearance:
 
 
 def check_clearance(
-    criteria: RampCriteria, report: ConsistencyReport, dead_letter_count: int
+    spec: RampSpec, report: ConsistencyReport, dead_letter_count: int
 ) -> Clearance:
-    """Evaluate every criterion against a fresh report; list each violation."""
+    """Evaluate every criterion against a fresh report; list each violation.
+
+    Any dead letter blocks: it is an update the repair loop gave up on.
+    `spec.max_window_ttc` None means the report's own staleness bound.
+    """
     reasons: list[str] = []
-    if report.settled_rate < criteria.required_settled_rate:
+    if report.settled_rate < spec.required_settled_rate:
         reasons.append(
-            f"settled_rate {report.settled_rate:.6f} < {criteria.required_settled_rate}"
+            f"settled_rate {report.settled_rate:.6f} < {spec.required_settled_rate}"
         )
-    if report.queue_length > criteria.max_queue_length:
+    if report.queue_length > spec.max_queue_length:
         reasons.append(
-            f"queue_length {report.queue_length} > {criteria.max_queue_length}"
+            f"queue_length {report.queue_length} > {spec.max_queue_length}"
         )
-    ttc_limit = criteria.max_window_ttc
+    ttc_limit = spec.max_window_ttc
     if ttc_limit is None:
         ttc_limit = report.staleness_bound
     if report.window_ttc is None:
         reasons.append("window_ttc undefined: unsettled updates in window")
     elif report.window_ttc > ttc_limit:
         reasons.append(f"window_ttc {report.window_ttc} > {ttc_limit}")
-    if criteria.require_no_dead_letters and dead_letter_count > 0:
+    if dead_letter_count > 0:
         reasons.append(f"dead_letters {dead_letter_count} > 0")
     return Clearance(not reasons, reasons)
 
@@ -89,14 +71,12 @@ class RampController:
     """Drives the freeze-drain-flip sequence on the virtual clock.
 
     The controller is the only writer of the source-of-truth flag.  It gets
-    stepped at the top of every tick with a status callback bundle supplied
-    by the harness, and exposes three flags the rest of the system reads:
-    bulk_frozen, writes_frozen, flipped.
+    stepped at the top of every tick with the run state, and exposes three
+    flags the rest of the system reads: bulk_frozen, writes_frozen, flipped.
     """
 
-    def __init__(self, plan: RampPlan, criteria: RampCriteria, log: EventLog):
-        self.plan = plan
-        self.criteria = criteria
+    def __init__(self, spec: RampSpec, log: EventLog):
+        self.spec = spec
         self.log = log
         self.report = SwitchReport()
         self.bulk_frozen = False
@@ -112,28 +92,26 @@ class RampController:
     def note_rejected_write(self) -> None:
         self.report.rejected_writes += 1
 
-    def step(self, now: int, status) -> None:
-        """Advance the state machine; `status` supplies live run telemetry.
+    def step(self, now: int, sim) -> None:
+        """Advance the state machine; `sim` is the live run state.
 
-        Required callables on status: fresh_report() -> ConsistencyReport,
-        dead_letter_count() -> int, drained() -> bool,
-        unsettled_count() -> int, on_flip(now) -> (lost, discrepancies).
+        The protocol `sim` meets: fresh_report() -> ConsistencyReport,
+        dead_letter_count() -> int, drained() -> bool, unsettled_count() ->
+        int, flip_measurements(now) -> (lost, discrepancies).
         """
-        plan = self.plan
+        spec = self.spec
         if self.finished:
             return
-        if not self.bulk_frozen and now >= plan.ramp_time - plan.bulk_freeze_lead:
+        if not self.bulk_frozen and now >= spec.time - spec.bulk_freeze_lead:
             self.bulk_frozen = True
             self.log.append(now, "ramp", act="bulk_freeze")
         if (
-            plan.mode == "drained"
+            spec.mode == "drained"
             and not self._clearance_done
-            and now >= plan.ramp_time - plan.clearance_lead
+            and now >= spec.time - spec.clearance_lead
         ):
             self._clearance_done = True
-            clearance = check_clearance(
-                self.criteria, status.fresh_report(), status.dead_letter_count()
-            )
+            clearance = check_clearance(spec, sim.fresh_report(), sim.dead_letter_count())
             self.log.append(
                 now, "ramp", act="clearance",
                 cleared=clearance.cleared, reasons=clearance.reasons,
@@ -144,37 +122,37 @@ class RampController:
                 self.report.blocked_reasons = clearance.reasons
                 self.log.append(now, "ramp", act="abort", why="clearance_blocked")
                 return
-        if now < plan.ramp_time:
+        if now < spec.time:
             return
 
-        if plan.mode == "forced":
-            self._flip(now, status)
+        if spec.mode == "forced":
+            self._flip(now, sim)
             return
 
         if not self.writes_frozen:
             self.writes_frozen = True
             self.log.append(now, "ramp", act="write_freeze")
-        if status.drained() and status.unsettled_count() == 0:
-            self._flip(now, status)
-        elif now - plan.ramp_time >= plan.freeze_timeout:
+        if sim.drained() and sim.unsettled_count() == 0:
+            self._flip(now, sim)
+        elif now - spec.time >= spec.freeze_timeout:
             self.writes_frozen = False
             self.aborted = True
             self.report.outcome = "aborted"
-            self.report.unavailability_window = now - plan.ramp_time
+            self.report.unavailability_window = now - spec.time
             self.report.blocked_reasons = ["drain exceeded freeze_timeout"]
             self.log.append(now, "ramp", act="abort", why="freeze_timeout")
 
-    def _flip(self, now: int, status) -> None:
+    def _flip(self, now: int, sim) -> None:
         self.flipped = True
         self.writes_frozen = False
         self.report.outcome = "switched"
         self.report.flip_time = now
-        self.report.unavailability_window = now - self.plan.ramp_time
-        lost, discrepancies = status.on_flip(now)
+        self.report.unavailability_window = now - self.spec.time
+        lost, discrepancies = sim.flip_measurements(now)
         self.report.lost_updates = lost
         self.report.post_switch_discrepancies = discrepancies
         self.log.append(
-            now, "ramp", act="flip", mode=self.plan.mode,
+            now, "ramp", act="flip", mode=self.spec.mode,
             window=self.report.unavailability_window, lost=lost,
             discrepancies=discrepancies,
         )

@@ -6,11 +6,11 @@ back, walking the dataclass fields in declaration order:
 
 - A field's annotation sets how its value is decoded.  `Ticks` goes through
   `parse_ticks`, so "90m" / "10h" / "3d" normalize to ticks (1 tick = 1
-  simulated minute).  `X | None` also takes null; an optional spec reads any
-  false value ({}, [], 0, "", false) as absent.  `tuple[...]` is a JSON list
-  (of exactly its length, unless it ends in `...`), and a nested spec is a
-  nested object.  `int`, `float` and `bool` values are coerced; `str` values
-  are kept as given.
+  simulated minute), and ticks are never negative.  `X | None` also takes
+  null; an optional spec reads any false value ({}, [], 0, "", false) as
+  absent.  `tuple[...]` is a JSON list (of exactly its length, unless it
+  ends in `...`), and a nested spec is a nested object.  `int`, `float` and
+  `bool` values are coerced; `str` values are kept as given.
 - A key missing from the document takes the field's default; a field without
   one is required.
 - Field metadata covers the irregular spots: `key` names the document key
@@ -43,7 +43,6 @@ from .domain import (
     split_rule,
 )
 from .healing import RetryPolicy
-from .ramp import RampCriteria, RampPlan
 from .stores import FaultProfile, Ticks
 
 TICKS_PER_HOUR = 60
@@ -58,10 +57,12 @@ class ConfigError(Exception):
 
 
 def parse_ticks(value, label: str = "duration") -> int:
-    """Accept plain ticks or '<n>m|h|d' sugar."""
+    """Accept plain ticks or '<n>m|h|d' sugar; never a negative count."""
     if isinstance(value, bool):
         raise ConfigError(f"{label}: expected ticks, got a boolean")
     if isinstance(value, int):
+        if value < 0:
+            raise ConfigError(f"{label} must be >= 0")
         return value
     if isinstance(value, str):
         m = _DURATION_RE.match(value.strip())
@@ -151,6 +152,8 @@ class MetricsSpec:
 
 @dataclass(frozen=True)
 class RampSpec:
+    """The switch-over: its timing, its mode and its clearance criteria."""
+
     enabled: bool = False
     time: Ticks = 0
     mode: str = "drained"
@@ -159,23 +162,7 @@ class RampSpec:
     clearance_lead: Ticks = 10
     required_settled_rate: float = 1.0
     max_queue_length: int = 0
-    max_window_ttc: Ticks | None = None
-
-    def plan(self) -> RampPlan:
-        return RampPlan(
-            ramp_time=self.time,
-            mode=self.mode,
-            bulk_freeze_lead=self.bulk_freeze_lead,
-            freeze_timeout=self.freeze_timeout,
-            clearance_lead=self.clearance_lead,
-        )
-
-    def criteria(self) -> RampCriteria:
-        return RampCriteria(
-            required_settled_rate=self.required_settled_rate,
-            max_queue_length=self.max_queue_length,
-            max_window_ttc=self.max_window_ttc,
-        )
+    max_window_ttc: Ticks | None = None  # None: the current staleness bound
 
 
 @dataclass(frozen=True)
@@ -356,8 +343,10 @@ def _validate(scenario: Scenario) -> None:
         raise ConfigError(f"bootstrap.mode: unknown mode {scenario.bootstrap.mode!r}")
     if scenario.ramp.mode not in ("drained", "forced"):
         raise ConfigError(f"ramp.mode: unknown mode {scenario.ramp.mode!r}")
-    if scenario.duration < 0:
-        raise ConfigError("duration must be >= 0")
+    if scenario.metrics.sample_interval <= 0:
+        raise ConfigError("metrics.sample_interval must be > 0")
+    if scenario.offline.interval <= 0:
+        raise ConfigError("offline.interval must be > 0")
     try:
         scenario.build_schema()
     except Exception as exc:
@@ -377,6 +366,8 @@ def _validate(scenario: Scenario) -> None:
     if scenario.bug is not None:
         if scenario.bug.rule not in {r.name for r in scenario.rules}:
             raise ConfigError(f"bug names unknown rule {scenario.bug.rule!r}")
+        if scenario.bug.id_mod <= 0:
+            raise ConfigError("bug.id_mod must be > 0")
     if scenario.ramp.enabled and scenario.ramp.time > scenario.duration:
         raise ConfigError("ramp.time is past the end of the run")
 

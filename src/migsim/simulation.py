@@ -36,7 +36,7 @@ from .rng import named_stream
 from .scenario import Scenario, serialize
 from .stores import ChangeStream, Clock, LegacyStore, StoreUnavailable, TargetStore
 from .verifiers import BootstrapJob, NearlineVerifier, OfflineVerifier, RateLimiter, ShadowReader
-from .workload import OP_DELETE, OP_READ, OP_WRITE, WorkloadGenerator
+from .workload import OP_DELETE, OP_READ, WorkloadGenerator
 
 
 @dataclass
@@ -108,34 +108,6 @@ class SimResult:
     oracle_report: OracleReport | None = None
 
 
-class _RampStatus:
-    """Telemetry bundle the ramp controller polls each tick."""
-
-    def __init__(self, sim: "_SimState"):
-        self.sim = sim
-
-    def fresh_report(self) -> ConsistencyReport:
-        return self.sim.sample_report(self.sim.clock.now, record=False)
-
-    def dead_letter_count(self) -> int:
-        return len(self.sim.queue.dead_letters())
-
-    def drained(self) -> bool:
-        sim = self.sim
-        return (
-            len(sim.queue) == 0
-            and sim.dualwriter.pending_count() == 0
-            and sim.stream.pending_count() == 0
-            and sim.nearline.pending_count() == 0
-        )
-
-    def unsettled_count(self) -> int:
-        return self.sim.settlement.unsettled_count()
-
-    def on_flip(self, now: int) -> tuple[int, int]:
-        return self.sim.flip_measurements(now)
-
-
 class _SimState:
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
@@ -158,12 +130,13 @@ class _SimState:
             self.schema, self.legacy, self.target, self.queue, self.clock,
             enabled=scenario.toggles.enable_dualwrite,
         )
-        self.stream = ChangeStream(
-            scenario.fault, named_stream(seed, "stream"), source=self.legacy
-        )
         self.nearline = NearlineVerifier(
             self.schema, self.legacy, self.target, self.queue,
             self.log, scenario.settle_delay(),
+        )
+        self.stream = ChangeStream(
+            scenario.fault, named_stream(seed, "stream"),
+            self.nearline.on_delivery if scenario.toggles.enable_nearline else None,
         )
         self.shadow = ShadowReader(
             self.schema, self.legacy, self.target, self.queue, self.log,
@@ -178,14 +151,11 @@ class _SimState:
         )
         self.ramp: RampController | None = None
         if scenario.ramp.enabled:
-            self.ramp = RampController(
-                scenario.ramp.plan(), scenario.ramp.criteria(), self.log
-            )
+            self.ramp = RampController(scenario.ramp, self.log)
         self.bootstrap_job: BootstrapJob | None = None
         self.live_ops: list[tuple[int, str, str]] = []
         self.samples: list[ConsistencyReport] = []
         self.flip_rates: tuple[float, float] | None = None
-        self.rejected_writes = 0
 
         def _on_accept(record: TargetRecord, now: int) -> None:
             self.settlement.on_accepted_put(record, now)
@@ -196,7 +166,7 @@ class _SimState:
     # -- phases --------------------------------------------------------
 
     def seed_phase(self) -> None:
-        for op in self.workload.seed_initial(self.legacy.read):
+        for op in self.workload.seed_initial():
             self._commit(op.key, op.value, attach=False)
 
     def _commit(self, key: Key, value, attach: bool) -> None:
@@ -233,9 +203,7 @@ class _SimState:
                 self._native_write(op)
                 continue
             if frozen_writes:
-                self.rejected_writes += 1
-                if self.ramp is not None:
-                    self.ramp.note_rejected_write()
+                self.ramp.note_rejected_write()
                 self.log.append(now, "reject_write", op.key)
                 continue
             self._commit(op.key, None if op.kind == OP_DELETE else op.value, attach=True)
@@ -268,6 +236,25 @@ class _SimState:
                     self.target.get(tkey)
                 except StoreUnavailable:
                     pass
+
+    # -- the ramp controller's view of the run ---------------------------
+
+    def fresh_report(self) -> ConsistencyReport:
+        return self.sample_report(self.clock.now, record=False)
+
+    def dead_letter_count(self) -> int:
+        return len(self.queue.dead_letters())
+
+    def drained(self) -> bool:
+        return (
+            len(self.queue) == 0
+            and self.dualwriter.pending_count() == 0
+            and self.stream.pending_count() == 0
+            and self.nearline.pending_count() == 0
+        )
+
+    def unsettled_count(self) -> int:
+        return self.settlement.unsettled_count()
 
     def flip_measurements(self, now: int) -> tuple[int, int]:
         """At the flip: unsettled source updates and the residual exact diff."""
@@ -344,18 +331,14 @@ def run_scenario(
     use_seed = scenario.seed if seed is None else seed
     sim = _SimState(scenario, use_seed)
     scn = scenario
-    status = _RampStatus(sim)
 
     sim.seed_phase()
-    stream_start = sim.legacy.max_seq() + 1
-    if scn.toggles.enable_nearline:
-        sim.stream.subscribe(sim.nearline.on_delivery, stream_start)
 
     for now in range(scn.duration + 1):
         sim.clock.now = now
         sim.limiter.begin_tick(now)
         if sim.ramp is not None and not sim.ramp.finished:
-            sim.ramp.step(now, status)
+            sim.ramp.step(now, sim)
         flipped = sim.ramp.flipped if sim.ramp else False
 
         ops_before = sim.target.op_count
@@ -493,7 +476,7 @@ def _assemble_report(sim: _SimState, out_dir: Path | None) -> RunReport:
         final_overall=final_overall,
         final_settled=final_settled,
         final_counts=counts,
-        rejected_writes=sim.rejected_writes,
+        rejected_writes=sim.ramp.report.rejected_writes if sim.ramp else 0,
         log_digest=sim.log.digest(
             out_dir / "eventlog.jsonl" if out_dir is not None else None
         ),

@@ -9,6 +9,7 @@ writes race without transactions.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Annotated, Callable, Iterable, Mapping, NamedTuple
@@ -123,9 +124,6 @@ class LegacyStore:
 
     def read(self, key: Key) -> SourceRecord | None:
         return self.records.get(key)
-
-    def max_seq(self) -> int:
-        return self._seq
 
     def take_snapshot(self, now: int) -> Snapshot:
         """Frozen copy of everything committed at or before `now`."""
@@ -243,58 +241,45 @@ class TargetStore:
         return state
 
 
-@dataclass
-class _Delivery:
-    deliver_at: int
-    event: ChangeEvent
-
-
 class ChangeStream:
-    """Ordered change-event delivery with fixed lag and seeded drops.
+    """Ordered change-event delivery to one consumer, with fixed lag and
+    seeded drops.
 
-    Delivery is at-most-once: a dropped event is gone for every subscriber
-    (offline verification is the catch-all for those).
+    Events are fed in sequence order and all wait the same lag, so the
+    pending ones form a FIFO queue that delivers in sequence order.
+    Delivery is at-most-once: a dropped event is gone (offline verification
+    is the catch-all for those).  With no consumer, due events are
+    discarded.
     """
 
     def __init__(
         self,
         fault: FaultProfile,
         rng: np.random.Generator,
-        source: "LegacyStore | None" = None,
+        consumer: Callable[[ChangeEvent, int], None] | None = None,
     ):
         self.fault = fault
         self._rng = rng
-        self._source = source
-        self._pending: list[_Delivery] = []
-        self._subscribers: list[tuple[Callable[[ChangeEvent, int], None], int]] = []
+        self._consumer = consumer
+        self._pending: deque[tuple[int, ChangeEvent]] = deque()
         self.dropped: int = 0
-        self._max_seq_seen = 0
-
-    def subscribe(self, consumer: Callable[[ChangeEvent, int], None], from_seq: int) -> None:
-        horizon = self._source.max_seq() if self._source is not None else self._max_seq_seen
-        if from_seq > horizon + 1:
-            raise ValueError(f"from_seq {from_seq} beyond next sequence")
-        self._subscribers.append((consumer, from_seq))
 
     def feed(self, event: ChangeEvent, now: int) -> None:
-        self._max_seq_seen = max(self._max_seq_seen, event.seq)
         if self.fault.stream_drop_p > 0 and self._rng.random() < self.fault.stream_drop_p:
             self.dropped += 1
             return
-        self._pending.append(_Delivery(now + self.fault.stream_lag, event))
+        self._pending.append((now + self.fault.stream_lag, event))
 
     def deliver_due(self, now: int) -> int:
         """Dispatch every delivery due by `now`, in sequence order."""
-        due = [d for d in self._pending if d.deliver_at <= now]
-        if not due:
-            return 0
-        self._pending = [d for d in self._pending if d.deliver_at > now]
-        due.sort(key=lambda d: d.event.seq)
-        for delivery in due:
-            for consumer, from_seq in self._subscribers:
-                if delivery.event.seq >= from_seq:
-                    consumer(delivery.event, now)
-        return len(due)
+        pending, consumer = self._pending, self._consumer
+        delivered = 0
+        while pending and pending[0][0] <= now:
+            _, event = pending.popleft()
+            delivered += 1
+            if consumer is not None:
+                consumer(event, now)
+        return delivered
 
     def pending_count(self) -> int:
         return len(self._pending)

@@ -105,7 +105,7 @@ class WorkloadGenerator:
 
     # -- generation --------------------------------------------------------
 
-    def seed_initial(self, read_current) -> list[WorkloadOp]:
+    def seed_initial(self) -> list[WorkloadOp]:
         """Historical data: initial records in dependency order, at tick 0."""
         ops: list[WorkloadOp] = []
         if not self._types or self.spec.initial_records <= 0:
@@ -121,7 +121,6 @@ class WorkloadGenerator:
                 op = self._create_op(etype)
                 if op is not None:
                     ops.append(op)
-        _ = read_current
         return ops
 
     def rate_factor(self, now: int) -> float:

@@ -51,6 +51,14 @@ class TestRun:
         assert main(["run", str(bad)]) == 2
         assert capsys.readouterr().err == "error: workload: expected an object\n"
 
+    def test_zero_sample_interval_is_usage_error(self, tmp_path, capsys):
+        doc = json.loads(scenario_path("small").read_text())
+        doc["metrics"]["sample_interval"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: metrics.sample_interval must be > 0\n"
+
     def test_failed_expectation_is_nonzero_exit(self, tmp_path):
         doc = json.loads(scenario_path("small").read_text())
         doc["expect"]["max_attempts_ratio"] = 0.0001

@@ -33,6 +33,8 @@ from migsim.metrics import (
     window_ttcs,
 )
 
+from migsim.oracle import window_ttc_bruteforce
+
 from conftest import build_pipeline
 
 
@@ -250,12 +252,14 @@ class TestWindowTTCs:
         pairs = [(1, 3), (5, None)]
         assert window_ttcs(pairs, [(0, 4), (0, 5)]) == [2, None]
 
-    @given(update_pairs, st.lists(st.tuples(st.integers(-3, 40), st.integers(0, 25)), max_size=8))
-    def test_equals_time_to_converge_for_every_window(self, pairs, raw_windows):
+    # Spans start at 0: a window never ends before it starts, since parse
+    # rejects a negative `metrics.ttc_window`.
+    @given(update_pairs, st.lists(st.tuples(st.integers(0, 40), st.integers(0, 25)), max_size=8))
+    def test_equals_per_tick_definition_for_every_window(self, pairs, raw_windows):
         windows = [(t1 - span, t1) for span, t1 in raw_windows]
         windows += [(t1 - 10, t1) for t1 in range(0, 60, 3)]
         got = window_ttcs(pairs, windows)
-        assert got == [time_to_converge(pairs, t0, t1) for t0, t1 in windows]
+        assert got == [window_ttc_bruteforce(pairs, t0, t1) for t0, t1 in windows]
 
 
 class TestRegistry:

@@ -1,17 +1,8 @@
 from __future__ import annotations
 
-import dataclasses
-
-import pytest
-
 from migsim.metrics import ConsistencyReport, EventLog
-from migsim.ramp import (
-    Clearance,
-    RampController,
-    RampCriteria,
-    RampPlan,
-    check_clearance,
-)
+from migsim.ramp import RampController, check_clearance
+from migsim.scenario import RampSpec
 
 
 def report(
@@ -31,43 +22,43 @@ def report(
 
 class TestClearance:
     def test_perfect_report_cleared(self):
-        clearance = check_clearance(RampCriteria(), report(), 0)
+        clearance = check_clearance(RampSpec(), report(), 0)
         assert clearance.cleared and clearance.reasons == []
 
     def test_queue_length_blocks(self):
-        clearance = check_clearance(RampCriteria(max_queue_length=0), report(qlen=3), 0)
+        clearance = check_clearance(RampSpec(max_queue_length=0), report(qlen=3), 0)
         assert not clearance.cleared
         assert any("queue_length" in r for r in clearance.reasons)
 
     def test_dead_letters_block(self):
-        clearance = check_clearance(RampCriteria(), report(), 2)
+        clearance = check_clearance(RampSpec(), report(), 2)
         assert not clearance.cleared
         assert any("dead_letters" in r for r in clearance.reasons)
 
     def test_unsettled_window_blocks(self):
-        clearance = check_clearance(RampCriteria(), report(ttc=None), 0)
+        clearance = check_clearance(RampSpec(), report(ttc=None), 0)
         assert not clearance.cleared
         assert any("window_ttc" in r for r in clearance.reasons)
 
     def test_settled_rate_blocks(self):
         clearance = check_clearance(
-            RampCriteria(required_settled_rate=1.0), report(settled=0.999), 0
+            RampSpec(required_settled_rate=1.0), report(settled=0.999), 0
         )
         assert not clearance.cleared
 
     def test_explicit_ttc_limit(self):
-        clearance = check_clearance(RampCriteria(max_window_ttc=5), report(ttc=9), 0)
+        clearance = check_clearance(RampSpec(max_window_ttc=5), report(ttc=9), 0)
         assert not clearance.cleared
 
     def test_every_violation_listed(self):
         clearance = check_clearance(
-            RampCriteria(), report(settled=0.9, qlen=4, ttc=None), 3
+            RampSpec(), report(settled=0.9, qlen=4, ttc=None), 3
         )
         assert len(clearance.reasons) == 4
 
 
 class _Status:
-    """Scriptable telemetry for driving the controller directly."""
+    """Scriptable stand-in for the run state the controller polls."""
 
     def __init__(self, drained_at=None, cleared=True, unsettled=0, lost=0, disc=0):
         self.drained_at = drained_at
@@ -89,7 +80,7 @@ class _Status:
     def unsettled_count(self):
         return self.unsettled if not self.drained() else 0
 
-    def on_flip(self, now):
+    def flip_measurements(self, now):
         return (self.lost, self.disc)
 
 
@@ -103,8 +94,8 @@ def drive(controller: RampController, status: _Status, until: int) -> None:
 
 class TestController:
     def test_bulk_freeze_engages_at_lead(self):
-        plan = RampPlan(ramp_time=100, bulk_freeze_lead=30)
-        controller = RampController(plan, RampCriteria(), EventLog())
+        spec = RampSpec(time=100, bulk_freeze_lead=30)
+        controller = RampController(spec, EventLog())
         status = _Status(drained_at=100)
         for now in range(0, 70):
             status.now = now
@@ -116,46 +107,40 @@ class TestController:
         assert not controller.writes_frozen
 
     def test_drained_flip_with_zero_window(self):
-        plan = RampPlan(ramp_time=50, bulk_freeze_lead=10, freeze_timeout=20)
-        controller = RampController(plan, RampCriteria(), EventLog())
+        spec = RampSpec(time=50, bulk_freeze_lead=10, freeze_timeout=20)
+        controller = RampController(spec, EventLog())
         drive(controller, _Status(drained_at=0), 60)
         assert controller.report.outcome == "switched"
         assert controller.report.unavailability_window == 0
         assert controller.report.flip_time == 50
 
     def test_drained_flip_waits_for_drain(self):
-        plan = RampPlan(ramp_time=50, bulk_freeze_lead=10, freeze_timeout=20)
-        controller = RampController(plan, RampCriteria(), EventLog())
+        spec = RampSpec(time=50, bulk_freeze_lead=10, freeze_timeout=20)
+        controller = RampController(spec, EventLog())
         drive(controller, _Status(drained_at=57), 80)
         assert controller.report.outcome == "switched"
         assert controller.report.unavailability_window == 7
 
     def test_drain_timeout_aborts_without_flip(self):
-        plan = RampPlan(ramp_time=50, bulk_freeze_lead=10, freeze_timeout=20)
-        controller = RampController(plan, RampCriteria(), EventLog())
+        spec = RampSpec(time=50, bulk_freeze_lead=10, freeze_timeout=20)
+        controller = RampController(spec, EventLog())
         drive(controller, _Status(drained_at=None), 200)
         assert controller.report.outcome == "aborted"
         assert not controller.flipped
         assert not controller.writes_frozen  # writes resumed on the old side
 
     def test_blocked_clearance_aborts_before_freeze(self):
-        plan = RampPlan(ramp_time=50, bulk_freeze_lead=10, clearance_lead=5)
-        controller = RampController(plan, RampCriteria(), EventLog())
+        spec = RampSpec(time=50, bulk_freeze_lead=10, clearance_lead=5)
+        controller = RampController(spec, EventLog())
         drive(controller, _Status(drained_at=0, cleared=False), 60)
         assert controller.report.outcome == "aborted"
         assert controller.report.unavailability_window == 0
         assert controller.report.blocked_reasons
 
     def test_forced_mode_flips_instantly_and_counts_losses(self):
-        plan = RampPlan(ramp_time=50, mode="forced", bulk_freeze_lead=10)
-        controller = RampController(plan, RampCriteria(), EventLog())
+        spec = RampSpec(time=50, mode="forced", bulk_freeze_lead=10)
+        controller = RampController(spec, EventLog())
         drive(controller, _Status(drained_at=None, lost=7), 60)
         assert controller.report.outcome == "switched"
         assert controller.report.unavailability_window == 0
         assert controller.report.lost_updates == 7
-
-    def test_invalid_plan_rejected(self):
-        with pytest.raises(ValueError):
-            RampPlan(ramp_time=10, mode="sideways")
-        with pytest.raises(ValueError):
-            RampPlan(ramp_time=10, bulk_freeze_lead=-1)

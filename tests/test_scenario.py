@@ -220,6 +220,14 @@ class TestCodecContract:
         _set(doc, path, "2h")
         assert _get(parse(json.dumps(doc)), path) == 120
 
+    @pytest.mark.parametrize("path", TICK_FIELDS)
+    def test_negative_ticks_rejected(self, path):
+        doc = _full_doc()
+        _set(doc, path, -1)
+        with pytest.raises(ConfigError) as info:
+            parse(json.dumps(doc))
+        assert str(info.value) == f"{path} must be >= 0"
+
     def test_outage_window_ends_take_sugar(self):
         doc = _full_doc()
         doc["fault"]["outage_windows"] = [["2h", "3h"]]
@@ -276,6 +284,11 @@ class TestCodecContract:
             ("bootstrap.mode", "lazy", "bootstrap.mode: unknown mode 'lazy'"),
             ("ramp.mode", "lazy", "ramp.mode: unknown mode 'lazy'"),
             ("duration", -1, "duration must be >= 0"),
+            ("ramp.bulk_freeze_lead", -1, "ramp.bulk_freeze_lead must be >= 0"),
+            ("fault.outage_windows", [[-5, 10]], "fault.outage_windows must be >= 0"),
+            ("metrics.sample_interval", 0, "metrics.sample_interval must be > 0"),
+            ("offline.interval", 0, "offline.interval must be > 0"),
+            ("bug.id_mod", 0, "bug.id_mod must be > 0"),
             ("workload.type_weights", [["ghost", 1.0]], "workload weight for unknown type 'ghost'"),
             ("workload.type_weights", [["project", -1.0]], "type weights must be >= 0"),
             ("workload.delete_types", ["ghost"], "delete_types names unknown type 'ghost'"),

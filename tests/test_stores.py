@@ -11,6 +11,7 @@ from migsim.rng import named_stream
 from migsim.scenario import load_file
 from migsim.simulation import run_scenario
 from migsim.stores import (
+    ChangeStream,
     Clock,
     FaultProfile,
     LegacyStore,
@@ -205,6 +206,55 @@ class TestTargetStore:
         )
         assert store.put_if_fresher(stale) is PutResult.STALE_REJECTED
         assert store.peek(Key("p_v2", "1")).tombstone
+
+
+def commits(n: int) -> list:
+    legacy = LegacyStore(Clock(0))
+    return [legacy.commit(Key("project", str(i)), {"v": "x"}) for i in range(n)]
+
+
+class TestChangeStream:
+    def test_delivers_in_sequence_order_after_the_lag(self):
+        got = []
+        stream = ChangeStream(
+            FaultProfile(stream_lag=3), named_stream(1, "stream"),
+            lambda event, now: got.append((now, event.seq)),
+        )
+        for t, event in zip((0, 0, 1, 1), commits(4)):
+            stream.feed(event, t)
+        assert stream.pending_count() == 4
+        assert stream.deliver_due(2) == 0
+        assert stream.deliver_due(3) == 2
+        assert stream.pending_count() == 2
+        assert stream.deliver_due(10) == 2
+        assert stream.pending_count() == 0
+        assert got == [(3, 1), (3, 2), (10, 3), (10, 4)]
+
+    def test_seeded_drops_repeat_and_lose_only_dropped_events(self):
+        def run(seed):
+            got = []
+            stream = ChangeStream(
+                FaultProfile(stream_drop_p=0.5), named_stream(seed, "stream"),
+                lambda event, now: got.append(event.seq),
+            )
+            for event in commits(200):
+                stream.feed(event, 0)
+            assert stream.dropped + stream.pending_count() == 200
+            assert stream.deliver_due(0) == 200 - stream.dropped
+            return stream.dropped, got
+
+        dropped, got = run(7)
+        assert 0 < dropped < 200
+        assert got == sorted(got) and len(got) == 200 - dropped
+        assert run(7) == (dropped, got)
+        assert run(8) != (dropped, got)
+
+    def test_without_a_consumer_due_events_are_discarded(self):
+        stream = ChangeStream(FaultProfile(), named_stream(1, "stream"))
+        for event in commits(3):
+            stream.feed(event, 0)
+        assert stream.deliver_due(0) == 3
+        assert stream.pending_count() == 0
 
 
 class TestPutOrderIndependence:

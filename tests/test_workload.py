@@ -20,7 +20,7 @@ def test_zero_rates_generate_nothing():
 
 def test_seed_respects_dependency_order():
     gen = make_gen(WorkloadSpec(initial_records=50, type_weights=WEIGHTS))
-    ops = gen.seed_initial(lambda k: None)
+    ops = gen.seed_initial()
     first_by_type = {}
     for i, op in enumerate(ops):
         first_by_type.setdefault(op.key.etype, i)
@@ -41,7 +41,7 @@ def test_burst_emits_exact_count_in_one_tick():
         bursts=(BurstSpec(100, 50, "candidate"),),
     )
     gen = make_gen(spec)
-    gen.seed_initial(lambda k: None)
+    gen.seed_initial()
     assert gen.generate_step(99, lambda k: None) == []
     ops = gen.generate_step(100, lambda k: None)
     assert len(ops) == 50
@@ -55,7 +55,7 @@ def test_bulk_freeze_suppresses_bursts():
         bursts=(BurstSpec(100, 50, "candidate"),),
     )
     gen = make_gen(spec)
-    gen.seed_initial(lambda k: None)
+    gen.seed_initial()
     assert gen.generate_step(100, lambda k: None, bulk_frozen=True) == []
 
 
@@ -65,7 +65,7 @@ def test_writes_until_stops_writes_but_not_reads():
         write_rate=5.0, read_rate=5.0, writes_until=10,
     )
     gen = make_gen(spec)
-    gen.seed_initial(lambda k: None)
+    gen.seed_initial()
     late = gen.generate_step(11, lambda k: None)
     assert late and all(op.kind == OP_READ for op in late)
 
@@ -90,7 +90,7 @@ def test_same_seed_same_stream():
 
     def run(seed):
         gen = make_gen(spec, seed=seed)
-        gen.seed_initial(lambda k: None)
+        gen.seed_initial()
         out = []
         for now in range(30):
             out.extend((now, op.kind, op.key) for op in gen.generate_step(now, lambda k: None))
@@ -106,7 +106,7 @@ def test_deletes_only_from_declared_types():
         write_rate=10.0, delete_fraction=0.5, delete_types=("candidate",),
     )
     gen = make_gen(spec)
-    gen.seed_initial(lambda k: None)
+    gen.seed_initial()
     deletes = [
         op
         for now in range(40)
