@@ -1,0 +1,114 @@
+"""Microbenchmarks of the run's hot primitives, with pytest-benchmark.
+
+Run them from the repository root:
+
+    PYTHONPATH=src python -m pytest microbench --benchmark-only
+
+They sit outside the `testpaths` of `pyproject.toml`, so the tier-1 suite
+never collects them.  A timing is per call of the benched function; the
+batch benches make `BATCH` operations per call, each on fresh state, so the
+log or store does not grow across rounds.
+"""
+
+from __future__ import annotations
+
+from migsim.domain import (
+    DiscrepancyClass,
+    Key,
+    SourceRecord,
+    TargetRecord,
+    VersionStamp,
+    compare_records,
+    identity_rule,
+    map_source,
+    split_rule,
+)
+from migsim.metrics import EventLog
+from migsim.rng import named_stream
+from migsim.stores import Clock, FaultProfile, PutResult, TargetStore
+
+BATCH = 1_000
+VALUE = {"name": "n-17", "owner": "o-3", "state": "open"}
+
+
+def _source(gid: str, counter: int = 1) -> SourceRecord:
+    return SourceRecord(Key("project", gid), dict(VALUE), VersionStamp(counter, 5), False)
+
+
+def _put_record(i: int) -> TargetRecord:
+    """The i-th put of a batch: 100 keys, each put fresher than the last."""
+    gid = str(i % 100)
+    return TargetRecord(
+        Key("project_v2", gid),
+        dict(VALUE),
+        {Key("project", gid): VersionStamp(i // 100 + 1, i)},
+        False,
+    )
+
+
+def _filled_log() -> EventLog:
+    """A log of BATCH commits and BATCH accepted puts, shaped as a run logs them."""
+    log = EventLog()
+    for i in range(BATCH):
+        key, stamp = Key("project", str(i)), VersionStamp(1, i)
+        log.append(i, "commit", key, cseq=i + 1, ver=stamp, op="write", val=dict(VALUE))
+        log.append(
+            i, "put", Key("project_v2", str(i)), cls="dual", out="accepted",
+            prov=((*key, *stamp),), tomb=False, val=dict(VALUE),
+        )
+    return log
+
+
+def test_eventlog_append_batch(benchmark):
+    keys = [Key("project_v2", str(i)) for i in range(BATCH)]
+    prov = (("project", "1", 2, 7),)
+
+    def append_batch() -> EventLog:
+        log = EventLog()
+        for key in keys:
+            log.append(7, "put", key, cls="dual", out="accepted", prov=prov, tomb=False, val=VALUE)
+        return log
+
+    assert len(benchmark(append_batch)) == BATCH
+
+
+def test_eventlog_digest(benchmark):
+    log = _filled_log()
+    assert len(benchmark(log.digest)) == 64
+
+
+def test_put_if_fresher_batch(benchmark):
+    store = TargetStore(Clock(0), FaultProfile(), named_stream(1, "target_ops"))
+    records = [_put_record(i) for i in range(BATCH)]
+
+    def put_batch() -> int:
+        store.records = {}
+        store.event_log = EventLog()
+        accepted = 0
+        for rec in records:
+            accepted += store.put_if_fresher(rec) is PutResult.ACCEPTED
+        return accepted
+
+    assert benchmark(put_batch) == BATCH
+
+
+def test_compare_records_consistent(benchmark):
+    (expected,) = map_source(identity_rule("r", "project", "project_v2"), {
+        Key("project", "1"): _source("1"),
+    })
+    actual = TargetRecord(expected.key, dict(expected.value), dict(expected.provenance), False)
+    assert benchmark(compare_records, expected, actual) is DiscrepancyClass.CONSISTENT
+
+
+def test_map_source_identity(benchmark):
+    rule = identity_rule("r", "project", "project_v2")
+    sources = {Key("project", "1"): _source("1")}
+    assert len(benchmark(map_source, rule, sources)) == 1
+
+
+def test_map_source_split(benchmark):
+    rule = split_rule(
+        "r", "project", [("project_core_v2", ("name", "state")), ("project_owner_v2", ("owner",))]
+    )
+    sources = {Key("project", "1"): _source("1")}
+    assert len(benchmark(map_source, rule, sources)) == 2

@@ -47,13 +47,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    log = EventLog.parse_lines(data.decode("utf-8").splitlines())
+    try:
+        log = EventLog.parse_lines(data.decode("utf-8").splitlines())
+    except ValueError as exc:
+        print(f"error: {log_path}: {exc}", file=sys.stderr)
+        return 2
     report_doc = None
     digest_ok = True
     sibling = log_path.parent / "report.json"
     if sibling.exists():
         report_doc = json.loads(sibling.read_text(encoding="utf-8"))
-    oracle = oracle_verify(log.entries, scenario, report_doc)
+    oracle = oracle_verify(log, scenario, report_doc)
     print(oracle.to_text())
     if report_doc is not None:
         # The report's digest covers the exact bytes of the exported log.

@@ -17,14 +17,18 @@ Definitions used throughout:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from bisect import bisect_right
+from collections import namedtuple
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from itertools import count
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .domain import (
     DiscrepancyClass,
@@ -51,45 +55,109 @@ _encode_line = json.JSONEncoder(
 ).encode
 
 
+@functools.cache
+def _row_class(kind: str, fields: tuple[str, ...]) -> type:
+    """The row class of one entry shape; `kind` is a class attribute."""
+    cls = namedtuple("Row", fields)
+    cls.kind = kind
+    return cls
+
+
+@functools.cache
+def _row_shape(kind: str, has_key: bool, *names: str) -> tuple[type, Callable | None]:
+    """The row class of an `append` call with keywords `names`, and the
+    getter that lists its keyword values in the class's field order (None
+    when the call already passes them in that order).
+
+    A row holds "t", then "key" when the entry has one, then the data fields
+    sorted by name, so a shape has one class whatever order its keywords
+    come in.  Both caches hold a few dozen entries per run.
+    """
+    fields = sorted(names)
+    cls = _row_class(kind, ("t", "key", *fields) if has_key else ("t", *fields))
+    return cls, None if fields == list(names) else itemgetter(*fields)
+
+
+def _as_entry(seq: int, row) -> dict:
+    """One row as its exported entry: "seq", "t", "k", "key" and the data."""
+    return dict(zip(row._fields, row), seq=seq, k=row.kind)
+
+
+def _frozen(value):
+    """A parsed JSON value with its arrays as the tuples `append` is given."""
+    return tuple(map(_frozen, value)) if type(value) is list else value
+
+
+class _EntryView(Sequence):
+    """Read-only view of a log's rows, each decoded into its entry dict when
+    read.  For tests and debugging; the run reads rows."""
+
+    def __init__(self, rows: list):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index: int) -> dict:
+        return _as_entry(range(len(self._rows))[index] + 1, self._rows[index])
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(_as_entry, count(1), self._rows)
+
+
 class EventLog:
     """Append-only, totally ordered record of everything a run did.
 
-    Entries are plain dicts already shaped like their exported JSON line: one
-    compact, sorted-key JSON object per line, each ending in a newline.  The
-    digest is over that canonical export, so two runs with equal digests did
-    byte-identical things.  Entries stay unserialized until the run ends and
-    are then serialized once: `digest(path)` writes the export to `path` in
-    the same pass that hashes it.
+    Each entry is one row: a per-shape named tuple (see `_row_shape`) of its
+    tick, its key if it has one and its data fields.  An entry's "seq" is its
+    row index + 1 and its "k" is its row class's `kind`, so neither is
+    stored.  The oracle and `TargetStore.replay` read `rows` in place;
+    `entries` decodes them one at a time for tests and debugging.
 
-    Entries share the run's own immutable objects instead of copying them:
-    the `Key` under "key", a commit's `VersionStamp` under "ver", record
-    value maps under "val", and provenance rows as tuples.  Keys and stamps
-    are tuples, so they export as the same JSON arrays a copy would.  Value
-    maps are never mutated after creation (`map_source` requires fresh maps
-    from transforms, and the legacy store copies what it commits), so a
-    shared map exports the bytes it had when it was logged.
+    The export is one compact, sorted-key JSON object per entry and line,
+    each ending in a newline; the digest is over that export, so two runs
+    with equal digests did byte-identical things.  Rows stay unserialized
+    until the run ends and are then decoded and serialized one at a time:
+    `digest(path)` writes the export to `path` in the same pass that hashes
+    it.
+
+    Rows share the run's own immutable objects instead of copying them: the
+    `Key` under "key", a commit's `VersionStamp` under "ver", record value
+    maps under "val", and provenance as a tuple of (type, id, counter, commit
+    time) tuples.  Keys and stamps are tuples, so they export as the same
+    JSON arrays a copy would.  Value maps are never mutated after creation
+    (`map_source` requires fresh maps from transforms, and the legacy store
+    copies what it commits), so a shared map exports the bytes it had when it
+    was logged.  Callers pass tuples, never lists, so no row holds a mutable
+    sequence.
 
     Entries are acyclic by construction: they hold only strings, numbers,
-    tuples, lists and flat value maps.  So the export encoder skips the
-    circular-reference check, which would otherwise keep an identity dict
-    of every container it enters.
+    tuples and flat value maps.  So the export encoder skips the
+    circular-reference check, which would otherwise keep an identity dict of
+    every container it enters.
     """
 
     def __init__(self) -> None:
-        self.entries: list[dict] = []
+        self.rows: list[tuple] = []
 
     def append(self, t: int, kind: str, key: Key | None = None, **data) -> None:
-        entry = {"seq": len(self.entries) + 1, "t": t, "k": kind}
-        if key is not None:
-            entry["key"] = key
-        entry.update(data)
-        self.entries.append(entry)
+        cls, pick = _row_shape(kind, key is not None, *data)
+        values = data.values() if pick is None else pick(data)
+        self.rows.append(
+            tuple.__new__(cls, (t, *values) if key is None else (t, key, *values))
+        )
+
+    @property
+    def entries(self) -> Sequence[dict]:
+        """The entries as their export dicts, decoded when read; no run code
+        reads them."""
+        return _EntryView(self.rows)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     def export_lines(self) -> Iterable[str]:
-        return map(_encode_line, self.entries)
+        return map(_encode_line, map(_as_entry, count(1), self.rows))
 
     def digest(self, path: str | Path | None = None) -> str:
         """sha256 of the export; the exported bytes also go to `path` if given."""
@@ -104,19 +172,26 @@ class EventLog:
 
     @staticmethod
     def parse_lines(lines: Iterable[str]) -> "EventLog":
-        """Entries shaped as `append` builds them: a `Key` under "key", a
-        `VersionStamp` under "ver" and tuple provenance rows."""
+        """Rows rebuilt through `append`, shaped as the run built them: a
+        `Key` under "key", a `VersionStamp` under "ver" and tuples for
+        arrays.  Raises ValueError on a line that is not a JSON entry or
+        whose "seq" is not its entry's position."""
         log = EventLog()
         for line in lines:
-            if line.strip():
-                entry = json.loads(line)
-                if "key" in entry:
-                    entry["key"] = Key(*entry["key"])
-                if "ver" in entry:
-                    entry["ver"] = VersionStamp(*entry["ver"])
-                if "prov" in entry:
-                    entry["prov"] = [tuple(row) for row in entry["prov"]]
-                log.entries.append(entry)
+            if not line.strip():
+                continue
+            seq = len(log.rows) + 1
+            entry = json.loads(line)
+            try:
+                if entry.pop("seq") != seq:
+                    raise ValueError(f"entry {seq} is out of sequence")
+                t, kind, key = entry.pop("t"), entry.pop("k"), entry.pop("key", None)
+                data = {name: _frozen(value) for name, value in entry.items()}
+                if "ver" in data:
+                    data["ver"] = VersionStamp(*data["ver"])
+                log.append(t, kind, None if key is None else Key(*key), **data)
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise ValueError(f"entry {seq} is malformed: {exc!r}") from exc
         return log
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .domain import (
     DiscrepancyClass,
@@ -25,6 +26,9 @@ from .domain import (
     compare_records,
 )
 from .scenario import Scenario
+
+if TYPE_CHECKING:
+    from .metrics import EventLog
 
 
 @dataclass
@@ -70,49 +74,45 @@ class OracleReport:
         return "\n".join(lines)
 
 
-def _decode_key(raw) -> Key:
-    """A logged key: the run's own `Key`, or a JSON [type, id] pair."""
-    return raw if type(raw) is Key else Key(raw[0], raw[1])
+def _source_record(row) -> SourceRecord:
+    """The source record a commit row wrote."""
+    if row.op == "delete":
+        return SourceRecord(row.key, {}, row.ver, True)
+    return SourceRecord(row.key, row.val, row.ver, False)
 
 
-def _decode_stamp(raw) -> VersionStamp:
-    return raw if type(raw) is VersionStamp else VersionStamp(raw[0], raw[1])
-
-
-def _decode_source(key: Key, entry: dict) -> SourceRecord:
-    """The source record a commit entry wrote."""
-    stamp = _decode_stamp(entry["ver"])
-    if entry["op"] == "delete":
-        return SourceRecord(key, {}, stamp, True)
-    return SourceRecord(key, entry["val"], stamp, False)
-
-
-def _decode_target(key: Key, entry: dict) -> TargetRecord:
-    """The target record an accepted put entry wrote."""
+def _target_record(row) -> TargetRecord:
+    """The target record an accepted put row wrote."""
     return TargetRecord(
-        key,
-        entry.get("val", {}),
-        {Key(et, gid): VersionStamp(c, ct) for et, gid, c, ct in entry["prov"]},
-        entry["tomb"],
+        row.key,
+        row.val,
+        {Key(et, gid): VersionStamp(c, ct) for et, gid, c, ct in row.prov},
+        row.tomb,
     )
 
 
+def _is_migration_put(row) -> bool:
+    """An accepted freshness-guarded put: native writes after a flip are not
+    migration writes."""
+    return row.kind == "put" and row.out == "accepted" and row.cls != "native"
+
+
 class _TargetView(Mapping):
-    """Read-only target state over the raw last accepted put per key.
+    """Read-only target state over the last accepted put row per key.
 
     Each lookup decodes a fresh `TargetRecord`, so records live only as long
     as the check that reads them.
     """
 
-    def __init__(self, last: dict[Key, dict]):
+    def __init__(self, last: dict[Key, tuple]):
         self._last = last
 
     def __getitem__(self, key: Key) -> TargetRecord:
-        return _decode_target(key, self._last[key])
+        return _target_record(self._last[key])
 
     def get(self, key: Key, default=None):
-        entry = self._last.get(key)
-        return default if entry is None else _decode_target(key, entry)
+        row = self._last.get(key)
+        return default if row is None else _target_record(row)
 
     def __iter__(self):
         return iter(self._last)
@@ -125,60 +125,52 @@ class _TargetView(Mapping):
 
 
 class LogReplay:
-    """Flat, order-preserving decomposition of an event log.
+    """Order-preserving index into an event log's rows.
 
-    Commits and puts stay as their raw entries and are decoded only where a
-    check reads them.
+    Commits and migration puts stay the log's own rows and are decoded only
+    where a check reads them.
     """
 
-    def __init__(self, entries: Iterable[dict]):
-        self.commits: list[dict] = []
-        self.migration_puts: list[dict] = []
-        self.samples: list[dict] = []
-        self.queue_transitions: list[dict] = []
+    def __init__(self, log: EventLog):
+        self.rows = log.rows
+        self.commits: list[tuple] = []
+        self.migration_puts: list[tuple] = []
         self.flip_time: int | None = None
-        self.flip_entry: dict | None = None
-        for entry in entries:
-            kind = entry["k"]
+        for row in self.rows:
+            kind = row.kind
             if kind == "commit":
-                self.commits.append(entry)
-            elif kind == "put":
-                if entry.get("out") == "accepted" and entry.get("cls") != "native":
-                    self.migration_puts.append(entry)
-            elif kind == "sample":
-                self.samples.append(entry)
-            elif kind in ("enqueue", "dequeue", "dead_letter"):
-                self.queue_transitions.append(entry)
-            elif kind == "ramp" and entry.get("act") == "flip":
-                self.flip_time = entry["t"]
-                self.flip_entry = entry
+                self.commits.append(row)
+            elif _is_migration_put(row):
+                self.migration_puts.append(row)
+            elif kind == "ramp" and row.act == "flip":
+                self.flip_time = row.t
 
     def source_state(self, before: int | None = None) -> dict[Key, SourceRecord]:
         """The last commit per key before `before`, decoded."""
-        last: dict[Key, dict] = {}
-        for entry in self.commits:
-            if before is None or entry["t"] < before:
-                last[_decode_key(entry["key"])] = entry
-        return {key: _decode_source(key, entry) for key, entry in last.items()}
+        last: dict[Key, tuple] = {}
+        for row in self.commits:
+            if before is None or row.t < before:
+                last[row.key] = row
+        return {key: _source_record(row) for key, row in last.items()}
 
     def target_state(self, before: int | None = None) -> Mapping[Key, TargetRecord]:
         """The last accepted migration put per key before `before`."""
-        last: dict[Key, dict] = {}
-        for entry in self.migration_puts:
-            if before is None or entry["t"] < before:
-                last[_decode_key(entry["key"])] = entry
+        last: dict[Key, tuple] = {}
+        for row in self.migration_puts:
+            if before is None or row.t < before:
+                last[row.key] = row
         return _TargetView(last)
 
 
-def _first_covering_put(puts: list[dict], skey: Key, stamp: VersionStamp) -> int | None:
+def _first_covering_put(puts: list[tuple], skey: Key, stamp: VersionStamp) -> int | None:
     """Time of the first put whose provenance row for `skey` is at least as
     fresh as `stamp`."""
     etype, sid = skey
-    for entry in puts:
-        for et, gid, counter, commit_time in entry["prov"]:
+    for row in puts:
+        for et, gid, counter, commit_time in row.prov:
             if et == etype and gid == sid:
                 if at_least_as_fresh(VersionStamp(counter, commit_time), stamp):
-                    return entry["t"]
+                    return row.t
                 break
     return None
 
@@ -192,12 +184,12 @@ def settlement_times(
     for that source key at least as fresh as the update; an update with no
     affected targets settles at its own commit.
     """
-    puts_by_target: dict[Key, list[dict]] = {}
-    for entry in replay.migration_puts:
-        puts_by_target.setdefault(_decode_key(entry["key"]), []).append(entry)
+    puts_by_target: dict[Key, list[tuple]] = {}
+    for row in replay.migration_puts:
+        puts_by_target.setdefault(row.key, []).append(row)
     out: dict[tuple[str, str, int], int | None] = {}
-    for entry in replay.commits:
-        skey, stamp = _decode_key(entry["key"]), _decode_stamp(entry["ver"])
+    for row in replay.commits:
+        skey, stamp = row.key, row.ver
         worst: int | None = stamp.commit_time
         for tkey in schema.affected_targets(skey):
             found = _first_covering_put(puts_by_target.get(tkey, ()), skey, stamp)
@@ -257,26 +249,23 @@ def window_ttc_bruteforce(
 
 
 def ordering_violations(replay: LogReplay, schema: Schema) -> list[dict]:
-    """Live child target writes whose parent target record did not exist yet."""
+    """Live child target writes whose parent target record did not exist yet.
+
+    One pass over the rows in log order: each commit updates the source
+    state, each migration put is judged against the targets written before
+    it.
+    """
     violations: list[dict] = []
     source: dict[Key, SourceRecord] = {}
     target_present: set[Key] = set()
-    commits = iter(replay.commits)
-    puts = iter(replay.migration_puts)
-    next_commit = next(commits, None)
-    next_put = next(puts, None)
-    while next_commit is not None or next_put is not None:
-        take_commit = next_put is None or (
-            next_commit is not None and next_commit["seq"] <= next_put["seq"]
-        )
-        if take_commit:
-            skey = _decode_key(next_commit["key"])
-            source[skey] = _decode_source(skey, next_commit)
-            next_commit = next(commits, None)
+    for row in replay.rows:
+        if row.kind == "commit":
+            source[row.key] = _source_record(row)
             continue
-        entry = next_put
-        tkey = _decode_key(entry["key"])
-        if not entry["tomb"]:
+        if not _is_migration_put(row):
+            continue
+        tkey = row.key
+        if not row.tomb:
             rule = schema.rule_for_target(tkey.etype)
             inputs = {
                 k: rec
@@ -286,10 +275,9 @@ def ordering_violations(replay: LogReplay, schema: Schema) -> list[dict]:
             for pkey in schema.parent_target_keys(inputs):
                 if pkey not in target_present:
                     violations.append(
-                        {"t": entry["t"], "child": list(tkey), "missing_parent": list(pkey)}
+                        {"t": row.t, "child": list(tkey), "missing_parent": list(pkey)}
                     )
         target_present.add(tkey)
-        next_put = next(puts, None)
     return violations
 
 
@@ -323,29 +311,26 @@ def final_diff(
 
 
 def queue_lengths_at_samples(replay: LogReplay) -> list[tuple[int, int, int]]:
-    """(sample time, sampled length, replayed length) per sample entry."""
+    """(sample time, sampled length, replayed length) per sample row."""
     out = []
     length = 0
-    by_seq = sorted(
-        replay.queue_transitions + replay.samples, key=lambda e: e["seq"]
-    )
-    for entry in by_seq:
-        kind = entry["k"]
+    for row in replay.rows:
+        kind = row.kind
         if kind == "enqueue":
             length += 1
-        elif kind in ("dequeue", "dead_letter"):
+        elif kind == "dequeue" or kind == "dead_letter":
             length -= 1
-        else:  # sample
-            out.append((entry["t"], entry["qlen"], length))
+        elif kind == "sample":
+            out.append((row.t, row.qlen, length))
     return out
 
 
 def oracle_verify(
-    entries: Iterable[dict], scenario: Scenario, report: dict | None = None
+    log: EventLog, scenario: Scenario, report: dict | None = None
 ) -> OracleReport:
     """Recompute everything checkable from the log; flag report disagreements."""
     schema = scenario.build_schema()
-    replay = LogReplay(entries)
+    replay = LogReplay(log)
     result = OracleReport()
 
     cutoff = replay.flip_time
@@ -365,9 +350,9 @@ def oracle_verify(
 
     settles = settlement_times(replay, schema)
     commit_pairs = []
-    for entry in replay.commits:
-        etype, sid = _decode_key(entry["key"])
-        counter, commit_time = _decode_stamp(entry["ver"])
+    for row in replay.commits:
+        etype, sid = row.key
+        counter, commit_time = row.ver
         commit_pairs.append((commit_time, settles[(etype, sid, counter)]))
 
     # Sampled window TTC, recomputed per tick.

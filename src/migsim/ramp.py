@@ -114,7 +114,7 @@ class RampController:
             clearance = check_clearance(spec, sim.fresh_report(), sim.dead_letter_count())
             self.log.append(
                 now, "ramp", act="clearance",
-                cleared=clearance.cleared, reasons=clearance.reasons,
+                cleared=clearance.cleared, reasons=tuple(clearance.reasons),
             )
             if not clearance.cleared:
                 self.aborted = True

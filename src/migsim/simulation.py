@@ -12,6 +12,7 @@ from a named substream of the scenario seed.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -104,7 +105,8 @@ class SimResult:
     registry: MetricsRegistry
     settlement: SettlementTracker
     limiter: RateLimiter
-    live_ops: list[tuple[int, str, str]]
+    live_ops: int  # live ops dispatched
+    live_ops_digest: str  # sha256 over the (tick, kind, key) of each live op
     oracle_report: OracleReport | None = None
 
 
@@ -153,7 +155,8 @@ class _SimState:
         if scenario.ramp.enabled:
             self.ramp = RampController(scenario.ramp, self.log)
         self.bootstrap_job: BootstrapJob | None = None
-        self.live_ops: list[tuple[int, str, str]] = []
+        self.live_ops = 0
+        self.live_ops_hash = hashlib.sha256()
         self.samples: list[ConsistencyReport] = []
         self.flip_rates: tuple[float, float] | None = None
 
@@ -190,7 +193,8 @@ class _SimState:
         ops = self.workload.generate_step(now, read_current, bulk_frozen=bulk_frozen)
         reads: list = []
         for op in ops:
-            self.live_ops.append((now, op.kind, str(op.key)))
+            self.live_ops += 1
+            self.live_ops_hash.update(f"{now}\t{op.kind}\t{op.key}\n".encode())
             if op.kind == OP_READ:
                 if flipped:
                     self._native_read(op.key)
@@ -416,7 +420,7 @@ def run_scenario(
         out_dir.mkdir(parents=True, exist_ok=True)
     report = _assemble_report(sim, out_dir)
     if scn.toggles.run_oracle:
-        oracle_report = oracle_verify(sim.log.entries, scn, report.as_dict())
+        oracle_report = oracle_verify(sim.log, scn, report.as_dict())
         report.oracle = oracle_report.as_dict()
         sim_oracle = oracle_report
     else:
@@ -434,6 +438,7 @@ def run_scenario(
         settlement=sim.settlement,
         limiter=sim.limiter,
         live_ops=sim.live_ops,
+        live_ops_digest=sim.live_ops_hash.hexdigest(),
         oracle_report=sim_oracle,
     )
     if out_dir is not None:

@@ -171,16 +171,16 @@ class TargetStore:
         if self.event_log is None:
             return
         if outcome == PutResult.ACCEPTED.value:
-            # Rows are (type, id, counter, commit time); the value map is
-            # shared, not copied (see EventLog).
+            # Provenance rows are (type, id, counter, commit time); the value
+            # map is shared, not copied (see EventLog).
             self.event_log.append(
                 self.clock.now,
                 "put",
                 record.key,
                 cls=self.writer_class,
                 out=outcome,
+                prov=tuple(sorted(k + v for k, v in record.provenance.items())),
                 tomb=record.tombstone,
-                prov=sorted(k + v for k, v in record.provenance.items()),
                 val=record.value,
             )
         else:
@@ -227,17 +227,16 @@ class TargetStore:
         return self.records.get(key)
 
     @staticmethod
-    def replay(entries: Iterable[dict]) -> dict[Key, TargetRecord]:
-        """Rebuild contents from the accepted freshness-guarded `put` entries
-        of an event log (native writes after a flip are not replayed)."""
+    def replay(rows: Iterable[tuple]) -> dict[Key, TargetRecord]:
+        """Rebuild contents from the accepted freshness-guarded `put` rows of
+        an event log (native writes after a flip are not replayed)."""
         state: dict[Key, TargetRecord] = {}
-        for entry in entries:
-            if entry["k"] == "put" and entry["out"] == "accepted" and entry["cls"] != "native":
-                key = entry["key"]
+        for row in rows:
+            if row.kind == "put" and row.out == "accepted" and row.cls != "native":
                 provenance = {
-                    Key(et, gid): VersionStamp(c, ct) for et, gid, c, ct in entry["prov"]
+                    Key(et, gid): VersionStamp(c, ct) for et, gid, c, ct in row.prov
                 }
-                state[key] = TargetRecord(key, entry["val"], provenance, entry["tomb"])
+                state[row.key] = TargetRecord(row.key, row.val, provenance, row.tomb)
         return state
 
 

@@ -56,7 +56,7 @@ def default_runs():
             result.report,
             result.oracle_report,
             elapsed,
-            sum(1 for e in result.log.entries if e["k"] == "put"),
+            sum(1 for row in result.log.rows if row.kind == "put"),
         )
         del result
     return runs
@@ -266,19 +266,18 @@ def test_c08_process_convergence_demo():
 def test_c09_metric_oracle_equivalence():
     """Online settlement, TTC, and queue gauges match log recomputation."""
     result = run_scenario(load_file(scenario_path("small")))
-    assert len(result.log.entries) <= 10_000
-    replay = LogReplay(result.log.entries)
+    assert len(result.log) <= 10_000
+    replay = LogReplay(result.log)
     oracle_settles = settlement_times(replay, result.schema)
-    for entry in replay.commits:
-        key = Key(entry["key"][0], entry["key"][1])
-        stamp = VersionStamp(entry["ver"][0], entry["ver"][1])
+    for row in replay.commits:
+        key, stamp = row.key, row.ver
         assert oracle_settles[(key.etype, key.id, stamp.counter)] == (
             result.settlement.settlement_time(key, stamp)
         ), f"settlement mismatch for {key} v{stamp.counter}"
 
     pairs = [
-        (e["ver"][1], oracle_settles[(e["key"][0], e["key"][1], e["ver"][0])])
-        for e in replay.commits
+        (row.ver.commit_time, oracle_settles[(*row.key, row.ver.counter)])
+        for row in replay.commits
     ]
     for sample in result.report.samples:
         brute = window_ttc_bruteforce(pairs, sample.at - 300, sample.at)
@@ -321,8 +320,10 @@ def test_c10_backfill_priority(default_runs):
     )
     with_boot = run_scenario(trimmed)
     no_boot = run_scenario(without)
-    # Every live op dispatched at its request tick in both runs.
+    # Every live op dispatched at its request tick in both runs: the same
+    # (tick, kind, key) sequence, compared by its digest.
     assert with_boot.live_ops == no_boot.live_ops
+    assert with_boot.live_ops_digest == no_boot.live_ops_digest
     capacity = trimmed.bootstrap.limiter_capacity
     for tick, live, backfill in with_boot.limiter.usage_trace:
         assert backfill <= capacity - live, f"tick {tick}: backfill {backfill} over spare"
@@ -333,5 +334,5 @@ def test_c10_backfill_priority(default_runs):
         assert result.report.bootstrap["duration_ticks"] == 7, f"seed {seed}"
     _announce(
         "ACCEPT-10 backfill priority",
-        f"{len(with_boot.live_ops)} live ops tick-exact; default backfill = 7 ticks",
+        f"{with_boot.live_ops} live ops tick-exact; default backfill = 7 ticks",
     )

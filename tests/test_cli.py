@@ -108,6 +108,28 @@ class TestVerify:
         assert code == 1
         assert "log digest: MISMATCH" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            "drop_line",
+            "{not json",
+            "[4]",
+            '{"seq":4,"t":0,"k":"commit","key":["project","1","x"]}',
+            '{"seq":4,"k":"sample"}',
+        ],
+    )
+    def test_verify_unreadable_log_is_usage_error(self, run_dir, tmp_path, capsys, broken):
+        lines = (run_dir / "eventlog.jsonl").read_text().splitlines(keepends=True)
+        if broken == "drop_line":
+            del lines[3]  # entry 5 now sits on line 4
+        else:
+            lines[3] = broken + "\n"
+        path = tmp_path / "eventlog.jsonl"
+        path.write_text("".join(lines))
+        code = main(["verify", str(path), str(scenario_path("small"))])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
 
 class TestReport:
     def test_report_prints_samples_and_headline(self, run_dir, capsys):

@@ -477,17 +477,51 @@ class TestEventLog:
         log.append(3, "put", Key("p_v2", "1"), out="accepted", tomb=False)
         log.append(4, "sample", qlen=2)
         parsed = EventLog.parse_lines(log.export_lines())
-        assert parsed.entries == log.entries
+        assert list(parsed.entries) == list(log.entries)
+        assert parsed.entries[1] == {"seq": 2, "t": 4, "k": "sample", "qlen": 2}
 
     def test_parse_lines_shapes_entries_like_append(self):
         log = EventLog()
         log.append(1, "commit", Key("p", "1"), ver=VersionStamp(2, 1), op="write", val={"n": "x"})
-        log.append(2, "put", Key("p_v2", "1"), out="accepted", prov=[("p", "1", 2, 1)], val={})
+        log.append(2, "put", Key("p_v2", "1"), out="accepted", prov=(("p", "1", 2, 1),), val={})
+        log.append(3, "ramp", act="clearance", reasons=("a", "b"))
         parsed = EventLog.parse_lines(log.export_lines())
-        assert parsed.entries == log.entries  # a list row would not equal a tuple row
-        commit, put = parsed.entries
-        assert type(commit["key"]) is Key and type(put["key"]) is Key
-        assert type(commit["ver"]) is VersionStamp
+        # Same class per row (kind and field names), and a list would not
+        # equal a tuple.
+        assert [(type(r), r) for r in parsed.rows] == [(type(r), r) for r in log.rows]
+        commit, put, ramp = parsed.rows
+        assert type(commit.key) is Key and type(put.key) is Key
+        assert type(commit.ver) is VersionStamp
+        assert (commit.kind, put.kind, ramp.kind) == ("commit", "put", "ramp")
+
+    def test_row_shape_does_not_depend_on_keyword_order(self):
+        log = EventLog()
+        log.append(1, "dequeue", Key("p", "1"), res="fixed", why="x")
+        log.append(1, "dequeue", Key("p", "1"), why="x", res="fixed")
+        a, b = log.rows
+        assert type(a) is type(b) and a == b
+        assert a._fields == ("t", "key", "res", "why")
+        assert list(log.export_lines())[0] == list(log.export_lines())[1].replace(
+            '"seq":2', '"seq":1'
+        )
+
+    def test_seq_and_kind_are_not_stored(self):
+        log = EventLog()
+        log.append(5, "enqueue", Key("p", "1"), trig="nearline", sut=4)
+        log.append(6, "coalesce", Key("p", "1"), trig="nearline", sut=4)
+        enqueue, coalesce = log.rows
+        assert tuple(enqueue) == (5, Key("p", "1"), 4, "nearline")
+        assert type(enqueue) is not type(coalesce)
+        assert [e["seq"] for e in log.entries] == [1, 2]
+        assert log.entries[-1]["k"] == "coalesce"
+
+    def test_parse_lines_rejects_a_gap_in_seq(self):
+        log = EventLog()
+        for t in range(3):
+            log.append(t, "sample", qlen=0)
+        lines = list(log.export_lines())
+        with pytest.raises(ValueError, match="entry 2 is out of sequence"):
+            EventLog.parse_lines([lines[0], lines[2]])
 
     def test_digest_pass_writes_the_export(self, tmp_path):
         log = EventLog()

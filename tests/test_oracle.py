@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from migsim.domain import Key, SourceRecord, TargetRecord, VersionStamp
-from migsim.metrics import time_to_converge
+from migsim.metrics import EventLog, time_to_converge
 from migsim.oracle import (
     LogReplay,
     final_diff,
@@ -23,18 +23,29 @@ from conftest import build_figure3_schema, scenario_path
 
 
 def commit_entry(t, etype, gid, counter, op="write", val=None):
-    entry = {"t": t, "k": "commit", "key": [etype, gid], "cseq": 0,
-             "ver": [counter, t], "op": op}
+    data = {"cseq": 0, "ver": VersionStamp(counter, t), "op": op}
     if op == "write":
-        entry["val"] = val or {"n": "x"}
-    return entry
+        data["val"] = val or {"n": "x"}
+    return t, "commit", Key(etype, gid), data
 
 
 def put_entry(t, etype, gid, prov, tomb=False, val=None, cls="dual", out="accepted"):
-    entry = {"t": t, "k": "put", "key": [etype, gid], "cls": cls, "out": out}
+    data = {"cls": cls, "out": out}
     if out == "accepted":
-        entry.update(tomb=tomb, prov=prov, val=({} if tomb else (val or {"n": "x"})))
-    return entry
+        data.update(
+            tomb=tomb,
+            prov=tuple(map(tuple, prov)),
+            val=({} if tomb else (val or {"n": "x"})),
+        )
+    return t, "put", Key(etype, gid), data
+
+
+def build_log(entries):
+    """An event log built through `append`, one (t, kind, key, data) each."""
+    log = EventLog()
+    for t, kind, key, data in entries:
+        log.append(t, kind, key, **data)
+    return log
 
 
 class TestHandBuiltCases:
@@ -58,7 +69,7 @@ class TestHandBuiltCases:
             put_entry(16, "project_v2", "2", [["project", "2", 1, 11]]),
             commit_entry(20, "project", "3", 1),  # never replicated
         ]
-        replay = LogReplay(entries)
+        replay = LogReplay(build_log(entries))
         settles = settlement_times(replay, schema)
         assert settles[("project", "1", 1)] == 12
         assert settles[("project", "2", 1)] == 16
@@ -71,7 +82,7 @@ class TestHandBuiltCases:
             commit_entry(15, "project", "1", 2),
             put_entry(20, "project_v2", "1", [["project", "1", 2, 15]]),
         ]
-        settles = settlement_times(LogReplay(entries), schema)
+        settles = settlement_times(LogReplay(build_log(entries)), schema)
         assert settles[("project", "1", 1)] == 20
         assert settles[("project", "1", 2)] == 20
 
@@ -86,9 +97,7 @@ class TestHandBuiltCases:
             put_entry(2, "stage_v2", "1", [["stage", "1", 1, 1]],
                       val={"n": "s", "parent_project": "1"}),
         ]
-        for i, e in enumerate(entries):
-            e["seq"] = i + 1
-        violations = ordering_violations(LogReplay(entries), schema)
+        violations = ordering_violations(LogReplay(build_log(entries)), schema)
         assert len(violations) == 1
         assert violations[0]["missing_parent"] == ["project_v2", "1"]
 
@@ -98,9 +107,7 @@ class TestHandBuiltCases:
             commit_entry(0, "stage", "1", 1, op="delete"),
             put_entry(1, "stage_v2", "1", [["stage", "1", 1, 0]], tomb=True),
         ]
-        for i, e in enumerate(entries):
-            e["seq"] = i + 1
-        assert ordering_violations(LogReplay(entries), schema) == []
+        assert ordering_violations(LogReplay(build_log(entries)), schema) == []
 
     def test_final_diff_sees_resurrection(self):
         schema = build_figure3_schema()
@@ -110,7 +117,7 @@ class TestHandBuiltCases:
             commit_entry(2, "project", "1", 2, op="delete"),
             # delete never replicated; target stays live
         ]
-        replay = LogReplay(entries)
+        replay = LogReplay(build_log(entries))
         counts, extras = final_diff(schema, replay.source_state(), replay.target_state())
         assert counts["resurrection"] == 1
         assert extras == 0
@@ -125,17 +132,17 @@ class TestHandBuiltCases:
             put_entry(1, "project_v2", "8", [["project", "8", 1, 0]]),
             put_entry(1, "project_v2", "9", [["project", "9", 1, 0]], tomb=True),
         ]
-        replay = LogReplay(entries)
+        replay = LogReplay(build_log(entries))
         counts, extras = final_diff(schema, replay.source_state(), replay.target_state())
         assert counts == {"consistent": 1}
         assert extras == 2
 
     def test_queue_replay_detects_mismatched_sample(self):
         entries = [
-            {"seq": 1, "t": 0, "k": "enqueue", "key": ["project_v2", "1"], "trig": "nearline", "sut": 0},
-            {"seq": 2, "t": 1, "k": "sample", "qlen": 0},  # wrong: should be 1
+            (0, "enqueue", Key("project_v2", "1"), {"trig": "nearline", "sut": 0}),
+            (1, "sample", None, {"qlen": 0}),  # wrong: should be 1
         ]
-        rows = queue_lengths_at_samples(LogReplay(entries))
+        rows = queue_lengths_at_samples(LogReplay(build_log(entries)))
         assert rows == [(1, 0, 1)]
 
 
@@ -147,18 +154,13 @@ class TestAgainstRuns:
 
     def test_settlements_match_online_tracker_exactly(self):
         result = run_scenario(load_file(scenario_path("small")))
-        assert len(result.log.entries) <= 10_000
+        assert len(result.log) <= 10_000
         schema = result.schema
-        replay = LogReplay(result.log.entries)
+        replay = LogReplay(result.log)
         oracle_settles = settlement_times(replay, schema)
-        for entry in replay.commits:
-            key_tuple = (entry["key"][0], entry["key"][1], entry["ver"][0])
-            from migsim.domain import Key, VersionStamp
-
-            online = result.settlement.settlement_time(
-                Key(entry["key"][0], entry["key"][1]),
-                VersionStamp(entry["ver"][0], entry["ver"][1]),
-            )
+        for row in replay.commits:
+            key_tuple = (*row.key, row.ver.counter)
+            online = result.settlement.settlement_time(row.key, row.ver)
             assert oracle_settles[key_tuple] == online
 
     def test_tampered_report_is_flagged(self):
@@ -166,7 +168,7 @@ class TestAgainstRuns:
         result = run_scenario(scenario)
         doc = result.report.as_dict()
         doc["samples"][-1]["window_ttc"] = 999
-        tampered = oracle_verify(result.log.entries, scenario, doc)
+        tampered = oracle_verify(result.log, scenario, doc)
         failed = {c.name for c in tampered.checks if not c.ok}
         assert "window TTC matches report" in failed
 
@@ -175,7 +177,7 @@ class TestAgainstRuns:
 def run_log(request):
     scenario = load_file(scenario_path(request.param))
     result = run_scenario(scenario)
-    return scenario, result.schema, result.log.entries
+    return scenario, result.schema, result.log
 
 
 def _cutoffs(scenario):
@@ -186,11 +188,11 @@ class TestOnDemandReplay:
     """The on-demand decodes answer what a full decode of the log does."""
 
     def test_source_state_is_a_fold_over_every_commit(self, run_log):
-        scenario, _schema, entries = run_log
-        replay = LogReplay(entries)
+        scenario, _schema, log = run_log
+        replay = LogReplay(log)
         for before in _cutoffs(scenario):
             folded = {}
-            for entry in entries:
+            for entry in log.entries:
                 if entry["k"] != "commit" or (before is not None and entry["t"] >= before):
                     continue
                 key = Key(*entry["key"])
@@ -200,10 +202,10 @@ class TestOnDemandReplay:
             assert list(replay.source_state(before).items()) == list(folded.items())
 
     def test_final_diff_over_view_equals_fully_decoded_dict(self, run_log):
-        scenario, schema, entries = run_log
-        replay = LogReplay(entries)
+        scenario, schema, log = run_log
+        replay = LogReplay(log)
         for before in _cutoffs(scenario):
-            kept = [e for e in entries if before is None or e["t"] < before]
+            kept = [row for row in log.rows if before is None or row.t < before]
             decoded = TargetStore.replay(kept)
             view = replay.target_state(before)
             assert len(view) == len(decoded)
@@ -214,8 +216,8 @@ class TestOnDemandReplay:
             assert final_diff(schema, sources, view) == final_diff(schema, sources, decoded)
 
     def test_target_view_is_read_only(self, run_log):
-        _scenario, _schema, entries = run_log
-        view = LogReplay(entries).target_state()
+        _scenario, _schema, log = run_log
+        view = LogReplay(log).target_state()
         key = next(iter(view))
         with pytest.raises(TypeError):
             view[key] = TargetRecord(key, {}, {}, True)

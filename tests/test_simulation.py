@@ -292,6 +292,37 @@ class TestTriggerEquivalence:
         assert all(state == final_states[0] for state in final_states)
 
 
+def _holds_list(value) -> bool:
+    if type(value) is list:
+        return True
+    if isinstance(value, tuple):
+        return any(map(_holds_list, value))
+    if isinstance(value, dict):
+        return any(map(_holds_list, value.values()))
+    return False
+
+
+class TestCompactLog:
+    def test_run_path_never_decodes_the_whole_log(self, monkeypatch, tmp_path):
+        def decode_all(_log):
+            raise AssertionError("the run decoded EventLog.entries")
+
+        monkeypatch.setattr(EventLog, "entries", property(decode_all))
+        result = run_scenario(load("small"), out_dir=tmp_path / "run")
+        assert result.oracle_report is not None and result.oracle_report.ok
+        assert (tmp_path / "run" / "eventlog.jsonl").exists()
+
+    @pytest.mark.parametrize("name", ["small", "ramp_pair_drained", "reshape"])
+    def test_rows_are_tuples_that_hold_no_list(self, name):
+        result = run_scenario(load(name))
+        assert result.log.rows
+        for row in result.log.rows:
+            assert isinstance(row, tuple) and type(row) is not tuple
+            assert not _holds_list(row), row
+        kinds = {row.kind for row in result.log.rows}
+        assert {"commit", "put", "sample"} <= kinds
+
+
 class TestArtifacts:
     def test_out_dir_contains_run_artifacts(self, tmp_path):
         result = run_scenario(load("small"), out_dir=tmp_path / "run")
@@ -301,12 +332,14 @@ class TestArtifacts:
         assert (out / "report.json").exists()
         assert (out / "oracle.txt").exists()
         lines = (out / "eventlog.jsonl").read_text().splitlines()
-        assert len(lines) == len(result.log.entries)
+        assert len(lines) == len(result.log)
 
     def test_parsed_export_equals_run_entries_and_oracle(self, small_result):
         parsed = EventLog.parse_lines(small_result.log.export_lines())
-        assert parsed.entries == small_result.log.entries
-        again = oracle_verify(parsed.entries, load("small"), small_result.report.as_dict())
+        assert [(type(r), r) for r in parsed.rows] == [
+            (type(r), r) for r in small_result.log.rows
+        ]
+        again = oracle_verify(parsed, load("small"), small_result.report.as_dict())
         assert again.as_dict() == small_result.oracle_report.as_dict()
 
     def test_eventlog_written_by_digest_pass_matches_digest(self, tmp_path):

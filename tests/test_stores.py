@@ -192,7 +192,7 @@ class TestTargetStore:
                     store.put_if_fresher(rec(str(i % 7), counter, t=i))
                 except StoreUnavailable:
                     pass
-        assert TargetStore.replay(store.event_log.entries) == store.records
+        assert TargetStore.replay(store.event_log.rows) == store.records
 
     def test_bootstrap_default_loses_to_fresher_tombstone(self):
         # A stale snapshot load must not resurrect a deleted record.
