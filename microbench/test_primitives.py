@@ -5,9 +5,10 @@ Run them from the repository root:
     PYTHONPATH=src python -m pytest microbench --benchmark-only
 
 They sit outside the `testpaths` of `pyproject.toml`, so the tier-1 suite
-never collects them.  A timing is per call of the benched function; the
+never collects them as benches; `tests/test_microbench.py` calls each one
+once to keep it working.  A timing is per call of the benched function; the
 batch benches make `BATCH` operations per call, each on fresh state, so the
-log or store does not grow across rounds.
+log, store or queue does not grow across rounds.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from migsim.domain import (
     map_source,
     split_rule,
 )
-from migsim.metrics import EventLog
+from migsim.healing import SelfHealingQueue, Trigger
+from migsim.metrics import EventLog, MetricsRegistry
 from migsim.rng import named_stream
 from migsim.stores import Clock, FaultProfile, PutResult, TargetStore
 
@@ -54,14 +56,14 @@ def _filled_log() -> EventLog:
         log.append(i, "commit", key, cseq=i + 1, ver=stamp, op="write", val=dict(VALUE))
         log.append(
             i, "put", Key("project_v2", str(i)), cls="dual", out="accepted",
-            prov=((*key, *stamp),), tomb=False, val=dict(VALUE),
+            prov={key: stamp}, tomb=False, val=dict(VALUE),
         )
     return log
 
 
 def test_eventlog_append_batch(benchmark):
     keys = [Key("project_v2", str(i)) for i in range(BATCH)]
-    prov = (("project", "1", 2, 7),)
+    prov = {Key("project", "1"): VersionStamp(2, 7)}
 
     def append_batch() -> EventLog:
         log = EventLog()
@@ -90,6 +92,34 @@ def test_put_if_fresher_batch(benchmark):
         return accepted
 
     assert benchmark(put_batch) == BATCH
+
+
+def _enqueued(keys: list[Key]) -> SelfHealingQueue:
+    """A fresh queue after one enqueue per key, the i-th due at tick i."""
+    queue = SelfHealingQueue(MetricsRegistry(), EventLog())
+    for t, key in enumerate(keys):
+        queue.enqueue(key, Trigger.NEARLINE, t, t)
+    return queue
+
+
+def test_queue_enqueue_batch(benchmark):
+    """BATCH enqueues of distinct keys into an empty queue."""
+    keys = [Key("project_v2", str(i)) for i in range(BATCH)]
+    assert len(benchmark(_enqueued, keys)) == BATCH
+
+
+def test_queue_pop_due_batch(benchmark):
+    """One `pop_due` that drains a queue of BATCH due events; the fill is
+    untimed setup."""
+    keys = [Key("project_v2", str(i)) for i in range(BATCH)]
+
+    def pop_all(queue: SelfHealingQueue) -> int:
+        return len(queue.pop_due(BATCH, BATCH))
+
+    def setup():
+        return (_enqueued(keys),), {}
+
+    assert benchmark.pedantic(pop_all, setup=setup, rounds=100) == BATCH
 
 
 def test_compare_records_consistent(benchmark):

@@ -112,17 +112,6 @@ def provenance_covers(
     return True
 
 
-def provenance_regresses(
-    incoming: Mapping[Key, VersionStamp], stored: Mapping[Key, VersionStamp]
-) -> bool:
-    """True when accepting `incoming` would lose freshness on any stored entry."""
-    for skey, stamp in stored.items():
-        have = incoming.get(skey)
-        if have is None or not at_least_as_fresh(have, stamp):
-            return True
-    return False
-
-
 class DiscrepancyClass(str, Enum):
     CONSISTENT = "consistent"
     MISSING = "missing"
@@ -224,7 +213,7 @@ def identity_rule(name: str, source: str, target: str) -> MappingRule:
         (rec,) = [r for r in sources.values() if not r.tombstone]
         if not isinstance(rec.value, Mapping):
             raise TransformError(f"{name}: value of {rec.key} is not a field map")
-        return [(Key(target, rec.key.id), dict(rec.value))]
+        return [(Key(target, rec.key.id), rec.value)]
 
     return MappingRule(name, (source,), (target,), transform)
 
@@ -267,7 +256,7 @@ class Schema:
     """Registered entity types and rules with frozen topological orders.
 
     `fault` is the run's injected mapping bug, if any; `map_group` and so
-    `check_group` consult it, `group_expected` never does.
+    `check_group` consult it.
     """
 
     def __init__(
@@ -385,16 +374,6 @@ class Schema:
                     for tt in ttypes:
                         out.add(Key(tt, ref))
         return tuple(sorted(out))
-
-    def group_expected(
-        self, rule: MappingRule, gid: str, read: SourceRead
-    ) -> tuple[dict[Key, TargetRecord], dict[Key, SourceRecord]]:
-        """Expected target records for one rule group under the intended
-        mapping, without the fault, plus the inputs read."""
-        sources = read_group(rule, gid, read)
-        if not sources:
-            return {}, sources
-        return {r.key: r for r in map_source(rule, sources)}, sources
 
     def map_group(
         self, rule: MappingRule, sources: dict[Key, SourceRecord], now: int

@@ -281,7 +281,7 @@ class Healer:
             actual = self.target.peek(key)
             if actual is None:
                 raise InvariantError(f"{key}: absent on both sides yet inconsistent")
-            fix = TargetRecord(key, {}, dict(actual.provenance), True)
+            fix = TargetRecord(key, {}, actual.provenance, True)
 
         if not fix.tombstone:
             try:
@@ -310,11 +310,10 @@ class Healer:
         self.registry.fix_success += 1
         return FixOutcome(FixStatus.FIXED)
 
-    def process(self, now: int, budget: int | None = None) -> ProcessReport:
+    def process(self, now: int) -> ProcessReport:
         """Drain due events up to the rate limit; retry or dead-letter failures."""
-        limit = self.policy.rate_limit if budget is None else min(budget, self.policy.rate_limit)
         report = ProcessReport()
-        for event in self.queue.pop_due(now, limit):
+        for event in self.queue.pop_due(now, self.policy.rate_limit):
             report.processed += 1
             outcome = self.validate_and_fix(event.target_key, now)
             if outcome.status is FixStatus.FAILED:

@@ -79,8 +79,16 @@ def _row_shape(kind: str, has_key: bool, *names: str) -> tuple[type, Callable | 
 
 
 def _as_entry(seq: int, row) -> dict:
-    """One row as its exported entry: "seq", "t", "k", "key" and the data."""
-    return dict(zip(row._fields, row), seq=seq, k=row.kind)
+    """One row as its exported entry: "seq", "t", "k", "key" and the data.
+
+    A put's provenance map becomes its wire rows, (type, id, counter, commit
+    time) each, sorted.
+    """
+    entry = dict(zip(row._fields, row), seq=seq, k=row.kind)
+    prov = entry.get("prov")
+    if prov is not None:
+        entry["prov"] = sorted([k + v for k, v in prov.items()])
+    return entry
 
 
 def _frozen(value):
@@ -111,8 +119,8 @@ class EventLog:
     Each entry is one row: a per-shape named tuple (see `_row_shape`) of its
     tick, its key if it has one and its data fields.  An entry's "seq" is its
     row index + 1 and its "k" is its row class's `kind`, so neither is
-    stored.  The oracle and `TargetStore.replay` read `rows` in place;
-    `entries` decodes them one at a time for tests and debugging.
+    stored.  The oracle reads `rows` in place; `entries` decodes them one at
+    a time for tests and debugging.
 
     The export is one compact, sorted-key JSON object per entry and line,
     each ending in a newline; the digest is over that export, so two runs
@@ -123,18 +131,21 @@ class EventLog:
 
     Rows share the run's own immutable objects instead of copying them: the
     `Key` under "key", a commit's `VersionStamp` under "ver", record value
-    maps under "val", and provenance as a tuple of (type, id, counter, commit
-    time) tuples.  Keys and stamps are tuples, so they export as the same
-    JSON arrays a copy would.  Value maps are never mutated after creation
-    (`map_source` requires fresh maps from transforms, and the legacy store
-    copies what it commits), so a shared map exports the bytes it had when it
-    was logged.  Callers pass tuples, never lists, so no row holds a mutable
-    sequence.
+    maps under "val", and a put's provenance under "prov" as the stored
+    record's own `{Key: VersionStamp}` map.  Keys and stamps are tuples, so
+    they export as the same JSON arrays a copy would; `_as_entry` flattens a
+    provenance map to its wire rows, and this module is the only one that
+    knows that layout.  Value and provenance maps are never mutated after
+    creation, so a shared map exports the bytes it had when it was logged.
+    The guard is the copy `LegacyStore.commit` makes of the value it is
+    given: every value the run maps or logs descends from such a copy, and
+    transforms may pass one through but never change it.  Callers pass
+    tuples, never lists, so no row holds a mutable sequence.
 
-    Entries are acyclic by construction: they hold only strings, numbers,
-    tuples and flat value maps.  So the export encoder skips the
-    circular-reference check, which would otherwise keep an identity dict of
-    every container it enters.
+    Exported entries are acyclic by construction: they hold only strings,
+    numbers, tuples, provenance lists and flat value maps.  So the export
+    encoder skips the circular-reference check, which would otherwise keep
+    an identity dict of every container it enters.
     """
 
     def __init__(self) -> None:
@@ -173,9 +184,10 @@ class EventLog:
     @staticmethod
     def parse_lines(lines: Iterable[str]) -> "EventLog":
         """Rows rebuilt through `append`, shaped as the run built them: a
-        `Key` under "key", a `VersionStamp` under "ver" and tuples for
-        arrays.  Raises ValueError on a line that is not a JSON entry or
-        whose "seq" is not its entry's position."""
+        `Key` under "key", a `VersionStamp` under "ver", a `{Key:
+        VersionStamp}` map under "prov" and tuples for other arrays.  Raises
+        ValueError on a line that is not a JSON entry of that shape or whose
+        "seq" is not its entry's position."""
         log = EventLog()
         for line in lines:
             if not line.strip():
@@ -183,15 +195,20 @@ class EventLog:
             seq = len(log.rows) + 1
             entry = json.loads(line)
             try:
-                if entry.pop("seq") != seq:
-                    raise ValueError(f"entry {seq} is out of sequence")
+                found = entry.pop("seq")
                 t, kind, key = entry.pop("t"), entry.pop("k"), entry.pop("key", None)
                 data = {name: _frozen(value) for name, value in entry.items()}
                 if "ver" in data:
                     data["ver"] = VersionStamp(*data["ver"])
+                if "prov" in data:
+                    data["prov"] = {
+                        Key(et, gid): VersionStamp(c, ct) for et, gid, c, ct in data["prov"]
+                    }
                 log.append(t, kind, None if key is None else Key(*key), **data)
-            except (AttributeError, KeyError, TypeError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"entry {seq} is malformed: {exc!r}") from exc
+            if found != seq:
+                raise ValueError(f"entry {seq} is out of sequence")
         return log
 
 

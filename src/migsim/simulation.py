@@ -35,7 +35,7 @@ from .oracle import OracleReport, oracle_verify
 from .ramp import RampController
 from .rng import named_stream
 from .scenario import Scenario, serialize
-from .stores import ChangeStream, Clock, LegacyStore, StoreUnavailable, TargetStore
+from .stores import ChangeStream, Clock, LegacyStore, Snapshot, StoreUnavailable, TargetStore
 from .verifiers import BootstrapJob, NearlineVerifier, OfflineVerifier, RateLimiter, ShadowReader
 from .workload import OP_DELETE, OP_READ, WorkloadGenerator
 
@@ -184,6 +184,14 @@ class _SimState:
             self.dualwriter.on_commit(event)
             self.stream.feed(event, self.clock.now)
 
+    def take_snapshot(self, now: int) -> Snapshot:
+        """A legacy snapshot as of `now`, logged."""
+        snap = self.legacy.take_snapshot(now)
+        self.log.append(
+            now, "snapshot", taken=snap.taken_at, lut=snap.last_update_time, n=len(snap)
+        )
+        return snap
+
     def workload_phase(self, now: int) -> list:
         scenario = self.scenario
         flipped = self.ramp is not None and self.ramp.flipped
@@ -225,7 +233,7 @@ class _SimState:
 
     def _native_write(self, op) -> None:
         tomb = op.kind == OP_DELETE
-        value = {} if tomb else dict(op.value)
+        value = {} if tomb else op.value
         for rule in self.schema.rules_for_source(op.key.etype):
             for tkey in rule.target_keys(op.key.id):
                 try:
@@ -365,10 +373,7 @@ def run_scenario(
             and now > 0
             and now % scn.offline.interval == 0
         ):
-            snap = sim.legacy.take_snapshot(now)
-            sim.log.append(
-                now, "snapshot", taken=snap.taken_at, lut=snap.last_update_time, n=len(snap)
-            )
+            snap = sim.take_snapshot(now)
             sim.offline.run(snap, sim.target.records, scn.offline.cutoff, now)
 
         if (
@@ -387,13 +392,8 @@ def run_scenario(
 
         if scn.bootstrap.enabled and not flipped:
             if sim.bootstrap_job is None and now >= scn.bootstrap.at:
-                snap = sim.legacy.take_snapshot(now)
-                sim.log.append(
-                    now, "snapshot", taken=snap.taken_at,
-                    lut=snap.last_update_time, n=len(snap),
-                )
                 sim.bootstrap_job = BootstrapJob(
-                    sim.schema, snap, sim.target, sim.queue, sim.registry,
+                    sim.schema, sim.take_snapshot(now), sim.target, sim.queue, sim.registry,
                     sim.log, mode=scn.bootstrap.mode, start_at=now,
                 )
             if sim.bootstrap_job is not None and not sim.bootstrap_job.done:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Annotated, Callable, Iterable, Mapping, NamedTuple
+from typing import Annotated, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .domain import (
     StoreUnavailable,
     TargetRecord,
     VersionStamp,
-    provenance_regresses,
+    provenance_covers,
 )
 from .metrics import EventLog
 
@@ -171,15 +171,15 @@ class TargetStore:
         if self.event_log is None:
             return
         if outcome == PutResult.ACCEPTED.value:
-            # Provenance rows are (type, id, counter, commit time); the value
-            # map is shared, not copied (see EventLog).
+            # The stored record's value and provenance maps are shared, not
+            # copied (see EventLog).
             self.event_log.append(
                 self.clock.now,
                 "put",
                 record.key,
                 cls=self.writer_class,
                 out=outcome,
-                prov=tuple(sorted(k + v for k, v in record.provenance.items())),
+                prov=record.provenance,
                 tomb=record.tombstone,
                 val=record.value,
             )
@@ -198,7 +198,7 @@ class TargetStore:
             self._log_put(record, "unavailable")
             raise StoreUnavailable(f"put {record.key}")
         stored = self.records.get(record.key)
-        if stored is not None and provenance_regresses(record.provenance, stored.provenance):
+        if stored is not None and not provenance_covers(record.provenance, stored.provenance):
             self._log_put(record, PutResult.STALE_REJECTED.value)
             return PutResult.STALE_REJECTED
         self.records[record.key] = record
@@ -225,19 +225,6 @@ class TargetStore:
     def peek(self, key: Key) -> TargetRecord | None:
         """Monitoring read: no availability draw, never fails."""
         return self.records.get(key)
-
-    @staticmethod
-    def replay(rows: Iterable[tuple]) -> dict[Key, TargetRecord]:
-        """Rebuild contents from the accepted freshness-guarded `put` rows of
-        an event log (native writes after a flip are not replayed)."""
-        state: dict[Key, TargetRecord] = {}
-        for row in rows:
-            if row.kind == "put" and row.out == "accepted" and row.cls != "native":
-                provenance = {
-                    Key(et, gid): VersionStamp(c, ct) for et, gid, c, ct in row.prov
-                }
-                state[row.key] = TargetRecord(row.key, row.val, provenance, row.tomb)
-        return state
 
 
 class ChangeStream:

@@ -12,7 +12,7 @@ depends on which trigger noticed first.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -229,7 +229,12 @@ class NearlineResult(str, Enum):
 
 
 class NearlineVerifier:
-    """Checks each streamed change once the dual write has had time to land."""
+    """Checks each streamed change once the dual write has had time to land.
+
+    Deliveries arrive in tick order and, within a tick, in sequence order,
+    and all wait the same `settle_delay`, so the pending checks form a FIFO
+    queue that comes due in delivery order.
+    """
 
     def __init__(
         self,
@@ -246,16 +251,17 @@ class NearlineVerifier:
         self.queue = queue
         self.log = log
         self.settle_delay = settle_delay
-        self._due: list[tuple[int, int, ChangeEvent]] = []
+        self._due: deque[tuple[int, ChangeEvent]] = deque()
         self.checked = 0
         self.mismatches = 0
 
     def on_delivery(self, event: ChangeEvent, now: int) -> None:
-        heapq.heappush(self._due, (now + self.settle_delay, event.seq, event))
+        self._due.append((now + self.settle_delay, event))
 
     def run_due(self, now: int) -> None:
-        while self._due and self._due[0][0] <= now:
-            _, _, event = heapq.heappop(self._due)
+        due = self._due
+        while due and due[0][0] <= now:
+            _, event = due.popleft()
             self.verify(event, now)
 
     def pending_count(self) -> int:

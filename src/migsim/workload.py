@@ -168,7 +168,7 @@ class WorkloadGenerator:
             key = self._pick_live(etype)
             if key is not None:
                 current = read_current(key)
-                base = dict(current.value) if current is not None else {}
+                base = current.value if current is not None else {}
                 return [WorkloadOp(OP_WRITE, key, self._updated_value(key, base))]
         op = self._create_op(etype)
         return [op] if op is not None else []

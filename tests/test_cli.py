@@ -116,6 +116,8 @@ class TestVerify:
             "[4]",
             '{"seq":4,"t":0,"k":"commit","key":["project","1","x"]}',
             '{"seq":4,"k":"sample"}',
+            '{"cls":"dual","k":"put","key":["project_v2","1"],"out":"accepted",'
+            '"prov":[["project","1",1]],"seq":4,"t":0,"tomb":false,"val":{}}',
         ],
     )
     def test_verify_unreadable_log_is_usage_error(self, run_dir, tmp_path, capsys, broken):

@@ -483,8 +483,11 @@ class TestEventLog:
     def test_parse_lines_shapes_entries_like_append(self):
         log = EventLog()
         log.append(1, "commit", Key("p", "1"), ver=VersionStamp(2, 1), op="write", val={"n": "x"})
-        log.append(2, "put", Key("p_v2", "1"), out="accepted", prov=(("p", "1", 2, 1),), val={})
+        prov = {Key("p", "1"): VersionStamp(2, 1), Key("a", "1"): VersionStamp(0, 3)}
+        log.append(2, "put", Key("p_v2", "1"), out="accepted", prov=prov, val={})
         log.append(3, "ramp", act="clearance", reasons=("a", "b"))
+        # The export flattens the map to sorted rows.
+        assert log.entries[1]["prov"] == [("a", "1", 0, 3), ("p", "1", 2, 1)]
         parsed = EventLog.parse_lines(log.export_lines())
         # Same class per row (kind and field names), and a list would not
         # equal a tuple.
@@ -492,6 +495,9 @@ class TestEventLog:
         commit, put, ramp = parsed.rows
         assert type(commit.key) is Key and type(put.key) is Key
         assert type(commit.ver) is VersionStamp
+        # Provenance comes back as the map the run logged, not as rows.
+        assert type(put.prov) is dict and put.prov == prov
+        assert all(type(k) is Key and type(v) is VersionStamp for k, v in put.prov.items())
         assert (commit.kind, put.kind, ramp.kind) == ("commit", "put", "ramp")
 
     def test_row_shape_does_not_depend_on_keyword_order(self):

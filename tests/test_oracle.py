@@ -17,7 +17,6 @@ from migsim.oracle import (
 )
 from migsim.scenario import load_file
 from migsim.simulation import run_scenario
-from migsim.stores import TargetStore
 
 from conftest import build_figure3_schema, scenario_path
 
@@ -29,12 +28,17 @@ def commit_entry(t, etype, gid, counter, op="write", val=None):
     return t, "commit", Key(etype, gid), data
 
 
+def _provenance(rows):
+    """A provenance map from its exported (type, id, counter, commit time) rows."""
+    return {Key(et, gid): VersionStamp(c, ct) for et, gid, c, ct in rows}
+
+
 def put_entry(t, etype, gid, prov, tomb=False, val=None, cls="dual", out="accepted"):
     data = {"cls": cls, "out": out}
     if out == "accepted":
         data.update(
             tomb=tomb,
-            prov=tuple(map(tuple, prov)),
+            prov=_provenance(prov),
             val=({} if tomb else (val or {"n": "x"})),
         )
     return t, "put", Key(etype, gid), data
@@ -205,8 +209,15 @@ class TestOnDemandReplay:
         scenario, schema, log = run_log
         replay = LogReplay(log)
         for before in _cutoffs(scenario):
-            kept = [row for row in log.rows if before is None or row.t < before]
-            decoded = TargetStore.replay(kept)
+            decoded = {}
+            for entry in log.entries:
+                if before is not None and entry["t"] >= before:
+                    continue
+                if entry["k"] == "put" and entry["out"] == "accepted" and entry["cls"] != "native":
+                    key = Key(*entry["key"])
+                    decoded[key] = TargetRecord(
+                        key, entry["val"], _provenance(entry["prov"]), entry["tomb"]
+                    )
             view = replay.target_state(before)
             assert len(view) == len(decoded)
             assert list(view) == list(decoded)

@@ -322,6 +322,31 @@ class TestCompactLog:
         kinds = {row.kind for row in result.log.rows}
         assert {"commit", "put", "sample"} <= kinds
 
+    def test_put_rows_share_the_stored_maps(self, small_result):
+        last = {}
+        for row in small_result.log.rows:
+            if row.kind == "put" and row.out == "accepted":
+                last[row.key] = row
+        migration = [row for row in last.values() if row.cls != "native"]
+        assert migration
+        for row in migration:
+            stored = small_result.target.records[row.key]
+            assert row.prov is stored.provenance and row.val is stored.value
+        # Every rule of small.json is an identity: a target that holds its
+        # source's current version holds the source's own value map.
+        legacy = small_result.legacy.records
+        current = 0
+        for tkey, stored in small_result.target.records.items():
+            (stype,) = small_result.schema.rule_for_target(tkey.etype).source_types
+            skey = Key(stype, tkey.id)
+            source = legacy.get(skey)
+            if source is None or source.tombstone:
+                continue
+            if stored.provenance.get(skey) == source.version:
+                assert stored.value is source.value
+                current += 1
+        assert current > 100
+
 
 class TestArtifacts:
     def test_out_dir_contains_run_artifacts(self, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from migsim.domain import Key, SourceRecord, TargetRecord, VersionStamp
 from migsim.metrics import EventLog
+from migsim.oracle import LogReplay
 from migsim.rng import named_stream
 from migsim.scenario import load_file
 from migsim.simulation import run_scenario
@@ -192,7 +193,7 @@ class TestTargetStore:
                     store.put_if_fresher(rec(str(i % 7), counter, t=i))
                 except StoreUnavailable:
                     pass
-        assert TargetStore.replay(store.event_log.rows) == store.records
+        assert dict(LogReplay(store.event_log).target_state()) == store.records
 
     def test_bootstrap_default_loses_to_fresher_tombstone(self):
         # A stale snapshot load must not resurrect a deleted record.
