@@ -8,10 +8,36 @@ import json
 import sys
 from pathlib import Path
 
+from .domain import UnknownTypeError
 from .metrics import EventLog
 from .oracle import oracle_verify
 from .scenario import ConfigError, load_file
 from .simulation import run_scenario
+
+
+def _headline(doc: dict) -> str:
+    """The run line and convergence headline of a report dict."""
+    lines = [
+        f"run '{doc['name']}' seed={doc['seed']} duration={doc['duration']}",
+        "convergence headline:",
+    ]
+    samples = doc.get("samples")
+    if samples:
+        last = samples[-1]
+        lines.append(f"  overall consistency:  {last['overall_rate']:.6f}")
+        lines.append(f"  settled consistency:  {last['settled_rate']:.6f}")
+        lines.append(f"  in the loop (queue):  {last['queue_length']}")
+        lines.append(f"  max in-loop data age: {last['max_in_loop_age']}")
+    lines.append(f"  validate+fix attempts: {doc['attempts_total']}")
+    if doc.get("attempts_ratio") is not None:
+        lines.append(f"  attempts / N:          {doc['attempts_ratio']:.4f}")
+    sw = doc.get("switch")
+    if sw:
+        lines.append(
+            f"  switch: {sw['outcome']} window={sw['unavailability_window']}"
+            f" lost={sw['lost_updates']} residual={sw['post_switch_discrepancies']}"
+        )
+    return "\n".join(lines)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -22,8 +48,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     result = run_scenario(scenario, seed=args.seed, out_dir=args.out)
     report = result.report
-    print(f"run '{report.name}' seed={report.seed} duration={report.duration}")
-    print(report.headline())
+    print(_headline(report.as_dict()))
     if result.oracle_report is not None:
         print(result.oracle_report.to_text())
     if report.expect_failures:
@@ -57,7 +82,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     sibling = log_path.parent / "report.json"
     if sibling.exists():
         report_doc = json.loads(sibling.read_text(encoding="utf-8"))
-    oracle = oracle_verify(log, scenario, report_doc)
+    try:
+        oracle = oracle_verify(log, scenario, report_doc)
+    except UnknownTypeError as exc:
+        print(f"error: {log_path}: {exc}", file=sys.stderr)
+        return 2
     print(oracle.to_text())
     if report_doc is not None:
         # The report's digest covers the exact bytes of the exported log.
@@ -78,15 +107,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"error: no report.json under {run_dir}", file=sys.stderr)
         return 2
     doc = json.loads(report_path.read_text(encoding="utf-8"))
-    print(f"run '{doc['name']}' seed={doc['seed']} duration={doc['duration']}")
-    samples = doc.get("samples", [])
+    print(_headline(doc))
+    samples = doc.get("samples")
     if samples:
-        last = samples[-1]
-        print("convergence headline:")
-        print(f"  overall consistency:  {last['overall_rate']:.6f}")
-        print(f"  settled consistency:  {last['settled_rate']:.6f}")
-        print(f"  in the loop (queue):  {last['queue_length']}")
-        print(f"  max in-loop data age: {last['max_in_loop_age']}")
         print("samples:")
         print(f"  {'tick':>8} {'phase':>10} {'overall':>10} {'settled':>10} {'queue':>6} {'age':>5} {'ttc':>5}")
         for s in samples:
@@ -96,14 +119,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"{s['settled_rate']:>10.6f} {s['queue_length']:>6} "
                 f"{s['max_in_loop_age']:>5} {ttc:>5}"
             )
-    if doc.get("switch"):
-        sw = doc["switch"]
-        print(
-            f"switch: {sw['outcome']} window={sw['unavailability_window']} "
-            f"lost={sw['lost_updates']} residual={sw['post_switch_discrepancies']}"
-        )
-    if doc.get("attempts_ratio") is not None:
-        print(f"attempts: {doc['attempts_total']} (ratio {doc['attempts_ratio']:.4f})")
     print(f"ok: {doc.get('ok')}")
     return 0 if doc.get("ok") else 1
 

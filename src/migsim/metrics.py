@@ -96,6 +96,16 @@ def _frozen(value):
     return tuple(map(_frozen, value)) if type(value) is list else value
 
 
+def _typed(value, *types: type) -> tuple:
+    """`value` if it is an array of one item of each of `types`, in order.
+
+    Exact types: JSON `true` parses to a bool, which is not an int here.
+    """
+    if type(value) not in (list, tuple) or tuple(map(type, value)) != types:
+        raise TypeError(f"{value!r} is not an array of {', '.join(t.__name__ for t in types)}")
+    return value
+
+
 class _EntryView(Sequence):
     """Read-only view of a log's rows, each decoded into its entry dict when
     read.  For tests and debugging; the run reads rows."""
@@ -186,8 +196,10 @@ class EventLog:
         """Rows rebuilt through `append`, shaped as the run built them: a
         `Key` under "key", a `VersionStamp` under "ver", a `{Key:
         VersionStamp}` map under "prov" and tuples for other arrays.  Raises
-        ValueError on a line that is not a JSON entry of that shape or whose
-        "seq" is not its entry's position."""
+        ValueError on a line that is not a JSON entry of that shape, whose
+        "t" is not an int, "key" not two strings, "ver" not two ints, "prov"
+        rows not (str, str, int, int), "val" not an object, or whose "seq"
+        is not its entry's position."""
         log = EventLog()
         for line in lines:
             if not line.strip():
@@ -197,14 +209,20 @@ class EventLog:
             try:
                 found = entry.pop("seq")
                 t, kind, key = entry.pop("t"), entry.pop("k"), entry.pop("key", None)
+                if type(t) is not int:
+                    raise TypeError(f"t {t!r} is not an int")
                 data = {name: _frozen(value) for name, value in entry.items()}
                 if "ver" in data:
-                    data["ver"] = VersionStamp(*data["ver"])
+                    data["ver"] = VersionStamp(*_typed(data["ver"], int, int))
                 if "prov" in data:
                     data["prov"] = {
-                        Key(et, gid): VersionStamp(c, ct) for et, gid, c, ct in data["prov"]
+                        Key(et, gid): VersionStamp(c, ct)
+                        for et, gid, c, ct in (_typed(r, str, str, int, int) for r in data["prov"])
                     }
-                log.append(t, kind, None if key is None else Key(*key), **data)
+                if "val" in data and type(data["val"]) is not dict:
+                    raise TypeError(f"val {data['val']!r} is not an object")
+                key = None if key is None else Key(*_typed(key, str, str))
+                log.append(t, kind, key, **data)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"entry {seq} is malformed: {exc!r}") from exc
             if found != seq:
@@ -295,10 +313,6 @@ class SettlementTracker:
         # Open update slots per target key; a key is dropped once none is open.
         self._open_by_target: dict[Key, list[int]] = {}
         self._unsettled = 0
-        # (source key, counter) -> slot, extended on lookup to the first
-        # `_indexed` updates.
-        self._index: dict[tuple[Key, int], int] = {}
-        self._indexed = 0
 
     def on_commit(self, key: Key, stamp: VersionStamp) -> None:
         commit_time = stamp.commit_time
@@ -345,16 +359,6 @@ class SettlementTracker:
             self._open_by_target[record.key] = still_open
         else:
             del self._open_by_target[record.key]
-
-    def settlement_time(self, key: Key, stamp: VersionStamp) -> int | None:
-        """Ticks at which the update settled, or None if it never did."""
-        for idx in range(self._indexed, len(self._keys)):
-            self._index[(self._keys[idx], self._stamps[idx].counter)] = idx
-        self._indexed = len(self._keys)
-        idx = self._index.get((key, stamp.counter))
-        if idx is None:
-            raise KeyError(f"unknown update {key} v{stamp.counter}")
-        return self._settle_times[idx]
 
     def unsettled_count(self) -> int:
         return self._unsettled

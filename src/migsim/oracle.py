@@ -1,12 +1,14 @@
 """Brute-force recomputation of a run's claims from its event log alone.
 
-The oracle replays the log from scratch: final source and target states,
-per-update settlement times, window TTC at every sample, the queue length
-trajectory, lost updates at the flip, and dependency-order violations.  It
-shares only the definitional primitives with the online path: the schema's
-rules and key relations, `map_source`, freshness order and record compare.
-Every aggregate is derived independently and any disagreement with the run
-report is flagged.
+`LogReplay` reads the log's rows once, in log order, and keeps what every
+check needs: the commits, the final source and target states, the accepted
+migration puts per target key, the replayed queue length at each sample and
+the dependency-order violations.  From those the oracle recomputes the final
+diff, per-update settlement times, window TTC at every sample, and lost
+updates at the flip.  It shares only the definitional primitives with the
+online path: the schema's rules and key relations, `map_source`, freshness
+order and record compare.  Every aggregate is derived independently and any
+disagreement with the run report is flagged.
 """
 
 from __future__ import annotations
@@ -77,88 +79,65 @@ class OracleReport:
         return "\n".join(lines)
 
 
-def _source_record(row) -> SourceRecord:
-    """The source record a commit row wrote."""
-    if row.op == "delete":
-        return SourceRecord(row.key, {}, row.ver, True)
-    return SourceRecord(row.key, row.val, row.ver, False)
-
-
-def _target_record(row) -> TargetRecord:
-    """The target record an accepted put row wrote."""
-    return TargetRecord(row.key, row.val, row.prov, row.tomb)
-
-
-def _is_migration_put(row) -> bool:
-    """An accepted freshness-guarded put: native writes after a flip are not
-    migration writes."""
-    return row.kind == "put" and row.out == "accepted" and row.cls != "native"
-
-
-class _TargetView(Mapping):
-    """Read-only target state over the last accepted put row per key.
-
-    Each lookup wraps the row's own value and provenance maps in a fresh
-    `TargetRecord`, so records live only as long as the check that reads
-    them.
-    """
-
-    def __init__(self, last: dict[Key, tuple]):
-        self._last = last
-
-    def __getitem__(self, key: Key) -> TargetRecord:
-        return _target_record(self._last[key])
-
-    def get(self, key: Key, default=None):
-        row = self._last.get(key)
-        return default if row is None else _target_record(row)
-
-    def __iter__(self):
-        return iter(self._last)
-
-    def __len__(self) -> int:
-        return len(self._last)
-
-    def keys(self):
-        return self._last.keys()
-
-
 class LogReplay:
-    """Order-preserving index into an event log's rows.
+    """The oracle's one pass over an event log's rows, in log order.
 
-    Commits and migration puts stay the log's own rows and are decoded only
-    where a check reads them.
+    It keeps the commit rows; the accepted migration puts per target key
+    (native writes after a flip are not migration writes); `source`, the
+    last commit per key decoded into a `SourceRecord`; `target`, the last
+    migration put row per key; `queue_lengths`, a (time, sampled, replayed)
+    queue length per sample row; and `ordering_violations`, each live child
+    put whose parent target key no earlier migration put wrote, judged
+    against the source as committed by then.  After a flip the run commits
+    nothing and writes targets only natively, so the end state is the state
+    at the flip.
     """
 
-    def __init__(self, log: EventLog):
-        self.rows = log.rows
+    def __init__(self, log: EventLog, schema: Schema):
         self.commits: list[tuple] = []
-        self.migration_puts: list[tuple] = []
+        self.puts: dict[Key, list[tuple]] = {}
+        self.source: dict[Key, SourceRecord] = {}
+        self.target: dict[Key, tuple] = {}
+        self.queue_lengths: list[tuple[int, int, int]] = []
+        self.ordering_violations: list[dict] = []
         self.flip_time: int | None = None
-        for row in self.rows:
+        qlen = 0
+        for row in log.rows:
             kind = row.kind
             if kind == "commit":
                 self.commits.append(row)
-            elif _is_migration_put(row):
-                self.migration_puts.append(row)
+                tomb = row.op == "delete"
+                self.source[row.key] = SourceRecord(
+                    row.key, {} if tomb else row.val, row.ver, tomb
+                )
+            elif kind == "put":
+                if row.out == "accepted" and row.cls != "native":
+                    if not row.tomb:
+                        self._check_parents(row, schema)
+                    self.target[row.key] = row
+                    self.puts.setdefault(row.key, []).append(row)
+            elif kind == "enqueue":
+                qlen += 1
+            elif kind == "dequeue" or kind == "dead_letter":
+                qlen -= 1
+            elif kind == "sample":
+                self.queue_lengths.append((row.t, row.qlen, qlen))
             elif kind == "ramp" and row.act == "flip":
                 self.flip_time = row.t
 
-    def source_state(self, before: int | None = None) -> dict[Key, SourceRecord]:
-        """The last commit per key before `before`, decoded."""
-        last: dict[Key, tuple] = {}
-        for row in self.commits:
-            if before is None or row.t < before:
-                last[row.key] = row
-        return {key: _source_record(row) for key, row in last.items()}
-
-    def target_state(self, before: int | None = None) -> Mapping[Key, TargetRecord]:
-        """The last accepted migration put per key before `before`."""
-        last: dict[Key, tuple] = {}
-        for row in self.migration_puts:
-            if before is None or row.t < before:
-                last[row.key] = row
-        return _TargetView(last)
+    def _check_parents(self, row, schema: Schema) -> None:
+        tkey = row.key
+        source = self.source
+        inputs = {
+            k: rec
+            for k in schema.rule_for_target(tkey.etype).input_keys(tkey.id)
+            if (rec := source.get(k)) is not None
+        }
+        for pkey in schema.parent_target_keys(inputs):
+            if pkey not in self.target:
+                self.ordering_violations.append(
+                    {"t": row.t, "child": list(tkey), "missing_parent": list(pkey)}
+                )
 
 
 def _first_covering_put(puts: list[tuple], skey: Key, stamp: VersionStamp) -> int | None:
@@ -171,29 +150,24 @@ def _first_covering_put(puts: list[tuple], skey: Key, stamp: VersionStamp) -> in
     return None
 
 
-def settlement_times(
-    replay: LogReplay, schema: Schema
-) -> dict[tuple[str, str, int], int | None]:
-    """Per-update settlement, recomputed by scanning accepted puts.
+def settlement_times(replay: LogReplay, schema: Schema) -> list[int | None]:
+    """Per-update settlement in commit order, recomputed by scanning puts.
 
     An update settles when every affected target key first holds provenance
     for that source key at least as fresh as the update; an update with no
     affected targets settles at its own commit.
     """
-    puts_by_target: dict[Key, list[tuple]] = {}
-    for row in replay.migration_puts:
-        puts_by_target.setdefault(row.key, []).append(row)
-    out: dict[tuple[str, str, int], int | None] = {}
+    out: list[int | None] = []
     for row in replay.commits:
         skey, stamp = row.key, row.ver
         worst: int | None = stamp.commit_time
         for tkey in schema.affected_targets(skey):
-            found = _first_covering_put(puts_by_target.get(tkey, ()), skey, stamp)
+            found = _first_covering_put(replay.puts.get(tkey, ()), skey, stamp)
             if found is None:
                 worst = None
                 break
             worst = max(worst, found)
-        out[(skey.etype, skey.id, stamp.counter)] = worst
+        out.append(worst)
     return out
 
 
@@ -244,84 +218,39 @@ def window_ttc_bruteforce(
     return window_ttc_per_tick(*settlement_prefix(pairs), t0, t1)
 
 
-def ordering_violations(replay: LogReplay, schema: Schema) -> list[dict]:
-    """Live child target writes whose parent target record did not exist yet.
-
-    One pass over the rows in log order: each commit updates the source
-    state, each migration put is judged against the targets written before
-    it.
-    """
-    violations: list[dict] = []
-    source: dict[Key, SourceRecord] = {}
-    target_present: set[Key] = set()
-    for row in replay.rows:
-        if row.kind == "commit":
-            source[row.key] = _source_record(row)
-            continue
-        if not _is_migration_put(row):
-            continue
-        tkey = row.key
-        if not row.tomb:
-            rule = schema.rule_for_target(tkey.etype)
-            inputs = {
-                k: rec
-                for k in rule.input_keys(tkey.id)
-                if (rec := source.get(k)) is not None
-            }
-            for pkey in schema.parent_target_keys(inputs):
-                if pkey not in target_present:
-                    violations.append(
-                        {"t": row.t, "child": list(tkey), "missing_parent": list(pkey)}
-                    )
-        target_present.add(tkey)
-    return violations
-
-
 def final_diff(
     schema: Schema,
-    source_state: Mapping[Key, SourceRecord],
-    target_state: Mapping[Key, TargetRecord],
+    source: Mapping[Key, SourceRecord],
+    target: Mapping[Key, tuple],
 ) -> tuple[dict[str, int], int]:
-    """Classify every expected key; count live target-only extras separately.
+    """Classify every expected key against the last put row per target key;
+    count live target-only extras separately.
 
     A group's expected records are its rule applied to its present sources,
     without the schema's fault.  Groups are walked in no particular order:
     the counts do not depend on it.
     """
     gids: dict[str, set[str]] = {rule.name: set() for rule in schema.rules}
-    for skey in source_state:
+    for skey in source:
         for rule in schema.rules_for_source(skey.etype):
             gids[rule.name].add(skey.id)
     counts: dict[str, int] = {}
     expected_keys: set[Key] = set()
-    read = source_state.get
+    read = source.get
     for rule in schema.rules:
         for gid in gids[rule.name]:
             # Through the module, so that bench/tracing.py, which wraps
             # `domain.map_source`, counts these calls too.
             for exp in domain.map_source(rule, read_group(rule, gid, read)):
                 expected_keys.add(exp.key)
-                verdict = compare_records(exp, target_state.get(exp.key)).value
+                row = target.get(exp.key)
+                actual = None if row is None else TargetRecord(
+                    row.key, row.val, row.prov, row.tomb
+                )
+                verdict = compare_records(exp, actual).value
                 counts[verdict] = counts.get(verdict, 0) + 1
-    extras = sum(
-        1 for tkey in target_state.keys() - expected_keys if not target_state[tkey].tombstone
-    )
+    extras = sum(1 for tkey in target.keys() - expected_keys if not target[tkey].tomb)
     return counts, extras
-
-
-def queue_lengths_at_samples(replay: LogReplay) -> list[tuple[int, int, int]]:
-    """(sample time, sampled length, replayed length) per sample row."""
-    out = []
-    length = 0
-    for row in replay.rows:
-        kind = row.kind
-        if kind == "enqueue":
-            length += 1
-        elif kind == "dequeue" or kind == "dead_letter":
-            length -= 1
-        elif kind == "sample":
-            out.append((row.t, row.qlen, length))
-    return out
 
 
 def oracle_verify(
@@ -329,13 +258,10 @@ def oracle_verify(
 ) -> OracleReport:
     """Recompute everything checkable from the log; flag report disagreements."""
     schema = scenario.build_schema()
-    replay = LogReplay(log)
+    replay = LogReplay(log, schema)
     result = OracleReport()
 
-    cutoff = replay.flip_time
-    source_state = replay.source_state(before=cutoff)
-    target_state = replay.target_state(before=cutoff)
-    counts, extras = final_diff(schema, source_state, target_state)
+    counts, extras = final_diff(schema, replay.source, replay.target)
     result.final_counts = dict(counts)
     if extras:
         result.final_counts["live_extras"] = extras
@@ -348,15 +274,12 @@ def oracle_verify(
     result.add("no live unexpected extras", extras == 0, f"extras={extras}")
 
     settles = settlement_times(replay, schema)
-    commit_pairs = []
-    for row in replay.commits:
-        etype, sid = row.key
-        counter, commit_time = row.ver
-        commit_pairs.append((commit_time, settles[(etype, sid, counter)]))
 
     # Sampled window TTC, recomputed per tick.
     if report is not None:
-        commits, prefix = settlement_prefix(commit_pairs)
+        commits, prefix = settlement_prefix(
+            zip([row.ver.commit_time for row in replay.commits], settles)
+        )
         mismatches = []
         for sample in report.get("samples", []):
             got = window_ttc_per_tick(
@@ -374,8 +297,7 @@ def oracle_verify(
         )
 
     # Queue length trajectory vs sampled gauge.
-    qlen_rows = queue_lengths_at_samples(replay)
-    qlen_bad = [(t, sampled, replayed) for t, sampled, replayed in qlen_rows if sampled != replayed]
+    qlen_bad = [q for q in replay.queue_lengths if q[1] != q[2]]
     result.add(
         "queue length matches log replay",
         not qlen_bad,
@@ -383,12 +305,12 @@ def oracle_verify(
     )
 
     # Dependency ordering over the whole trace.
-    violations = ordering_violations(replay, schema)
+    violations = replay.ordering_violations
     result.ordering_violations = violations
     result.add("dependency order respected", not violations, f"{len(violations)} violations")
 
     if replay.flip_time is not None:
-        lost = sum(1 for s in settles.values() if s is None or s > replay.flip_time)
+        lost = sum(1 for s in settles if s is None or s > replay.flip_time)
         result.lost_updates = lost
         if report is not None and report.get("switch"):
             claimed = report["switch"]["lost_updates"]

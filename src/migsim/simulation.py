@@ -71,26 +71,6 @@ class RunReport:
     def as_dict(self) -> dict:
         return {**asdict(self), "ok": self.ok}
 
-    def headline(self) -> str:
-        last = self.samples[-1] if self.samples else None
-        lines = ["convergence headline:"]
-        if last is not None:
-            lines.append(f"  overall consistency:  {last.overall_rate:.6f}")
-            lines.append(f"  settled consistency:  {last.settled_rate:.6f}")
-            lines.append(f"  in the loop (queue):  {last.queue_length}")
-            lines.append(f"  max in-loop data age: {last.max_in_loop_age}")
-        lines.append(f"  validate+fix attempts: {self.attempts_total}")
-        if self.attempts_ratio is not None:
-            lines.append(f"  attempts / N:          {self.attempts_ratio:.4f}")
-        if self.switch:
-            lines.append(
-                f"  switch: {self.switch['outcome']}"
-                f" window={self.switch['unavailability_window']}"
-                f" lost={self.switch['lost_updates']}"
-                f" residual={self.switch['post_switch_discrepancies']}"
-            )
-        return "\n".join(lines)
-
 
 @dataclass
 class SimResult:

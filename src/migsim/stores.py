@@ -1,10 +1,10 @@
 """In-process legacy store with change stream, and target store with faults.
 
 The legacy store is the reference: always available, one sequence number
-per commit, full per-key history so snapshots can be cut at any past tick.  The
-target store injects unavailability from a seeded fault profile and guards
-every write with a freshness check, which is what lets repair and dual
-writes race without transactions.
+per commit, and the current version of every key, which a snapshot copies.
+The target store injects unavailability from a seeded fault profile and
+guards every write with a freshness check, which is what lets repair and
+dual writes race without transactions.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Annotated, Callable, Mapping, NamedTuple
 import numpy as np
 
 from .domain import (
+    InvariantError,
     Key,
     SourceRecord,
     StoreUnavailable,
@@ -77,7 +78,7 @@ class FaultProfile:
 
 
 class Snapshot:
-    """Immutable copy of the legacy store as of a past tick."""
+    """Immutable copy of the legacy store as of the tick it was taken."""
 
     def __init__(self, taken_at: int, records: Mapping[Key, SourceRecord]):
         self.taken_at = taken_at
@@ -91,15 +92,12 @@ class Snapshot:
 
 
 class LegacyStore:
-    """Source of truth.  Always available; every version is kept."""
+    """Source of truth.  Always available; keeps each key's current version."""
 
     def __init__(self, clock: Clock):
         self.clock = clock
         self.records: dict[Key, SourceRecord] = {}
         self._seq = 0  # sequence number of the latest commit
-        # Superseded versions per key, oldest first; the current version
-        # is `records[key]`.
-        self._history: dict[Key, list[SourceRecord]] = {}
 
     def commit(self, key: Key, value: Mapping[str, str] | None) -> ChangeEvent:
         """Store a new version (value=None deletes) and return its change event.
@@ -116,8 +114,6 @@ class LegacyStore:
         else:
             rec = SourceRecord(key, dict(value), stamp, False)
             op = "write"
-        if prev is not None:
-            self._history.setdefault(key, []).append(prev)
         self.records[key] = rec
         self._seq += 1
         return ChangeEvent(self._seq, key, stamp, op)
@@ -126,20 +122,15 @@ class LegacyStore:
         return self.records.get(key)
 
     def take_snapshot(self, now: int) -> Snapshot:
-        """Frozen copy of everything committed at or before `now`."""
-        records: dict[Key, SourceRecord] = {}
-        history = self._history
-        for key, rec in self.records.items():
-            if rec.version.commit_time > now:
-                # Versions are committed in time order: walk back to the
-                # newest one committed by `now`, if any.
-                for rec in reversed(history.get(key, ())):
-                    if rec.version.commit_time <= now:
-                        break
-                else:
-                    continue
-            records[key] = rec
-        return Snapshot(now, records)
+        """Frozen copy of the current versions, taken at `now`.
+
+        Superseded versions are not kept, so `now` must not be earlier than
+        the newest commit.
+        """
+        snap = Snapshot(now, self.records)
+        if snap.last_update_time > now:
+            raise InvariantError(f"snapshot at {now} after a commit at {snap.last_update_time}")
+        return snap
 
 
 class TargetStore:

@@ -267,18 +267,10 @@ def test_c09_metric_oracle_equivalence():
     """Online settlement, TTC, and queue gauges match log recomputation."""
     result = run_scenario(load_file(scenario_path("small")))
     assert len(result.log) <= 10_000
-    replay = LogReplay(result.log)
+    replay = LogReplay(result.log, result.schema)
     oracle_settles = settlement_times(replay, result.schema)
-    for row in replay.commits:
-        key, stamp = row.key, row.ver
-        assert oracle_settles[(key.etype, key.id, stamp.counter)] == (
-            result.settlement.settlement_time(key, stamp)
-        ), f"settlement mismatch for {key} v{stamp.counter}"
-
-    pairs = [
-        (row.ver.commit_time, oracle_settles[(*row.key, row.ver.counter)])
-        for row in replay.commits
-    ]
+    pairs = list(zip([row.ver.commit_time for row in replay.commits], oracle_settles))
+    assert pairs == result.settlement.updates_as_pairs()
     for sample in result.report.samples:
         brute = window_ttc_bruteforce(pairs, sample.at - 300, sample.at)
         assert brute == sample.window_ttc, f"TTC mismatch at t={sample.at}"

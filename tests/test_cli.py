@@ -118,6 +118,19 @@ class TestVerify:
             '{"seq":4,"k":"sample"}',
             '{"cls":"dual","k":"put","key":["project_v2","1"],"out":"accepted",'
             '"prov":[["project","1",1]],"seq":4,"t":0,"tomb":false,"val":{}}',
+            # Type-wrong values: each once crashed the oracle or passed it.
+            '{"cls":"dual","k":"put","key":["project_v2","4"],"out":"accepted",'
+            '"prov":[["project","4","x",0]],"seq":4,"t":0,"tomb":false,"val":{}}',
+            '{"cseq":4,"k":"commit","key":["project","4"],"op":"write","seq":4,'
+            '"t":"x","val":{"note":"n"},"ver":[1,0]}',
+            '{"cseq":4,"k":"commit","key":["project","4"],"op":"write","seq":4,'
+            '"t":true,"val":{"note":"n"},"ver":[1,0]}',
+            '{"cls":"dual","k":"put","key":["nope_v2","4"],"out":"accepted",'
+            '"prov":[["project","4",1,0]],"seq":4,"t":0,"tomb":false,"val":{}}',
+            '{"cseq":4,"k":"commit","key":["project","4"],"op":"write","seq":4,'
+            '"t":0,"val":[1],"ver":[1,0]}',
+            '{"cseq":4,"k":"commit","key":["project","4"],"op":"write","seq":4,'
+            '"t":0,"val":{"note":"n"},"ver":["x",0]}',
         ],
     )
     def test_verify_unreadable_log_is_usage_error(self, run_dir, tmp_path, capsys, broken):
@@ -139,6 +152,17 @@ class TestReport:
         out = capsys.readouterr().out
         assert "samples:" in out
         assert "switch: switched" in out
+
+    def test_report_headline_is_the_run_headline(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", str(scenario_path("ramp_pair_drained")), "--out", str(out)]) == 0
+        run_lines = capsys.readouterr().out.splitlines()
+        assert main(["report", str(out)]) == 0
+        report_lines = capsys.readouterr().out.splitlines()
+        end = report_lines.index("samples:")
+        assert report_lines[:end] == run_lines[:end]
+        assert run_lines[end].startswith("oracle: ")
+        assert report_lines[end - 1].startswith("  switch: switched window=")
 
     def test_report_missing_dir_is_usage_error(self, tmp_path):
         assert main(["report", str(tmp_path / "ghost")]) == 2

@@ -54,7 +54,7 @@ class TestSettlementTracker:
         key = Key("p", "1")
         tracker.on_commit(key, VersionStamp(1, 10))
         tracker.on_accepted_put(put(key, 1, 12), 12)
-        assert tracker.settlement_time(key, VersionStamp(1, 10)) == 12
+        assert tracker.updates_as_pairs() == [(10, 12)]
 
     def test_superseding_write_settles_older_update(self):
         # A fresher write counts for earlier updates too.
@@ -63,14 +63,13 @@ class TestSettlementTracker:
         tracker.on_commit(key, VersionStamp(1, 10))
         tracker.on_commit(key, VersionStamp(2, 15))
         tracker.on_accepted_put(put(key, 2, 20), 20)
-        assert tracker.settlement_time(key, VersionStamp(1, 10)) == 20
-        assert tracker.settlement_time(key, VersionStamp(2, 15)) == 20
+        assert tracker.updates_as_pairs() == [(10, 20), (15, 20)]
 
     def test_never_replicated_is_not_settled(self):
         tracker = SettlementTracker(affected)
         key = Key("p", "1")
         tracker.on_commit(key, VersionStamp(1, 10))
-        assert tracker.settlement_time(key, VersionStamp(1, 10)) is None
+        assert tracker.updates_as_pairs() == [(10, None)]
         assert tracker.unsettled_count() == 1
 
     def test_stale_put_does_not_settle_newer_update(self):
@@ -78,7 +77,7 @@ class TestSettlementTracker:
         key = Key("p", "1")
         tracker.on_commit(key, VersionStamp(2, 15))
         tracker.on_accepted_put(put(key, 1, 20), 20)
-        assert tracker.settlement_time(key, VersionStamp(2, 15)) is None
+        assert tracker.updates_as_pairs() == [(15, None)]
 
     def test_multi_target_update_settles_on_last_key(self):
         def fan_out(skey: Key) -> tuple[Key, ...]:
@@ -89,9 +88,9 @@ class TestSettlementTracker:
         tracker.on_commit(key, VersionStamp(1, 10))
         prov = {key: VersionStamp(1, 10)}
         tracker.on_accepted_put(TargetRecord(Key("a_v2", "1"), {}, prov, False), 11)
-        assert tracker.settlement_time(key, VersionStamp(1, 10)) is None
+        assert tracker.updates_as_pairs() == [(10, None)]
         tracker.on_accepted_put(TargetRecord(Key("b_v2", "1"), {}, prov, False), 14)
-        assert tracker.settlement_time(key, VersionStamp(1, 10)) == 14
+        assert tracker.updates_as_pairs() == [(10, 14)]
 
     def test_out_of_order_commit_raises(self):
         tracker = SettlementTracker(affected)
@@ -186,7 +185,6 @@ class TestSettlementTrackerAgainstReference:
             return settle
 
         expected = [reference(*c) for c in commits]
-        assert [tracker.settlement_time(k, s) for k, s, _ in commits] == expected
         assert tracker.updates_as_pairs() == [
             (s.commit_time, e) for (_, s, _), e in zip(commits, expected)
         ]

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from migsim.domain import Key, SourceRecord, TargetRecord, VersionStamp
@@ -10,8 +8,6 @@ from migsim.oracle import (
     LogReplay,
     final_diff,
     oracle_verify,
-    ordering_violations,
-    queue_lengths_at_samples,
     settlement_times,
     window_ttc_bruteforce,
 )
@@ -73,11 +69,8 @@ class TestHandBuiltCases:
             put_entry(16, "project_v2", "2", [["project", "2", 1, 11]]),
             commit_entry(20, "project", "3", 1),  # never replicated
         ]
-        replay = LogReplay(build_log(entries))
-        settles = settlement_times(replay, schema)
-        assert settles[("project", "1", 1)] == 12
-        assert settles[("project", "2", 1)] == 16
-        assert settles[("project", "3", 1)] is None
+        settles = settlement_times(LogReplay(build_log(entries), schema), schema)
+        assert settles == [12, 16, None]
 
     def test_superseding_write_settles_earlier_update(self):
         schema = build_figure3_schema()
@@ -86,9 +79,7 @@ class TestHandBuiltCases:
             commit_entry(15, "project", "1", 2),
             put_entry(20, "project_v2", "1", [["project", "1", 2, 15]]),
         ]
-        settles = settlement_times(LogReplay(build_log(entries)), schema)
-        assert settles[("project", "1", 1)] == 20
-        assert settles[("project", "1", 2)] == 20
+        assert settlement_times(LogReplay(build_log(entries), schema), schema) == [20, 20]
 
     def test_ordering_violation_detected(self):
         schema = build_figure3_schema()
@@ -101,7 +92,7 @@ class TestHandBuiltCases:
             put_entry(2, "stage_v2", "1", [["stage", "1", 1, 1]],
                       val={"n": "s", "parent_project": "1"}),
         ]
-        violations = ordering_violations(LogReplay(build_log(entries)), schema)
+        violations = LogReplay(build_log(entries), schema).ordering_violations
         assert len(violations) == 1
         assert violations[0]["missing_parent"] == ["project_v2", "1"]
 
@@ -111,7 +102,7 @@ class TestHandBuiltCases:
             commit_entry(0, "stage", "1", 1, op="delete"),
             put_entry(1, "stage_v2", "1", [["stage", "1", 1, 0]], tomb=True),
         ]
-        assert ordering_violations(LogReplay(build_log(entries)), schema) == []
+        assert LogReplay(build_log(entries), schema).ordering_violations == []
 
     def test_final_diff_sees_resurrection(self):
         schema = build_figure3_schema()
@@ -121,8 +112,8 @@ class TestHandBuiltCases:
             commit_entry(2, "project", "1", 2, op="delete"),
             # delete never replicated; target stays live
         ]
-        replay = LogReplay(build_log(entries))
-        counts, extras = final_diff(schema, replay.source_state(), replay.target_state())
+        replay = LogReplay(build_log(entries), schema)
+        counts, extras = final_diff(schema, replay.source, replay.target)
         assert counts["resurrection"] == 1
         assert extras == 0
 
@@ -136,8 +127,8 @@ class TestHandBuiltCases:
             put_entry(1, "project_v2", "8", [["project", "8", 1, 0]]),
             put_entry(1, "project_v2", "9", [["project", "9", 1, 0]], tomb=True),
         ]
-        replay = LogReplay(build_log(entries))
-        counts, extras = final_diff(schema, replay.source_state(), replay.target_state())
+        replay = LogReplay(build_log(entries), schema)
+        counts, extras = final_diff(schema, replay.source, replay.target)
         assert counts == {"consistent": 1}
         assert extras == 2
 
@@ -146,8 +137,8 @@ class TestHandBuiltCases:
             (0, "enqueue", Key("project_v2", "1"), {"trig": "nearline", "sut": 0}),
             (1, "sample", None, {"qlen": 0}),  # wrong: should be 1
         ]
-        rows = queue_lengths_at_samples(LogReplay(build_log(entries)))
-        assert rows == [(1, 0, 1)]
+        replay = LogReplay(build_log(entries), build_figure3_schema())
+        assert replay.queue_lengths == [(1, 0, 1)]
 
 
 class TestAgainstRuns:
@@ -159,13 +150,11 @@ class TestAgainstRuns:
     def test_settlements_match_online_tracker_exactly(self):
         result = run_scenario(load_file(scenario_path("small")))
         assert len(result.log) <= 10_000
-        schema = result.schema
-        replay = LogReplay(result.log)
-        oracle_settles = settlement_times(replay, schema)
-        for row in replay.commits:
-            key_tuple = (*row.key, row.ver.counter)
-            online = result.settlement.settlement_time(row.key, row.ver)
-            assert oracle_settles[key_tuple] == online
+        replay = LogReplay(result.log, result.schema)
+        oracle_settles = settlement_times(replay, result.schema)
+        commit_times = [row.ver.commit_time for row in replay.commits]
+        online = result.settlement.updates_as_pairs()
+        assert list(zip(commit_times, oracle_settles)) == online
 
     def test_tampered_report_is_flagged(self):
         scenario = load_file(scenario_path("small"))
@@ -179,56 +168,53 @@ class TestAgainstRuns:
 
 @pytest.fixture(scope="module", params=["small", "reshape", "mapping_bug"])
 def run_log(request):
-    scenario = load_file(scenario_path(request.param))
-    result = run_scenario(scenario)
-    return scenario, result.schema, result.log
+    result = run_scenario(load_file(scenario_path(request.param)))
+    return result.schema, result.log
 
 
-def _cutoffs(scenario):
-    return [0, 1, *range(7, scenario.duration + 2, 29), None]
+class TestOnePassReplay:
+    """The one pass keeps what a fold over the decoded entries gives."""
 
-
-class TestOnDemandReplay:
-    """The on-demand decodes answer what a full decode of the log does."""
-
-    def test_source_state_is_a_fold_over_every_commit(self, run_log):
-        scenario, _schema, log = run_log
-        replay = LogReplay(log)
-        for before in _cutoffs(scenario):
-            folded = {}
-            for entry in log.entries:
-                if entry["k"] != "commit" or (before is not None and entry["t"] >= before):
-                    continue
+    def test_source_is_the_last_commit_per_key(self, run_log):
+        schema, log = run_log
+        folded = {}
+        for entry in log.entries:
+            if entry["k"] == "commit":
                 key = Key(*entry["key"])
-                stamp = VersionStamp(*entry["ver"])
                 tomb = entry["op"] == "delete"
-                folded[key] = SourceRecord(key, {} if tomb else entry["val"], stamp, tomb)
-            assert list(replay.source_state(before).items()) == list(folded.items())
+                folded[key] = SourceRecord(
+                    key, {} if tomb else entry["val"], VersionStamp(*entry["ver"]), tomb
+                )
+        replay = LogReplay(log, schema)
+        assert list(replay.source.items()) == list(folded.items())
+        assert replay.commits == [row for row in log.rows if row.kind == "commit"]
 
-    def test_final_diff_over_view_equals_fully_decoded_dict(self, run_log):
-        scenario, schema, log = run_log
-        replay = LogReplay(log)
-        for before in _cutoffs(scenario):
-            decoded = {}
-            for entry in log.entries:
-                if before is not None and entry["t"] >= before:
-                    continue
-                if entry["k"] == "put" and entry["out"] == "accepted" and entry["cls"] != "native":
-                    key = Key(*entry["key"])
-                    decoded[key] = TargetRecord(
-                        key, entry["val"], _provenance(entry["prov"]), entry["tomb"]
-                    )
-            view = replay.target_state(before)
-            assert len(view) == len(decoded)
-            assert list(view) == list(decoded)
-            assert all(view[key] == rec and view.get(key) == rec for key, rec in decoded.items())
-            assert view.get(Key("no_such_type", "0")) is None
-            sources = replay.source_state(before)
-            assert final_diff(schema, sources, view) == final_diff(schema, sources, decoded)
+    def test_target_is_the_last_accepted_migration_put_per_key(self, run_log):
+        schema, log = run_log
+        decoded, puts = {}, {}
+        for row, entry in zip(log.rows, log.entries):
+            if entry["k"] == "put" and entry["out"] == "accepted" and entry["cls"] != "native":
+                key = Key(*entry["key"])
+                decoded[key] = TargetRecord(
+                    key, entry["val"], _provenance(entry["prov"]), entry["tomb"]
+                )
+                puts.setdefault(key, []).append(row)
+        replay = LogReplay(log, schema)
+        assert list(replay.target) == list(decoded)
+        for key, row in replay.target.items():
+            assert TargetRecord(row.key, row.val, row.prov, row.tomb) == decoded[key]
+        assert replay.puts == puts
 
-    def test_target_view_is_read_only(self, run_log):
-        _scenario, _schema, log = run_log
-        view = LogReplay(log).target_state()
-        key = next(iter(view))
-        with pytest.raises(TypeError):
-            view[key] = TargetRecord(key, {}, {}, True)
+    def test_queue_lengths_fold_the_queue_entries(self, run_log):
+        schema, log = run_log
+        expected, length = [], 0
+        for entry in log.entries:
+            if entry["k"] == "enqueue":
+                length += 1
+            elif entry["k"] in ("dequeue", "dead_letter"):
+                length -= 1
+            elif entry["k"] == "sample":
+                expected.append((entry["t"], entry["qlen"], length))
+        replay = LogReplay(log, schema)
+        assert len(expected) > 10
+        assert replay.queue_lengths == expected

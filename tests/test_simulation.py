@@ -229,9 +229,16 @@ class TestTrackerAgainstFullScan:
             return lost, discrepancies
 
         monkeypatch.setattr(_SimState, "flip_measurements", checked)
-        run_scenario(load_file(path), seed=1)
+        rows = run_scenario(load_file(path), seed=1).log.rows
         assert len(flips) == 1
         assert flips[0][0] == flips[0][1]
+        # The oracle takes the end state for the state at the flip: from the
+        # flip row on, the run commits nothing and writes targets only
+        # natively.
+        flip = next(i for i, row in enumerate(rows) if row.kind == "ramp" and row.act == "flip")
+        puts = [row for row in rows[flip:] if row.kind == "put" and row.out == "accepted"]
+        assert puts and all(row.cls == "native" for row in puts)
+        assert not any(row.kind == "commit" for row in rows[flip:])
 
     @pytest.mark.parametrize(
         "path",

@@ -5,12 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from migsim.domain import Key, SourceRecord, TargetRecord, VersionStamp
+from migsim.domain import InvariantError, Key, SourceRecord, TargetRecord, VersionStamp
 from migsim.metrics import EventLog
-from migsim.oracle import LogReplay
 from migsim.rng import named_stream
-from migsim.scenario import load_file
-from migsim.simulation import run_scenario
 from migsim.stores import (
     ChangeStream,
     Clock,
@@ -20,8 +17,6 @@ from migsim.stores import (
     StoreUnavailable,
     TargetStore,
 )
-
-from conftest import scenario_path
 
 
 def make_target(availability: float = 1.0, outages=(), seed: int = 3, clock=None) -> TargetStore:
@@ -74,16 +69,6 @@ class TestSnapshot:
         assert len(snap) == 0
         assert snap.last_update_time == -1
 
-    def test_snapshot_at_past_time_excludes_later_commits(self):
-        clock = Clock(5)
-        store = LegacyStore(clock)
-        store.commit(Key("p", "1"), {"n": "early"})
-        clock.now = 9
-        store.commit(Key("p", "1"), {"n": "late"})
-        snap = store.take_snapshot(7)
-        assert snap.records[Key("p", "1")].value == {"n": "early"}
-        assert snap.last_update_time == 5
-
     def test_snapshot_immutable_across_later_commits(self):
         clock = Clock(0)
         store = LegacyStore(clock)
@@ -95,38 +80,29 @@ class TestSnapshot:
         key = Key("p", "1")
         assert snap.records == {key: SourceRecord(key, {"n": "a"}, VersionStamp(1, 0), False)}
 
-    def test_snapshot_at_every_tick_is_the_last_version_by_then(self):
-        result = run_scenario(load_file(scenario_path("small")))
-        commits = [e for e in result.log.entries if e["k"] == "commit"]
-        for t in range(result.report.duration + 1):
-            want = {}
-            for entry in commits:
-                if entry["ver"].commit_time <= t:
-                    tomb = entry["op"] == "delete"
-                    want[entry["key"]] = SourceRecord(
-                        entry["key"], {} if tomb else entry["val"], entry["ver"], tomb
-                    )
-            snap = result.legacy.take_snapshot(t)
-            assert list(snap.records.items()) == list(want.items()), f"t={t}"
+    def test_snapshot_before_the_newest_commit_is_refused(self):
+        clock = Clock(5)
+        store = LegacyStore(clock)
+        store.commit(Key("p", "1"), {"n": "a"})
+        with pytest.raises(InvariantError):
+            store.take_snapshot(4)
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.booleans()), max_size=30))
     def test_snapshot_of_random_history(self, steps):
         # Each step advances the clock by 0-3 ticks and writes or deletes
-        # one of three keys.
+        # one of three keys; a snapshot taken then holds the newest version
+        # of each key committed so far.
         clock = Clock(0)
         store = LegacyStore(clock)
-        versions = []
+        want = {}
         for advance, gid, delete in steps:
             clock.now += advance
             key = Key("p", str(gid))
             store.commit(key, None if delete else {"n": str(clock.now)})
-            versions.append(store.read(key))
-        for t in range(clock.now + 2):
-            want = {}
-            for version in versions:
-                if version.version.commit_time <= t:
-                    want[version.key] = version
-            assert list(store.take_snapshot(t).records.items()) == list(want.items())
+            want[key] = store.read(key)
+            snap = store.take_snapshot(clock.now)
+            assert list(snap.records.items()) == list(want.items())
+            assert snap.last_update_time == clock.now
 
 
 class TestTargetStore:
@@ -193,7 +169,11 @@ class TestTargetStore:
                     store.put_if_fresher(rec(str(i % 7), counter, t=i))
                 except StoreUnavailable:
                     pass
-        assert dict(LogReplay(store.event_log).target_state()) == store.records
+        folded = {}
+        for row in store.event_log.rows:
+            if row.out == "accepted":
+                folded[row.key] = TargetRecord(row.key, row.val, row.prov, row.tomb)
+        assert folded == store.records
 
     def test_bootstrap_default_loses_to_fresher_tombstone(self):
         # A stale snapshot load must not resurrect a deleted record.

@@ -1,0 +1,46 @@
+"""The benchmark tracer still finds every hook point it patches.
+
+`bench/tracing.py` wraps functions by name where their callers look them
+up: `oracle.compare_records`, `simulation.oracle_verify` and the re-exports
+marked `# noqa: F401`.  A simplification that drops one of those names
+breaks the traced benchmark run; this test breaks first.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import time
+from pathlib import Path
+
+from migsim import oracle, simulation
+from migsim.scenario import load_file
+
+from conftest import scenario_path
+
+TRACING_FILE = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_small_run_counts_the_hot_primitives(tmp_path):
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        start = time.perf_counter()
+        result = simulation.run_scenario(load_file(scenario_path("small")), out_dir=tmp_path)
+        run_s = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    assert simulation.oracle_verify is oracle.oracle_verify
+    assert result.report.ok
+    layers = tracer.layer_metrics(
+        result, run_s, (tmp_path / "eventlog.jsonl").stat().st_size
+    )
+    assert layers["domain.map_source_calls"] > 0
+    assert layers["domain.compare_records_calls"] > 0
+    assert layers["oracle.s"] > 0
