@@ -4,59 +4,15 @@ A legacy store stays the source of truth while dual writes, a self-healing
 validation queue, and four verification triggers drive an independently
 modeled target store to consistency under injected faults, up to a
 freeze-drain-flip switch-over.
+
+The package exports what a caller needs to run a scenario and check it:
+the scenario codec, the runner and its report, the event log and the
+oracle.  Everything else is reached through its module.
 """
 
-from .domain import (
-    CycleError,
-    DiscrepancyClass,
-    EntityType,
-    Key,
-    MappingRule,
-    Schema,
-    SourceRecord,
-    TargetRecord,
-    TransformError,
-    UnknownTypeError,
-    VersionStamp,
-    compare_records,
-    identity_rule,
-    map_source,
-    merge_rule,
-    register_schema,
-    split_rule,
-)
-from .healing import (
-    DeadLetter,
-    EnqueueResult,
-    FixStatus,
-    Healer,
-    RetryPolicy,
-    SelfHealingQueue,
-    Trigger,
-    ValidationEvent,
-)
-from .metrics import (
-    ConsistencyReport,
-    EventLog,
-    MetricsRegistry,
-    SettlementTracker,
-    consistency_rate,
-    loop_gauges,
-    time_to_converge,
-)
-from .ramp import Clearance, SwitchReport, check_clearance
-from .scenario import ConfigError, RampSpec, Scenario, load_file, parse, serialize
-from .simulation import RunReport, SimResult, run_scenario
-from .stores import (
-    ChangeEvent,
-    ChangeStream,
-    Clock,
-    FaultProfile,
-    LegacyStore,
-    PutResult,
-    Snapshot,
-    StoreUnavailable,
-    TargetStore,
-)
+from .metrics import EventLog
+from .oracle import oracle_verify
+from .scenario import ConfigError, Scenario, load_file, parse, serialize
+from .simulation import RunReport, run_scenario
 
 __version__ = "0.1.0"

@@ -40,6 +40,18 @@ def _headline(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def _read_report(path: Path) -> dict:
+    """A run's `report.json` as a dict; raises ValueError naming `path` if
+    it cannot be read or is not a JSON object."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if type(doc) is not dict:
+        raise ValueError(f"{path}: not a JSON object")
+    return doc
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_file(args.scenario)
@@ -81,7 +93,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     digest_ok = True
     sibling = log_path.parent / "report.json"
     if sibling.exists():
-        report_doc = json.loads(sibling.read_text(encoding="utf-8"))
+        try:
+            report_doc = _read_report(sibling)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         oracle = oracle_verify(log, scenario, report_doc)
     except UnknownTypeError as exc:
@@ -106,7 +122,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not report_path.exists():
         print(f"error: no report.json under {run_dir}", file=sys.stderr)
         return 2
-    doc = json.loads(report_path.read_text(encoding="utf-8"))
+    try:
+        doc = _read_report(report_path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(_headline(doc))
     samples = doc.get("samples")
     if samples:

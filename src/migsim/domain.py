@@ -255,12 +255,18 @@ def merge_rule(name: str, sources: Iterable[str], target: str) -> MappingRule:
 class Schema:
     """Registered entity types and rules with frozen topological orders.
 
+    `source_order` lists the source types and `target_order` the target
+    types, every parent before any of its children.  Construction validates
+    the schema and raises CycleError, UnknownTypeError or SchemaError.
     `fault` is the run's injected mapping bug, if any; `map_group` and so
     `check_group` consult it.
     """
 
     def __init__(
-        self, types: Iterable[EntityType], rules: Iterable[MappingRule], fault: BugSpec | None
+        self,
+        types: Iterable[EntityType],
+        rules: Iterable[MappingRule],
+        fault: BugSpec | None = None,
     ):
         self.fault = fault
         self.types: dict[str, EntityType] = {}
@@ -325,13 +331,6 @@ class Schema:
                     for prule in self._rules_by_source.get(parent_source, ()):
                         parents[tt].update(t for t in prule.target_types if t != tt)
         return parents
-
-    def topo_order(self) -> tuple[str, ...]:
-        """Source entity types, every parent before any of its children."""
-        return self.source_order
-
-    def target_topo_order(self) -> tuple[str, ...]:
-        return self.target_order
 
     def target_rank(self, ttype: str) -> int:
         return self._target_rank[ttype]
@@ -432,13 +431,6 @@ def read_group(rule: MappingRule, gid: str, read: SourceRead) -> dict[Key, Sourc
         if rec is not None:
             sources[k] = rec
     return sources
-
-
-def register_schema(
-    types: Iterable[EntityType], rules: Iterable[MappingRule], fault: BugSpec | None = None
-) -> Schema:
-    """Validate and freeze a schema; raises CycleError / UnknownTypeError."""
-    return Schema(types, rules, fault)
 
 
 def _toposort(parents: dict[str, set[str]]) -> tuple[str, ...]:

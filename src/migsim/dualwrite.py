@@ -9,27 +9,19 @@ write path; they hand the affected keys to the self-healing queue.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from enum import Enum
 
 from .domain import Key, Schema, read_group
 from .healing import ParentGate, SelfHealingQueue, Trigger
-from .stores import ChangeEvent, Clock, LegacyStore, StoreUnavailable, TargetStore
-
-
-class ReplicateResult(str, Enum):
-    DONE = "done"
-    FAILED_ENQUEUED = "failed_enqueued"
-
-
-@dataclass
-class DualWriteTask:
-    change: ChangeEvent
-    created_at: int
+from .stores import ChangeEvent, LegacyStore, StoreUnavailable, TargetStore
 
 
 class DualWriter:
-    """Per-commit replication tasks, processed in commit order."""
+    """Per-commit replication, processed in commit order.
+
+    The pending changes wait in a deque; each is due from its own commit
+    tick.  A failed replication is recorded by the queue's `enqueue` rows
+    and the registry.
+    """
 
     def __init__(
         self,
@@ -37,38 +29,35 @@ class DualWriter:
         legacy: LegacyStore,
         target: TargetStore,
         queue: SelfHealingQueue,
-        clock: Clock,
         enabled: bool = True,
     ):
         self.schema = schema
         self.legacy = legacy
         self.target = target
         self.queue = queue
-        self.clock = clock
         self.enabled = enabled
-        self._pending: deque[DualWriteTask] = deque()
+        self._pending: deque[ChangeEvent] = deque()
         self._parents = ParentGate(schema, target)
 
-    def on_commit(self, change: ChangeEvent) -> DualWriteTask:
+    def on_commit(self, change: ChangeEvent) -> None:
         """Schedule replication; scheduling itself cannot fail."""
-        task = DualWriteTask(change, self.clock.now)
         if self.enabled:
-            self._pending.append(task)
-        return task
+            self._pending.append(change)
 
     def run_due(self, now: int) -> int:
-        """Replicate every task created by `now`; same-key order is commit order."""
+        """Replicate every change committed by `now`, in commit order; returns
+        how many."""
+        pending = self._pending
         count = 0
-        while self._pending and self._pending[0].created_at <= now:
-            task = self._pending.popleft()
-            self.replicate(task, now)
+        while pending and pending[0].new_version.commit_time <= now:
+            self.replicate(pending.popleft(), now)
             count += 1
         return count
 
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def replicate(self, task: DualWriteTask, now: int | None = None) -> ReplicateResult:
+    def replicate(self, change: ChangeEvent, now: int) -> None:
         """Map the latest source state and write outputs parents-first.
 
         The first unavailable write or absent parent aborts the rest; every
@@ -76,8 +65,7 @@ class DualWriter:
         takes it from there.  A stale rejection counts as success since a
         fresher write already landed.
         """
-        now = self.clock.now if now is None else now
-        skey = task.change.key
+        skey = change.key
         failed: list[Key] = []
         for rule in self.schema.rules_for_source(skey.etype):
             sources = read_group(rule, skey.id, self.legacy.read)
@@ -104,9 +92,6 @@ class DualWriter:
                     break
                 if not record.tombstone:
                     self._parents.note(record.key)
-        if not failed:
-            return ReplicateResult.DONE
-        commit_time = task.change.new_version.commit_time
+        commit_time = change.new_version.commit_time
         for tkey in sorted(set(failed)):
             self.queue.enqueue(tkey, Trigger.DUALWRITE, now, commit_time)
-        return ReplicateResult.FAILED_ENQUEUED

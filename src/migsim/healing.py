@@ -35,11 +35,6 @@ class Trigger(str, Enum):
     BOOTSTRAP = "bootstrap"
 
 
-class EnqueueResult(str, Enum):
-    ENQUEUED = "enqueued"
-    COALESCED = "coalesced"
-
-
 class FixStatus(str, Enum):
     ALREADY_CONSISTENT = "already_consistent"
     FIXED = "fixed"
@@ -89,11 +84,10 @@ class DeadLetter:
 
 @dataclass
 class ProcessReport:
+    """How many events one `Healer.process` call took off the queue; each
+    one's outcome is its `dequeue`, `retry` or `dead_letter` row."""
+
     processed: int = 0
-    consistent: int = 0
-    fixed: int = 0
-    failed: int = 0
-    dead_lettered: int = 0
 
 
 class SelfHealingQueue:
@@ -114,9 +108,9 @@ class SelfHealingQueue:
     def pending(self) -> Iterable[ValidationEvent]:
         return self._by_key.values()
 
-    def enqueue(
-        self, key: Key, trigger: Trigger, now: int, source_update_time: int
-    ) -> EnqueueResult:
+    def enqueue(self, key: Key, trigger: Trigger, now: int, source_update_time: int) -> None:
+        """Queue a validation event for `key`, or fold the trigger into the
+        event already pending or in flight; logs `enqueue` or `coalesce`."""
         # A key being processed right now coalesces too; its fix already
         # reads the latest source state, so the new trigger adds nothing.
         existing = self._by_key.get(key) or self._in_flight.get(key)
@@ -127,7 +121,7 @@ class SelfHealingQueue:
             existing.enqueued_at = min(existing.enqueued_at, now)
             self.registry.coalesced += 1
             self.log.append(now, "coalesce", key, trig=trigger.value, sut=source_update_time)
-            return EnqueueResult.COALESCED
+            return
         self._seq += 1
         event = ValidationEvent(
             key, trigger, now, source_update_time, attempts=0, due=now, seq=self._seq
@@ -136,7 +130,6 @@ class SelfHealingQueue:
         heapq.heappush(self._heap, (event.due, event.seq, key))
         self.registry.enqueued += 1
         self.log.append(now, "enqueue", key, trig=trigger.value, sut=source_update_time)
-        return EnqueueResult.ENQUEUED
 
     def pop_due(self, now: int, limit: int) -> list[ValidationEvent]:
         """Remove up to `limit` events due by `now`, FIFO by due time.
@@ -318,10 +311,8 @@ class Healer:
             outcome = self.validate_and_fix(event.target_key, now)
             if outcome.status is FixStatus.FAILED:
                 event.attempts += 1
-                report.failed += 1
                 if event.attempts >= self.policy.max_attempts:
                     self.queue.dead_letter(event, outcome.reason, now)
-                    report.dead_lettered += 1
                 else:
                     self.registry.retries += 1
                     due = now + self.policy.backoff(event.attempts)
@@ -334,12 +325,8 @@ class Healer:
             self.registry.dequeued += 1
             self.registry.in_queue_latency.add(now - event.enqueued_at)
             self.registry.pipeline_latency.add(now - event.source_update_time)
-            if outcome.status is FixStatus.FIXED:
-                report.fixed += 1
-                self.log.append(now, "dequeue", event.target_key, res="fixed")
-            else:
-                report.consistent += 1
-                self.log.append(now, "dequeue", event.target_key, res="consistent")
+            res = "fixed" if outcome.status is FixStatus.FIXED else "consistent"
+            self.log.append(now, "dequeue", event.target_key, res=res)
         return report
 
 

@@ -91,6 +91,26 @@ def _as_entry(seq: int, row) -> dict:
     return entry
 
 
+# The fields the oracle reads from each kind of row ("key" included).  A
+# commit that is not a delete also needs "val", and an accepted put that is
+# not native needs "prov", "tomb" and "val".
+_ORACLE_FIELDS = {
+    "commit": ("key", "op", "ver"),
+    "put": ("key", "cls", "out"),
+    "sample": ("qlen",),
+    "ramp": ("act",),
+}
+
+
+def _oracle_fields(kind: str, entry: dict) -> tuple[str, ...]:
+    need = _ORACLE_FIELDS.get(kind, ())
+    if kind == "commit" and entry.get("op") != "delete":
+        need += ("val",)
+    elif kind == "put" and entry.get("out") == "accepted" and entry.get("cls") != "native":
+        need += ("prov", "tomb", "val")
+    return need
+
+
 def _frozen(value):
     """A parsed JSON value with its arrays as the tuples `append` is given."""
     return tuple(map(_frozen, value)) if type(value) is list else value
@@ -198,8 +218,9 @@ class EventLog:
         VersionStamp}` map under "prov" and tuples for other arrays.  Raises
         ValueError on a line that is not a JSON entry of that shape, whose
         "t" is not an int, "key" not two strings, "ver" not two ints, "prov"
-        rows not (str, str, int, int), "val" not an object, or whose "seq"
-        is not its entry's position."""
+        rows not (str, str, int, int), "val" not an object, that lacks a
+        field the oracle reads (`_ORACLE_FIELDS`), or whose "seq" is not its
+        entry's position."""
         log = EventLog()
         for line in lines:
             if not line.strip():
@@ -208,7 +229,11 @@ class EventLog:
             entry = json.loads(line)
             try:
                 found = entry.pop("seq")
-                t, kind, key = entry.pop("t"), entry.pop("k"), entry.pop("key", None)
+                t, kind = entry.pop("t"), entry.pop("k")
+                missing = [name for name in _oracle_fields(kind, entry) if name not in entry]
+                if missing:
+                    raise KeyError(f"{kind} row without {', '.join(missing)}")
+                key = entry.pop("key", None)
                 if type(t) is not int:
                     raise TypeError(f"t {t!r} is not an int")
                 data = {name: _frozen(value) for name, value in entry.items()}

@@ -18,16 +18,11 @@ if TYPE_CHECKING:
     from .scenario import RampSpec
 
 
-@dataclass
-class Clearance:
-    cleared: bool
-    reasons: list[str] = field(default_factory=list)
-
-
 def check_clearance(
     spec: RampSpec, report: ConsistencyReport, dead_letter_count: int
-) -> Clearance:
+) -> list[str]:
     """Evaluate every criterion against a fresh report; list each violation.
+    An empty list means cleared.
 
     Any dead letter blocks: it is an update the repair loop gave up on.
     `spec.max_window_ttc` None means the report's own staleness bound.
@@ -50,7 +45,7 @@ def check_clearance(
         reasons.append(f"window_ttc {report.window_ttc} > {ttc_limit}")
     if dead_letter_count > 0:
         reasons.append(f"dead_letters {dead_letter_count} > 0")
-    return Clearance(not reasons, reasons)
+    return reasons
 
 
 @dataclass
@@ -111,15 +106,14 @@ class RampController:
             and now >= spec.time - spec.clearance_lead
         ):
             self._clearance_done = True
-            clearance = check_clearance(spec, sim.fresh_report(), sim.dead_letter_count())
+            reasons = check_clearance(spec, sim.fresh_report(), sim.dead_letter_count())
             self.log.append(
-                now, "ramp", act="clearance",
-                cleared=clearance.cleared, reasons=tuple(clearance.reasons),
+                now, "ramp", act="clearance", cleared=not reasons, reasons=tuple(reasons)
             )
-            if not clearance.cleared:
+            if reasons:
                 self.aborted = True
                 self.report.outcome = "aborted"
-                self.report.blocked_reasons = clearance.reasons
+                self.report.blocked_reasons = reasons
                 self.log.append(now, "ramp", act="abort", why="clearance_blocked")
                 return
         if now < spec.time:

@@ -39,7 +39,6 @@ from .domain import (
     SourceRecord,
     identity_rule,
     merge_rule,
-    register_schema,
     split_rule,
 )
 from .healing import RetryPolicy
@@ -237,7 +236,7 @@ class Scenario:
         """The run's schema; the injected bug, if any, is its fault."""
         types = [EntityType(t.name, frozenset(t.parents)) for t in self.types]
         rules = [r.build() for r in self.rules]
-        return register_schema(types, rules, self.bug)
+        return Schema(types, rules, self.bug)
 
     def settle_delay(self) -> int:
         if self.toggles.settle_delay is not None:

@@ -12,7 +12,6 @@ from a named substream of the scenario seed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -85,8 +84,6 @@ class SimResult:
     registry: MetricsRegistry
     settlement: SettlementTracker
     limiter: RateLimiter
-    live_ops: int  # live ops dispatched
-    live_ops_digest: str  # sha256 over the (tick, kind, key) of each live op
     oracle_report: OracleReport | None = None
 
 
@@ -109,7 +106,7 @@ class _SimState:
             self.registry, self.log, self.clock, scenario.retry,
         )
         self.dualwriter = DualWriter(
-            self.schema, self.legacy, self.target, self.queue, self.clock,
+            self.schema, self.legacy, self.target, self.queue,
             enabled=scenario.toggles.enable_dualwrite,
         )
         self.nearline = NearlineVerifier(
@@ -135,8 +132,6 @@ class _SimState:
         if scenario.ramp.enabled:
             self.ramp = RampController(scenario.ramp, self.log)
         self.bootstrap_job: BootstrapJob | None = None
-        self.live_ops = 0
-        self.live_ops_hash = hashlib.sha256()
         self.samples: list[ConsistencyReport] = []
         self.flip_rates: tuple[float, float] | None = None
 
@@ -181,8 +176,6 @@ class _SimState:
         ops = self.workload.generate_step(now, read_current, bulk_frozen=bulk_frozen)
         reads: list = []
         for op in ops:
-            self.live_ops += 1
-            self.live_ops_hash.update(f"{now}\t{op.kind}\t{op.key}\n".encode())
             if op.kind == OP_READ:
                 if flipped:
                     self._native_read(op.key)
@@ -417,8 +410,6 @@ def run_scenario(
         registry=sim.registry,
         settlement=sim.settlement,
         limiter=sim.limiter,
-        live_ops=sim.live_ops,
-        live_ops_digest=sim.live_ops_hash.hexdigest(),
         oracle_report=sim_oracle,
     )
     if out_dir is not None:

@@ -3,18 +3,22 @@
 Bootstrap replays a snapshot at a controlled rate; nearline checks every
 change-stream delivery; shadow reads piggyback on live reads; offline bulk
 verification sweeps a source snapshot against the target and catches
-whatever the online paths missed.  Each one maps and judges a rule group with `Schema.check_group`
-(bootstrap uses its map step alone), which also decides what a group that
-fails to map means; the trigger only acts on the outcome.  All four feed
-the same validate-and-fix primitive, so the eventual repaired state never
-depends on which trigger noticed first.
+whatever the online paths missed.  Each one maps and judges a rule group
+with `Schema.check_group` (bootstrap uses its map step alone), which also
+decides what a group that fails to map means; the trigger only acts on the
+outcome.  All four feed the same validate-and-fix primitive, so the
+eventual repaired state never depends on which trigger noticed first.
+
+A trigger's outcome is recorded only in the event log (`verify`,
+`enqueue`/`coalesce`, `bootstrap` and `offline_done` rows) and the
+registry.  Bootstrap's `BootstrapReport` reaches `report.json`; the offline
+sweep returns the two counts its `offline_done` row carries.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
-from enum import Enum
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .domain import (
@@ -144,7 +148,7 @@ class BootstrapJob:
         self._failed_sources: set[Key] = set()
 
     def _ordered_groups(self) -> list[tuple]:
-        rank = {st: i for i, st in enumerate(self.schema.topo_order())}
+        rank = {st: i for i, st in enumerate(self.schema.source_order)}
         groups = list(iter_groups(self.schema, self.snapshot.records))
         groups.sort(key=lambda g: (min(rank[st] for st in g[0].source_types), g[1], g[0].name))
         return groups
@@ -223,11 +227,6 @@ class BootstrapJob:
             self.queue.enqueue(tkey, Trigger.BOOTSTRAP, now, sut)
 
 
-class NearlineResult(str, Enum):
-    VERIFIED = "verified"
-    ENQUEUED = "enqueued"
-
-
 class NearlineVerifier:
     """Checks each streamed change once the dual write has had time to land.
 
@@ -252,8 +251,6 @@ class NearlineVerifier:
         self.log = log
         self.settle_delay = settle_delay
         self._due: deque[tuple[int, ChangeEvent]] = deque()
-        self.checked = 0
-        self.mismatches = 0
 
     def on_delivery(self, event: ChangeEvent, now: int) -> None:
         self._due.append((now + self.settle_delay, event))
@@ -267,9 +264,9 @@ class NearlineVerifier:
     def pending_count(self) -> int:
         return len(self._due)
 
-    def verify(self, event: ChangeEvent, now: int) -> NearlineResult:
-        """Compare every affected target key against freshly mapped sources."""
-        self.checked += 1
+    def verify(self, event: ChangeEvent, now: int) -> None:
+        """Compare every affected target key against freshly mapped sources;
+        log a verify row and enqueue every key not found consistent."""
         skey = event.key
         commit_time = event.new_version.commit_time
         bad: list[Key] = []
@@ -285,23 +282,10 @@ class NearlineVerifier:
                     bad.append(tkey)
         if not bad:
             self.log.append(now, "verify", skey, src="nearline", res="ok")
-            return NearlineResult.VERIFIED
-        self.mismatches += 1
+            return
         self.log.append(now, "verify", skey, src="nearline", res="enqueued", n=len(bad))
         for tkey in sorted(set(bad)):
             self.queue.enqueue(tkey, Trigger.NEARLINE, now, commit_time)
-        return NearlineResult.ENQUEUED
-
-
-class ShadowOutcome(str, Enum):
-    MATCH = "match"
-    DISCREPANCY = "discrepancy"
-
-
-@dataclass
-class ShadowResult:
-    outcome: ShadowOutcome
-    detail: str = ""
 
 
 class ShadowReader:
@@ -323,8 +307,6 @@ class ShadowReader:
         self.log = log
         self.alarm_interval = alarm_interval
         self._last_alarm: dict[Key, int] = {}
-        self.reads = 0
-        self.discrepancies = 0
 
     def _may_alarm(self, skey: Key, now: int) -> bool:
         last = self._last_alarm.get(skey)
@@ -333,9 +315,10 @@ class ShadowReader:
         self._last_alarm[skey] = now
         return True
 
-    def on_read(self, skey: Key, observed: SourceRecord, now: int) -> ShadowResult:
-        """Compare the mapped view of an observed read against the target."""
-        self.reads += 1
+    def on_read(self, skey: Key, observed: SourceRecord, now: int) -> None:
+        """Compare the mapped view of an observed read against the target; a
+        mismatch logs a verify row naming its reasons and, at most once per
+        alarm interval and key, enqueues the bad keys."""
         bad: list[tuple[Key, str]] = []
         for rule in self.schema.rules_for_source(skey.etype):
             def read(k: Key, _observed=observed) -> SourceRecord | None:
@@ -350,52 +333,21 @@ class ShadowReader:
                     reason = bug or ("unavailable" if verdict is None else verdict.value)
                     bad.append((tkey, reason))
         if not bad:
-            return ShadowResult(ShadowOutcome.MATCH)
-        self.discrepancies += 1
+            return
         detail = ",".join(sorted({reason for _, reason in bad}))
         self.log.append(now, "verify", skey, src="shadow", res=detail)
         if self._may_alarm(skey, now):
             sut = observed.version.commit_time
             for tkey, _ in sorted(set(bad)):
                 self.queue.enqueue(tkey, Trigger.SHADOWREAD, now, sut)
-        return ShadowResult(ShadowOutcome.DISCREPANCY, detail)
 
 
 @dataclass
 class OfflineReport:
-    run_at: int
-    snapshot_time: int
-    cutoff: int
-    scanned_groups: int = 0
+    """What one sweep did, as its `offline_done` row also records it."""
+
     scanned_keys: int = 0
-    skipped_recent_groups: int = 0
-    counts: dict = field(default_factory=dict)
     enqueued: int = 0
-
-    @property
-    def consistency_rate(self) -> float:
-        if not self.scanned_keys:
-            return 1.0
-        return self.counts.get(DiscrepancyClass.CONSISTENT.value, 0) / self.scanned_keys
-
-    def as_dict(self) -> dict:
-        return {
-            **asdict(self),
-            "counts": dict(sorted(self.counts.items())),
-            "consistency_rate": self.consistency_rate,
-        }
-
-    def to_text(self) -> str:
-        lines = [
-            f"offline verification at t={self.run_at} "
-            f"(snapshot t={self.snapshot_time}, cutoff {self.cutoff})",
-            f"  scanned {self.scanned_keys} keys in {self.scanned_groups} groups, "
-            f"skipped {self.skipped_recent_groups} recent groups",
-        ]
-        for name, count in sorted(self.counts.items()):
-            lines.append(f"  {name:>16}: {count}")
-        lines.append(f"  consistency rate: {self.consistency_rate:.6f}")
-        return "\n".join(lines)
 
 
 class OfflineVerifier:
@@ -419,11 +371,12 @@ class OfflineVerifier:
         The cutoff exists so an in-flight update racing the snapshot is
         never flagged; everything genuinely settled and wrong is enqueued.
         `target_view` may be the live target records: nothing writes the
-        target during a sweep.  A group that fails to map counts its keys
-        as "transform_error" and logs no verify line for them.
+        target during a sweep.  A group that fails to map has every key
+        enqueued and counted as not consistent, and logs no verify line for
+        them.  The sweep ends with one `offline_done` row.
         """
-        report = OfflineReport(now, source_snapshot.taken_at, cutoff)
-        counts: dict[str, int] = {}
+        report = OfflineReport()
+        consistent = 0
         horizon = source_snapshot.taken_at - cutoff
         read = source_snapshot.records.get
         get = target_view.get
@@ -433,27 +386,22 @@ class OfflineVerifier:
             sources = read_group(rule, gid, read)
             newest = fix_source_time(sources)
             if newest > horizon:
-                report.skipped_recent_groups += 1
                 continue
-            report.scanned_groups += 1
             _expected, verdicts, bug = self.schema.check_group(
                 rule, sources, get, rule.target_keys(gid), now
             )
             for tkey, verdict in verdicts.items():
                 report.scanned_keys += 1
-                name = "transform_error" if bug else verdict.value
-                counts[name] = counts.get(name, 0) + 1
-                if verdict is not DiscrepancyClass.CONSISTENT:
-                    report.enqueued += 1
-                    self.queue.enqueue(tkey, Trigger.OFFLINE, now, newest)
-                    if not bug:
-                        self.log.append(now, "verify", tkey, src="offline", res=name)
-        report.counts = counts
+                if verdict is DiscrepancyClass.CONSISTENT:
+                    consistent += 1
+                    continue
+                report.enqueued += 1
+                self.queue.enqueue(tkey, Trigger.OFFLINE, now, newest)
+                if not bug:
+                    self.log.append(now, "verify", tkey, src="offline", res=verdict.value)
+        rate = consistent / report.scanned_keys if report.scanned_keys else 1.0
         self.log.append(
-            now,
-            "offline_done",
-            scanned=report.scanned_keys,
-            enqueued=report.enqueued,
-            rate=round(report.consistency_rate, 6),
+            now, "offline_done",
+            scanned=report.scanned_keys, enqueued=report.enqueued, rate=round(rate, 6),
         )
         return report

@@ -36,13 +36,13 @@ class WorkloadGenerator:
         self.spec = spec
         self.schema = schema
         self.rng = rng
-        self._next_id: dict[str, int] = {t: 0 for t in schema.topo_order()}
-        self._live: dict[str, list[str]] = {t: [] for t in schema.topo_order()}
+        self._next_id: dict[str, int] = {t: 0 for t in schema.source_order}
+        self._live: dict[str, list[str]] = {t: [] for t in schema.source_order}
         self._live_pos: dict[Key, int] = {}
         self._all_keys: list[Key] = []
         self._value_counter = 0
         weights = dict(spec.type_weights)
-        order = [t for t in schema.topo_order() if weights.get(t, 0) > 0]
+        order = [t for t in schema.source_order if weights.get(t, 0) > 0]
         total = sum(weights[t] for t in order) or 1.0
         self._types = order
         self._weights = np.array([weights[t] / total for t in order]) if order else None

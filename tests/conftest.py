@@ -19,7 +19,6 @@ from migsim.domain import (
     Key,
     Schema,
     identity_rule,
-    register_schema,
     split_rule,
 )
 from migsim.dualwrite import DualWriter
@@ -46,7 +45,7 @@ def build_figure3_schema() -> Schema:
         identity_rule("stage_rule", "stage", "stage_v2"),
         identity_rule("candidate_rule", "candidate", "candidate_v2"),
     ]
-    return register_schema(types, rules)
+    return Schema(types, rules)
 
 
 def build_split_schema() -> Schema:
@@ -65,7 +64,7 @@ def build_split_schema() -> Schema:
             ],
         ),
     ]
-    return register_schema(types, rules)
+    return Schema(types, rules)
 
 
 @pytest.fixture
@@ -99,8 +98,7 @@ class Pipeline:
 
     def commit_and_replicate(self, etype: str, gid: str, value=None, delete: bool = False):
         event = self.commit(etype, gid, value, delete)
-        task = self.dualwriter.on_commit(event)
-        return self.dualwriter.replicate(task)
+        self.dualwriter.replicate(event, self.clock.now)
 
 
 def build_pipeline(
@@ -122,7 +120,7 @@ def build_pipeline(
     healer = Healer(
         schema, legacy, target, queue, registry, log, clock, policy or RetryPolicy()
     )
-    dualwriter = DualWriter(schema, legacy, target, queue, clock)
+    dualwriter = DualWriter(schema, legacy, target, queue)
     return Pipeline(clock, schema, legacy, target, queue, healer, dualwriter, registry, log)
 
 

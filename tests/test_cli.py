@@ -131,6 +131,22 @@ class TestVerify:
             '"t":0,"val":[1],"ver":[1,0]}',
             '{"cseq":4,"k":"commit","key":["project","4"],"op":"write","seq":4,'
             '"t":0,"val":{"note":"n"},"ver":["x",0]}',
+            # Rows without a field the oracle reads: each once made verify
+            # exit 1, with a traceback or a FAIL.
+            '{"seq":4,"t":0,"k":"sample"}',
+            '{"cseq":4,"k":"commit","key":["project","4"],"op":"write","seq":4,'
+            '"t":0,"val":{"note":"n"}}',
+            '{"cseq":4,"k":"commit","key":["project","4"],"seq":4,'
+            '"t":0,"val":{"note":"n"},"ver":[1,0]}',
+            '{"cseq":4,"k":"commit","key":["project","4"],"op":"write","seq":4,'
+            '"t":0,"ver":[1,0]}',
+            '{"cls":"dual","k":"put","key":["project_v2","4"],"out":"accepted",'
+            '"seq":4,"t":0,"tomb":false,"val":{}}',
+            '{"cls":"dual","k":"put","key":["project_v2","4"],"out":"accepted",'
+            '"prov":[["project","4",1,0]],"seq":4,"t":0,"val":{}}',
+            '{"cls":"dual","k":"put","key":["project_v2","4"],"out":"accepted",'
+            '"prov":[["project","4",1,0]],"seq":4,"t":0,"tomb":false}',
+            '{"seq":4,"t":0,"k":"ramp"}',
         ],
     )
     def test_verify_unreadable_log_is_usage_error(self, run_dir, tmp_path, capsys, broken):
@@ -144,6 +160,14 @@ class TestVerify:
         code = main(["verify", str(path), str(scenario_path("small"))])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("text", ['{"samples": [', "[]", "\xff"])
+    def test_verify_unreadable_report_is_usage_error(self, run_dir, tmp_path, capsys, text):
+        shutil.copy(run_dir / "eventlog.jsonl", tmp_path / "eventlog.jsonl")
+        (tmp_path / "report.json").write_bytes(text.encode("latin-1"))
+        code = main(["verify", str(tmp_path / "eventlog.jsonl"), str(scenario_path("small"))])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'report.json'}: ")
 
 
 class TestReport:
@@ -166,3 +190,9 @@ class TestReport:
 
     def test_report_missing_dir_is_usage_error(self, tmp_path):
         assert main(["report", str(tmp_path / "ghost")]) == 2
+
+    @pytest.mark.parametrize("text", ['{"samples": [', "[]", "\xff"])
+    def test_report_unreadable_report_is_usage_error(self, tmp_path, capsys, text):
+        (tmp_path / "report.json").write_bytes(text.encode("latin-1"))
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'report.json'}: ")

@@ -8,6 +8,7 @@ from migsim.domain import (
     DiscrepancyClass,
     EntityType,
     Key,
+    Schema,
     SourceRecord,
     TargetRecord,
     UnknownTypeError,
@@ -17,7 +18,6 @@ from migsim.domain import (
     identity_rule,
     map_source,
     merge_rule,
-    register_schema,
     split_rule,
 )
 from migsim.scenario import load_file
@@ -33,13 +33,13 @@ def src(etype: str, gid: str, value: dict | None, counter: int, t: int = 0) -> S
 
 class TestSchemaRegistration:
     def test_single_type_identity(self):
-        schema = register_schema(
+        schema = Schema(
             [EntityType("p")], [identity_rule("r", "p", "p_v2")]
         )
-        assert schema.topo_order() == ("p",)
+        assert schema.source_order == ("p",)
 
     def test_figure3_order(self):
-        schema = register_schema(
+        schema = Schema(
             [
                 EntityType("candidate", frozenset({"project", "stage"})),
                 EntityType("stage", frozenset({"project"})),
@@ -47,11 +47,11 @@ class TestSchemaRegistration:
             ],
             [],
         )
-        assert schema.topo_order() == ("project", "stage", "candidate")
+        assert schema.source_order == ("project", "stage", "candidate")
 
     def test_two_cycle_rejected(self):
         with pytest.raises(CycleError) as err:
-            register_schema(
+            Schema(
                 [
                     EntityType("a", frozenset({"b"})),
                     EntityType("b", frozenset({"a"})),
@@ -62,31 +62,29 @@ class TestSchemaRegistration:
 
     def test_unknown_parent_rejected(self):
         with pytest.raises(UnknownTypeError):
-            register_schema([EntityType("a", frozenset({"ghost"}))], [])
+            Schema([EntityType("a", frozenset({"ghost"}))], [])
 
     def test_rule_with_unknown_source_rejected(self):
         with pytest.raises(UnknownTypeError):
-            register_schema([EntityType("a")], [identity_rule("r", "ghost", "g_v2")])
+            Schema([EntityType("a")], [identity_rule("r", "ghost", "g_v2")])
 
     def test_independent_roots_tie_break_by_name(self):
-        schema = register_schema([EntityType("b"), EntityType("a")], [])
-        assert schema.topo_order() == ("a", "b")
+        schema = Schema([EntityType("b"), EntityType("a")], [])
+        assert schema.source_order == ("a", "b")
 
-    def test_topo_order_stable_across_calls(self):
-        schema = register_schema(
-            [EntityType("x"), EntityType("y", frozenset({"x"}))], []
-        )
-        assert schema.topo_order() == schema.topo_order()
+    def test_source_order_independent_of_declaration_order(self):
+        x, y = EntityType("x"), EntityType("y", frozenset({"x"}))
+        assert Schema([x, y], []).source_order == Schema([y, x], []).source_order == ("x", "y")
 
     def test_target_order_mirrors_source_dependencies(self):
-        schema = register_schema(
+        schema = Schema(
             [EntityType("project"), EntityType("stage", frozenset({"project"}))],
             [
                 identity_rule("s", "stage", "stage_v2"),
                 identity_rule("p", "project", "project_v2"),
             ],
         )
-        order = schema.target_topo_order()
+        order = schema.target_order
         assert order.index("project_v2") < order.index("stage_v2")
 
     def test_parents_never_after_children(self):
@@ -98,8 +96,8 @@ class TestSchemaRegistration:
             EntityType("d", frozenset({"b"})),
             EntityType("e"),
         ]
-        schema = register_schema(types, [])
-        pos = {t: i for i, t in enumerate(schema.topo_order())}
+        schema = Schema(types, [])
+        pos = {t: i for i, t in enumerate(schema.source_order)}
         for et in types:
             for parent in et.parents:
                 assert pos[parent] < pos[et.name]
@@ -306,7 +304,7 @@ def _reshape_schema():
 
 
 def _merge_schema():
-    return register_schema(
+    return Schema(
         [
             EntityType("account"),
             EntityType("profile", frozenset({"account"})),

@@ -1,40 +1,40 @@
 from __future__ import annotations
 
 from migsim.domain import Key, VersionStamp
-from migsim.dualwrite import ReplicateResult
 from migsim.healing import Trigger
 
 from conftest import build_pipeline, build_split_schema
 
 
 class TestOnCommit:
-    def test_task_carries_creation_time(self, pipeline):
+    def test_change_is_due_from_its_commit_tick(self, pipeline):
+        pipeline.clock.now = 5
         event = pipeline.commit("project", "1", {"n": "x"})
-        task = pipeline.dualwriter.on_commit(event)
-        assert task.created_at >= event.new_version.commit_time
+        pipeline.dualwriter.on_commit(event)
+        assert pipeline.dualwriter.run_due(4) == 0
+        assert pipeline.dualwriter.pending_count() == 1
+        assert pipeline.dualwriter.run_due(5) == 1
+        assert pipeline.dualwriter.pending_count() == 0
+        assert pipeline.target.peek(Key("project_v2", "1")) is not None
 
     def test_task_created_even_during_target_outage(self):
         p = build_pipeline(outages=((0, 100),))
         event = p.commit("project", "1", {"n": "x"})
-        task = p.dualwriter.on_commit(event)
-        assert task is not None
+        p.dualwriter.on_commit(event)
         assert p.dualwriter.pending_count() == 1
 
 
 class TestReplicate:
     def test_healthy_child_write_with_parent_present(self, pipeline):
         pipeline.commit_and_replicate("project", "1", {"n": "p"})
-        result = pipeline.commit_and_replicate(
-            "stage", "1", {"n": "s", "parent_project": "1"}
-        )
-        assert result is ReplicateResult.DONE
+        pipeline.commit_and_replicate("stage", "1", {"n": "s", "parent_project": "1"})
+        assert pipeline.registry.enqueued == 0
         assert pipeline.target.peek(Key("stage_v2", "1")) is not None
 
     def test_child_before_parent_enqueues_and_writes_nothing(self, pipeline):
-        result = pipeline.commit_and_replicate(
+        pipeline.commit_and_replicate(
             "candidate", "5", {"n": "c", "parent_project": "1", "parent_stage": "1"}
         )
-        assert result is ReplicateResult.FAILED_ENQUEUED
         assert pipeline.target.peek(Key("candidate_v2", "5")) is None
         queued = {e.target_key for e in pipeline.queue.pending()}
         assert Key("candidate_v2", "5") in queued
@@ -53,36 +53,35 @@ class TestReplicate:
             return original_put(record)
 
         p.target.put_if_fresher = flaky_put
-        result = p.commit_and_replicate(
+        p.commit_and_replicate(
             "candidate", "1", {"profile": "x", "note": "y", "parent_project": "1"}
         )
-        assert result is ReplicateResult.FAILED_ENQUEUED
         assert p.target.peek(Key("candidate_core_v2", "1")) is not None
         queued = {e.target_key for e in p.queue.pending()}
         assert queued == {notes_key}
 
     def test_replicate_reads_latest_source_state(self, pipeline):
         event = pipeline.commit("project", "1", {"n": "old"})
-        task = pipeline.dualwriter.on_commit(event)
         pipeline.commit("project", "1", {"n": "new"})
-        pipeline.dualwriter.replicate(task)
+        pipeline.dualwriter.replicate(event, 0)
         stored = pipeline.target.peek(Key("project_v2", "1"))
         assert stored.value == {"n": "new"}
         assert stored.provenance[Key("project", "1")].counter == 2
 
     def test_stale_rejection_counts_as_done(self, pipeline):
         event = pipeline.commit("project", "1", {"n": "a"})
-        task1 = pipeline.dualwriter.on_commit(event)
         pipeline.commit_and_replicate("project", "1", {"n": "b"})
-        # Replaying the older task re-reads latest state: equal provenance
+        # Replaying the older change re-reads latest state: equal provenance
         # is acceptable, never a failure.
-        assert pipeline.dualwriter.replicate(task1) is ReplicateResult.DONE
+        pipeline.dualwriter.replicate(event, 0)
+        assert pipeline.registry.enqueued == 0
+        assert pipeline.target.peek(Key("project_v2", "1")).value == {"n": "b"}
 
     def test_delete_replicates_as_tombstone_without_parent_gate(self, pipeline):
         pipeline.commit_and_replicate("project", "1", {"n": "p"})
         pipeline.commit_and_replicate("stage", "1", {"n": "s", "parent_project": "1"})
-        result = pipeline.commit_and_replicate("stage", "1", delete=True)
-        assert result is ReplicateResult.DONE
+        pipeline.commit_and_replicate("stage", "1", delete=True)
+        assert pipeline.registry.enqueued == 0
         assert pipeline.target.peek(Key("stage_v2", "1")).tombstone
 
     def test_disabled_dualwriter_schedules_nothing(self):

@@ -3,22 +3,24 @@ from __future__ import annotations
 import random
 
 from migsim.domain import Key, TargetRecord, VersionStamp
-from migsim.healing import EnqueueResult, FixStatus, RetryPolicy, Trigger
+from migsim.healing import FixStatus, RetryPolicy, Trigger
 
 from conftest import build_pipeline
 
 
 class TestEnqueue:
     def test_first_event_enqueued(self, pipeline):
-        result = pipeline.queue.enqueue(Key("project_v2", "1"), Trigger.NEARLINE, 0, 0)
-        assert result is EnqueueResult.ENQUEUED
+        pipeline.queue.enqueue(Key("project_v2", "1"), Trigger.NEARLINE, 0, 0)
+        assert [e["k"] for e in pipeline.log.entries] == ["enqueue"]
+        assert pipeline.registry.enqueued == 1
         assert len(pipeline.queue) == 1
 
     def test_same_key_coalesces(self, pipeline):
         key = Key("project_v2", "1")
         pipeline.queue.enqueue(key, Trigger.NEARLINE, 0, 3)
-        result = pipeline.queue.enqueue(key, Trigger.OFFLINE, 5, 9)
-        assert result is EnqueueResult.COALESCED
+        pipeline.queue.enqueue(key, Trigger.OFFLINE, 5, 9)
+        assert [e["k"] for e in pipeline.log.entries] == ["enqueue", "coalesce"]
+        assert pipeline.registry.coalesced == 1
         assert len(pipeline.queue) == 1
         (event,) = pipeline.queue.pending()
         assert event.enqueued_at == 0  # earliest kept
@@ -171,7 +173,8 @@ class TestProcess:
         pipeline.queue.enqueue(Key("project_v2", "1"), Trigger.NEARLINE, 0, 0)
         report = pipeline.healer.process(0)
         assert report.processed == 1
-        assert report.fixed == 1
+        assert pipeline.log.entries[-1]["k"] == "dequeue"
+        assert pipeline.log.entries[-1]["res"] == "fixed"
         assert len(pipeline.queue) == 0
 
     def test_rate_limit_leaves_excess(self):
@@ -242,7 +245,8 @@ class TestProcess:
         pipeline.queue.enqueue(key, Trigger.NEARLINE, 0, 0)
         popped = pipeline.queue.pop_due(0, 10)
         assert [e.target_key for e in popped] == [key]
-        assert pipeline.queue.enqueue(key, Trigger.OFFLINE, 0, 5) is EnqueueResult.COALESCED
+        pipeline.queue.enqueue(key, Trigger.OFFLINE, 0, 5)
+        assert pipeline.log.entries[-1]["k"] == "coalesce"
         pipeline.queue.reschedule(popped[0], 2)
         assert len(pipeline.queue) == 1
 

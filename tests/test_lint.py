@@ -3,7 +3,9 @@
 An import counts as used when its bound name appears anywhere else in the
 module as a name or as the root of an attribute chain.  `__init__.py`
 (whose imports are the public API), `from __future__` imports and lines
-marked `# noqa: F401` (deliberate re-exports) are skipped.
+marked `# noqa: F401` (deliberate re-exports) are skipped.  A re-export is
+kept only for `bench/tracing.py`, so each must name a function that the
+tracer patches on that module.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "migsim"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "migsim"
+TRACING_FILE = ROOT / "bench" / "tracing.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -35,6 +39,32 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def reexports(source: str) -> list[str]:
+    """The names a module imports on lines marked `# noqa: F401`."""
+    lines = source.splitlines()
+    return [
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if "# noqa: F401" in lines[alias.lineno - 1]
+    ]
+
+
+def traced_module_names(source: str) -> set[tuple[str, str]]:
+    """(module, attribute) of every `SPANS` or `COUNTED` entry whose owner
+    is a bare module name, from the tracer's source."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("SPANS", "COUNTED") for t in node.targets
+        ):
+            for _name, owner, attr in (entry.elts for entry in node.value.elts):
+                if isinstance(owner, ast.Name):
+                    out.add((owner.id, attr.value))
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -43,3 +73,22 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     source = "import os\nfrom json import dumps, loads  # noqa: F401\nfrom re import match\nmatch\n"
     assert unused_imports(source) == ["os (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_reexports_are_names_the_tracer_patches(path):
+    traced = traced_module_names(TRACING_FILE.read_text(encoding="utf-8"))
+    assert traced, "no module-level hook points found in bench/tracing.py"
+    module = path.stem
+    untraced = [
+        name for name in reexports(path.read_text(encoding="utf-8"))
+        if (module, name) not in traced
+    ]
+    assert untraced == []
+
+
+def test_reexport_checker_flags_an_untraced_name():
+    source = "from .domain import (\n    map_source,  # noqa: F401\n    read_group,\n)\n"
+    assert reexports(source) == ["map_source"]
+    tracer = 'SPANS = (("a.b", verifiers, "run"), ("c", verifiers.Job, "step"))\n'
+    assert traced_module_names(tracer) == {("verifiers", "run")}

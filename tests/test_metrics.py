@@ -15,11 +15,11 @@ from migsim.domain import (
     InvariantError,
     Key,
     MappingRule,
+    Schema,
     TargetRecord,
     TransformError,
     VersionStamp,
     at_least_as_fresh,
-    register_schema,
 )
 from migsim.healing import Trigger
 from migsim.metrics import (
@@ -420,7 +420,7 @@ class TestConsistencyTracker:
                 raise TransformError("bug")
             return [(Key("project_v2", rec.key.id), dict(rec.value))]
 
-        schema = register_schema(
+        schema = Schema(
             [EntityType("project")],
             [MappingRule("project_rule", ("project",), ("project_v2",), transform)],
         )
@@ -472,7 +472,7 @@ class TestEventLog:
 
     def test_export_parse_round_trip(self):
         log = EventLog()
-        log.append(3, "put", Key("p_v2", "1"), out="accepted", tomb=False)
+        log.append(3, "put", Key("p_v2", "1"), cls="dual", out="stale_rejected")
         log.append(4, "sample", qlen=2)
         parsed = EventLog.parse_lines(log.export_lines())
         assert list(parsed.entries) == list(log.entries)
@@ -482,7 +482,9 @@ class TestEventLog:
         log = EventLog()
         log.append(1, "commit", Key("p", "1"), ver=VersionStamp(2, 1), op="write", val={"n": "x"})
         prov = {Key("p", "1"): VersionStamp(2, 1), Key("a", "1"): VersionStamp(0, 3)}
-        log.append(2, "put", Key("p_v2", "1"), out="accepted", prov=prov, val={})
+        log.append(
+            2, "put", Key("p_v2", "1"), cls="dual", out="accepted", prov=prov, tomb=False, val={}
+        )
         log.append(3, "ramp", act="clearance", reasons=("a", "b"))
         # The export flattens the map to sorted rows.
         assert log.entries[1]["prov"] == [("a", "1", 0, 3), ("p", "1", 2, 1)]

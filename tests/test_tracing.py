@@ -2,7 +2,10 @@
 
 `bench/tracing.py` wraps functions by name where their callers look them
 up: `oracle.compare_records`, `simulation.oracle_verify` and the re-exports
-marked `# noqa: F401`.  A simplification that drops one of those names
+marked `# noqa: F401`.  It also counts work from what some wrapped calls
+return: `OfflineVerifier.run(...).scanned_keys`, `Healer.process(...)
+.processed`, `DualWriter.run_due`'s count and the ops `generate_step`
+returns.  A simplification that drops one of those names or return values
 breaks the traced benchmark run; this test breaks first.
 """
 
@@ -44,3 +47,13 @@ def test_traced_small_run_counts_the_hot_primitives(tmp_path):
     assert layers["domain.map_source_calls"] > 0
     assert layers["domain.compare_records_calls"] > 0
     assert layers["oracle.s"] > 0
+    # Counted from what the wrapped calls return, or from calls to a
+    # wrapped method: a change to those return values or names shows here.
+    for name in (
+        "verifiers.offline_scanned_keys",
+        "healing.processed",
+        "dualwrite.tasks",
+        "workload.ops",
+        "verifiers.nearline_checked",
+    ):
+        assert layers[name] > 0, name

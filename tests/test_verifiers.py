@@ -8,15 +8,18 @@ from migsim.healing import Trigger
 from migsim.stores import ChangeEvent, Clock, FaultProfile, LegacyStore, Snapshot, SourceRecord
 from migsim.verifiers import (
     BootstrapJob,
-    NearlineResult,
     NearlineVerifier,
     OfflineVerifier,
     RateLimiter,
-    ShadowOutcome,
     ShadowReader,
 )
 
 from conftest import build_pipeline
+
+
+def verify_rows(log, src: str) -> list[str]:
+    """The `res` of each `verify` row that trigger `src` logged."""
+    return [e["res"] for e in log.entries if e["k"] == "verify" and e["src"] == src]
 
 
 def make_snapshot(records, taken_at=0) -> Snapshot:
@@ -174,7 +177,8 @@ class TestNearline:
             pipeline.schema, pipeline.legacy, pipeline.target, pipeline.queue,
             pipeline.log, settle_delay=0,
         )
-        assert verifier.verify(event, 0) is NearlineResult.VERIFIED
+        verifier.verify(event, 0)
+        assert verify_rows(pipeline.log, "nearline") == ["ok"]
         assert len(pipeline.queue) == 0
 
     def test_silent_dual_write_failure_enqueued(self, pipeline):
@@ -183,7 +187,8 @@ class TestNearline:
             pipeline.schema, pipeline.legacy, pipeline.target, pipeline.queue,
             pipeline.log, settle_delay=0,
         )
-        assert verifier.verify(event, 0) is NearlineResult.ENQUEUED
+        verifier.verify(event, 0)
+        assert verify_rows(pipeline.log, "nearline") == ["enqueued"]
         queued = {e.target_key for e in pipeline.queue.pending()}
         assert queued == {Key("project_v2", "1")}
         # The queue later repairs it.
@@ -199,9 +204,9 @@ class TestNearline:
         verifier.on_delivery(event, 12)  # commit at 10, stream lag 2
         pipeline.commit("project", "1", {"n": "x"})
         verifier.run_due(16)
-        assert verifier.checked == 0
+        assert verify_rows(pipeline.log, "nearline") == []
         verifier.run_due(17)
-        assert verifier.checked == 1
+        assert verify_rows(pipeline.log, "nearline") == ["enqueued"]  # never replicated
 
     def test_unavailable_target_enqueues_conservatively(self):
         p = build_pipeline(outages=((0, 10),))
@@ -209,7 +214,9 @@ class TestNearline:
         verifier = NearlineVerifier(
             p.schema, p.legacy, p.target, p.queue, p.log, settle_delay=0
         )
-        assert verifier.verify(event, 0) is NearlineResult.ENQUEUED
+        verifier.verify(event, 0)
+        assert verify_rows(p.log, "nearline") == ["enqueued"]
+        assert {e.target_key for e in p.queue.pending()} == {Key("project_v2", "1")}
 
 
 class TestShadowRead:
@@ -222,8 +229,8 @@ class TestShadowRead:
         pipeline.commit_and_replicate("project", "1", {"n": "x"})
         reader = self._reader(pipeline)
         record = pipeline.legacy.read(Key("project", "1"))
-        result = reader.on_read(Key("project", "1"), record, 0)
-        assert result.outcome is ShadowOutcome.MATCH
+        reader.on_read(Key("project", "1"), record, 0)
+        assert verify_rows(pipeline.log, "shadow") == []
         assert len(pipeline.queue) == 0
 
     def test_stale_target_reported_and_enqueued(self, pipeline):
@@ -231,9 +238,8 @@ class TestShadowRead:
         pipeline.commit("project", "1", {"n": "new"})  # dual write lost
         reader = self._reader(pipeline)
         record = pipeline.legacy.read(Key("project", "1"))
-        result = reader.on_read(Key("project", "1"), record, 0)
-        assert result.outcome is ShadowOutcome.DISCREPANCY
-        assert "stale" in result.detail
+        reader.on_read(Key("project", "1"), record, 0)
+        assert verify_rows(pipeline.log, "shadow") == ["stale"]
         assert len(pipeline.queue) == 1
 
     def test_tombstoned_source_with_live_target_is_resurrection(self, pipeline):
@@ -241,9 +247,8 @@ class TestShadowRead:
         pipeline.commit("project", "1", delete=True)  # delete not replicated
         reader = self._reader(pipeline)
         record = pipeline.legacy.read(Key("project", "1"))
-        result = reader.on_read(Key("project", "1"), record, 0)
-        assert result.outcome is ShadowOutcome.DISCREPANCY
-        assert "resurrection" in result.detail
+        reader.on_read(Key("project", "1"), record, 0)
+        assert verify_rows(pipeline.log, "shadow") == ["resurrection"]
 
     def test_per_key_alarms_are_rate_limited(self, pipeline):
         pipeline.commit("project", "1", {"n": "x"})  # missing in target
@@ -264,10 +269,15 @@ class TestOfflineVerify:
         view = target_view if target_view is not None else dict(p.target.records)
         return verifier.run(snap, view, cutoff, now)
 
+    def _done_row(self, p) -> dict:
+        entry = p.log.entries[-1]
+        assert entry["k"] == "offline_done"
+        return entry
+
     def test_fully_consistent_rate_one(self, pipeline):
         pipeline.commit_and_replicate("project", "1", {"n": "x"})
         report = self._run(pipeline, list(pipeline.legacy.records.values()))
-        assert report.consistency_rate == 1.0
+        assert self._done_row(pipeline)["rate"] == 1.0
         assert report.enqueued == 0
 
     def test_missing_key_flagged_and_enqueued(self, pipeline):
@@ -282,16 +292,18 @@ class TestOfflineVerify:
         pipeline.legacy.records[records[99].key] = records[99]
         report = self._run(pipeline, records)
         assert report.scanned_keys == 100
-        assert report.counts["missing"] == 1
+        assert verify_rows(pipeline.log, "offline") == ["missing"]
         assert report.enqueued == 1
-        assert report.consistency_rate == pytest.approx(0.99)
+        done = self._done_row(pipeline)
+        assert (done["scanned"], done["enqueued"]) == (100, 1)
+        assert done["rate"] == pytest.approx(0.99)
 
     def test_cutoff_skips_in_flight_updates(self, pipeline):
         old = srec("project", "1", {"n": "old"}, counter=1, t=10)
         recent = srec("project", "2", {"n": "new"}, counter=1, t=95)
         report = self._run(pipeline, [old, recent], cutoff=24, taken_at=100)
-        assert report.scanned_groups == 1
-        assert report.skipped_recent_groups == 1
+        assert report.scanned_keys == 1
+        assert {e.target_key for e in pipeline.queue.pending()} == {Key("project_v2", "1")}
 
     def test_recent_groups_are_skipped_before_mapping(self, pipeline, monkeypatch):
         calls = []
@@ -306,12 +318,7 @@ class TestOfflineVerify:
         recent = [srec("project", str(i), {"n": "x"}, t=95) for i in range(3)]
         report = self._run(pipeline, recent, cutoff=24, taken_at=100)
         assert calls == []
-        assert report.as_dict() == {
-            "run_at": 100, "snapshot_time": 100, "cutoff": 24, "scanned_groups": 0,
-            "scanned_keys": 0, "skipped_recent_groups": 3, "counts": {}, "enqueued": 0,
-            "consistency_rate": 1.0,
-        }
-
-    def test_report_text_contains_rate(self, pipeline):
-        report = self._run(pipeline, [])
-        assert "consistency rate: 1.000000" in report.to_text()
+        assert (report.scanned_keys, report.enqueued) == (0, 0)
+        assert [
+            {k: v for k, v in e.items() if k != "seq"} for e in pipeline.log.entries
+        ] == [{"t": 100, "k": "offline_done", "scanned": 0, "enqueued": 0, "rate": 1.0}]
