@@ -40,15 +40,43 @@ def _headline(doc: dict) -> str:
     return "\n".join(lines)
 
 
+# The fields `migsim report` and `migsim verify` read of a report, with the
+# types they take: at its top level, in each sample and in a switch.
+_NUM, _NULL = (int, float), type(None)
+_REPORT_FIELDS = {
+    "name": str, "seed": int, "duration": int, "attempts_total": int, "samples": list,
+    "switch": (dict, _NULL), "attempts_ratio": (*_NUM, _NULL), "final_overall": _NUM,
+}
+_SAMPLE_FIELDS = {
+    "at": int, "phase": str, "overall_rate": _NUM, "settled_rate": _NUM,
+    "queue_length": int, "max_in_loop_age": int, "window_ttc": (int, _NULL),
+}
+_SWITCH_FIELDS = dict.fromkeys(
+    ("unavailability_window", "lost_updates", "post_switch_discrepancies"), int
+) | {"outcome": str}
+
+
+def _check_fields(doc, fields: dict, where: str) -> None:
+    if type(doc) is not dict:
+        raise ValueError(f"{where}not a JSON object")
+    for name, kind in fields.items():
+        if name not in doc or not isinstance(doc[name], kind):
+            got = repr(doc[name]) if name in doc else "missing"
+            raise ValueError(f"{where}{name!r} is {got}")
+
+
 def _read_report(path: Path) -> dict:
-    """A run's `report.json` as a dict; raises ValueError naming `path` if
-    it cannot be read or is not a JSON object."""
+    """A run's `report.json`, with the fields both commands read checked;
+    raises ValueError naming `path` otherwise."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if type(doc) is not dict:
-        raise ValueError(f"{path}: not a JSON object")
+    _check_fields(doc, _REPORT_FIELDS, f"{path}: ")
+    for i, sample in enumerate(doc["samples"]):
+        _check_fields(sample, _SAMPLE_FIELDS, f"{path}: samples[{i}]: ")
+    if doc["switch"]:
+        _check_fields(doc["switch"], _SWITCH_FIELDS, f"{path}: switch: ")
     return doc
 
 

@@ -3,6 +3,7 @@
 Two measurement paths exist on purpose.  The registry and trackers here are
 updated online while a run executes; the oracle recomputes the same numbers
 from the event log alone after the fact, and any disagreement is a bug.
+In the run, samples and the offline sweep read one `ConsistencyTracker`.
 
 Definitions used throughout:
 
@@ -21,7 +22,7 @@ import functools
 import hashlib
 import json
 from bisect import bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -392,9 +393,6 @@ class SettlementTracker:
         """(commit_time, settle_time) per update, in commit order."""
         return list(zip(self._commit_times, self._settle_times))
 
-    def window_ttc(self, t0: int, t1: int) -> int | None:
-        return time_to_converge(self.updates_as_pairs(), t0, t1)
-
     def settled_latency_max(self, t0: int, t1: int) -> int:
         """Largest settle-commit gap over settled updates committed in (t0, t1].
 
@@ -517,28 +515,21 @@ def consistency_rate(
 def iter_groups(
     schema: Schema, source_view: Mapping[Key, SourceRecord]
 ) -> Iterable[tuple]:
-    """Distinct (rule, group id) pairs present in a source view, ordered."""
-    seen: set[tuple[str, str]] = set()
-    out = []
-    for key in source_view:
-        for rule in schema.rules_for_source(key.etype):
-            tag = (rule.name, key.id)
-            if tag not in seen:
-                seen.add(tag)
-                out.append((rule, key.id))
-    out.sort(key=lambda pair: (pair[0].name, pair[1]))
-    return out
+    """Distinct (rule, group id) pairs present in a source view, in (rule
+    name, group id) order."""
+    by_tag = {(r.name, k.id): r for k in source_view for r in schema.rules_for_source(k.etype)}
+    return [(by_tag[tag], tag[1]) for tag in sorted(by_tag)]
 
 
 class ConsistencyTracker:
-    """Incremental consistency bookkeeping for cheap per-sample reports.
+    """Incremental consistency bookkeeping for samples and offline sweeps.
 
     Caches a verdict per rule group and re-evaluates only groups whose
     sources or targets changed since the last refresh, plus every group of
     the fault's rule whenever the fault switches on or off.  Produces
     exactly the numbers the full scan would, per-class counts included;
-    tests hold it to that.  `mark_source` expects commit times in
-    nondecreasing order, as the virtual clock gives them.
+    tests hold it to that.  `peek_target` must draw no fault.  `mark_source`
+    must see every commit, in nondecreasing commit time.
     """
 
     def __init__(self, schema: Schema, read_source, peek_target):
@@ -548,11 +539,9 @@ class ConsistencyTracker:
         self._dirty: set[tuple[str, str]] = set()
         self._group_rule: dict[tuple[str, str], object] = {}
         self._expected_count: dict[tuple[str, str], int] = {}
-        # The classes of each group's inconsistent keys, for groups that
-        # have any; a group that fails to map counts as corrupt, as in the
-        # full scan.
-        self._bad_classes: dict[tuple[str, str], tuple[DiscrepancyClass, ...]] = {}
-        self._class_totals: dict[DiscrepancyClass, int] = {c: 0 for c in DiscrepancyClass}
+        # (inconsistent (target key, class) pairs in `target_keys` order, bug)
+        # per group with any; a group that fails to map has all keys corrupt.
+        self._bad: dict[tuple[str, str], tuple[list, str]] = {}
         # Newest commit time per group, kept in commit order so that the
         # groups still inside any staleness bound form a suffix.
         self._last_update: dict[tuple[str, str], int] = {}
@@ -587,30 +576,35 @@ class ConsistencyTracker:
             self._fault_active = not self._fault_active
             self._dirty.update(tag for tag in self._group_rule if tag[0] == fault.rule)
         consistent = DiscrepancyClass.CONSISTENT
-        totals = self._class_totals
         for tag in sorted(self._dirty):
             rule = self._group_rule[tag]
             gid = tag[1]
             sources = read_group(rule, gid, self._read)
             if sources:
-                _expected, verdicts, _bug = self.schema.check_group(
+                _expected, verdicts, bug = self.schema.check_group(
                     rule, sources, self._peek, rule.target_keys(gid), at
                 )
                 n_expected = len(verdicts)
-                bad = [verdict for verdict in verdicts.values() if verdict is not consistent]
+                bad = [pair for pair in verdicts.items() if pair[1] is not consistent]
             else:
-                n_expected, bad = 0, []  # a group with no source expects nothing
+                n_expected, bad, bug = 0, [], ""  # a group with no source expects nothing
             self._total_expected += n_expected - self._expected_count.get(tag, 0)
             self._expected_count[tag] = n_expected
-            old = self._bad_classes.pop(tag, ())
-            for verdict in old:
-                totals[verdict] -= 1
-            for verdict in bad:
-                totals[verdict] += 1
+            old, _bug = self._bad.pop(tag, ((), ""))
             if bad:
-                self._bad_classes[tag] = tuple(bad)
+                self._bad[tag] = (bad, bug)
             self._total_bad += len(bad) - len(old)
         self._dirty.clear()
+
+    def _recent(self, since: int) -> tuple[list[tuple[str, str]], int]:
+        """Groups updated at or after `since`, and their expected keys in all."""
+        recent, expected = [], 0
+        for tag, last_update in reversed(self._last_update.items()):
+            if last_update < since:
+                break
+            recent.append(tag)
+            expected += self._expected_count[tag]
+        return recent, expected
 
     def rates(self, at: int, staleness_bound: int) -> tuple[float, float, int, int]:
         """(overall, settled_only, expected_total, inconsistent_total) at `at`."""
@@ -618,13 +612,8 @@ class ConsistencyTracker:
         # A group is settled once at - last_update > staleness_bound, the
         # same test consistency_rate applies to its newest source.  The bound
         # moves between samples, so nothing is pruned.
-        cutoff = at - staleness_bound
-        recent_expected = recent_bad = 0
-        for tag, last_update in reversed(self._last_update.items()):
-            if last_update < cutoff:
-                break
-            recent_expected += self._expected_count.get(tag, 0)
-            recent_bad += len(self._bad_classes.get(tag, ()))
+        recent, recent_expected = self._recent(at - staleness_bound)
+        recent_bad = sum(len(self._bad[tag][0]) for tag in recent if tag in self._bad)
         overall = (
             (self._total_expected - self._total_bad) / self._total_expected
             if self._total_expected
@@ -635,11 +624,21 @@ class ConsistencyTracker:
         settled = (settled_total - settled_bad) / settled_total if settled_total else 1.0
         return overall, settled, self._total_expected, self._total_bad
 
+    def settled_inconsistencies(self, at: int, horizon: int) -> tuple[int, list[tuple]]:
+        """As of `at`, over the groups last updated at or before `horizon`:
+        their expected keys in all, and (newest update, inconsistent (target
+        key, class) pairs, bug) of each with any, by (rule name, group id)."""
+        self._refresh(at)
+        recent, recent_expected = self._recent(horizon + 1)
+        bad = [(self._last_update[t], *self._bad[t]) for t in sorted(self._bad.keys() - recent)]
+        return self._total_expected - recent_expected, bad
+
     def class_counts(self) -> dict[DiscrepancyClass, int]:
         """Expected target keys per class, as `consistency_rate` counts them,
-        as of the last `rates` call (or tick 0 before any)."""
+        as of the last refresh (or tick 0 before any)."""
         self._refresh(self._at)
-        counts = dict(self._class_totals)
+        counts = dict.fromkeys(DiscrepancyClass, 0)
+        counts.update(Counter(verdict for pairs, _ in self._bad.values() for _, verdict in pairs))
         counts[DiscrepancyClass.CONSISTENT] = self._total_expected - self._total_bad
         return counts
 

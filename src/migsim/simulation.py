@@ -27,7 +27,7 @@ from .metrics import (
     SettlementTracker,
     consistency_rate,  # noqa: F401  re-exported: bench/tracing.py wraps it here
     loop_gauges,
-    time_to_converge,  # noqa: F401  re-exported: bench/tracing.py wraps it here
+    time_to_converge,
     window_ttcs,
 )
 from .oracle import OracleReport, oracle_verify
@@ -121,9 +121,9 @@ class _SimState:
             self.schema, self.legacy, self.target, self.queue, self.log,
             scenario.toggles.shadow_alarm_interval,
         )
-        self.offline = OfflineVerifier(self.schema, self.queue, self.log)
         self.settlement = SettlementTracker(self.schema.affected_targets)
         self.ctracker = ConsistencyTracker(self.schema, self.legacy.read, self.target.peek)
+        self.offline = OfflineVerifier(self.ctracker, self.queue, self.log)
         self.limiter = RateLimiter(scenario.bootstrap.limiter_capacity)
         self.workload = WorkloadGenerator(
             scenario.workload, self.schema, named_stream(seed, "workload")
@@ -303,8 +303,8 @@ class _SimState:
         else:
             # Causal view for clearance checks: any unsettled update in the
             # window legitimately shows up as an undefined TTC and blocks.
-            report.window_ttc = self.settlement.window_ttc(
-                now - self.scenario.metrics.ttc_window, now
+            report.window_ttc = time_to_converge(
+                self.settlement.updates_as_pairs(), now - self.scenario.metrics.ttc_window, now
             )
         return report
 
@@ -346,8 +346,9 @@ def run_scenario(
             and now > 0
             and now % scn.offline.interval == 0
         ):
-            snap = sim.take_snapshot(now)
-            sim.offline.run(snap, sim.target.records, scn.offline.cutoff, now)
+            # The sweep reads the tracker; the snapshot is taken for its row.
+            sim.take_snapshot(now)
+            sim.offline.run(now, scn.offline.cutoff)
 
         if (
             scn.bug is not None
@@ -367,7 +368,7 @@ def run_scenario(
             if sim.bootstrap_job is None and now >= scn.bootstrap.at:
                 sim.bootstrap_job = BootstrapJob(
                     sim.schema, sim.take_snapshot(now), sim.target, sim.queue, sim.registry,
-                    sim.log, mode=scn.bootstrap.mode, start_at=now,
+                    sim.log, mode=scn.bootstrap.mode,
                 )
             if sim.bootstrap_job is not None and not sim.bootstrap_job.done:
                 sim.target.writer_class = "backfill"

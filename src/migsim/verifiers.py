@@ -2,11 +2,11 @@
 
 Bootstrap replays a snapshot at a controlled rate; nearline checks every
 change-stream delivery; shadow reads piggyback on live reads; offline bulk
-verification sweeps a source snapshot against the target and catches
-whatever the online paths missed.  Each one maps and judges a rule group
-with `Schema.check_group` (bootstrap uses its map step alone), which also
-decides what a group that fails to map means; the trigger only acts on the
-outcome.  All four feed the same validate-and-fix primitive, so the
+verification sweeps every settled rule group and catches whatever the
+online paths missed.  Each judges a group with `Schema.check_group`, which
+also decides what a group that fails to map means (bootstrap maps only; the
+offline sweep reads the verdicts `ConsistencyTracker` keeps), and acts on
+the outcome.  All four feed the same validate-and-fix primitive, so the
 eventual repaired state never depends on which trigger noticed first.
 
 A trigger's outcome is recorded only in the event log (`verify`,
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Mapping
 
 from .domain import (
     BOOTSTRAP_COUNTER,
@@ -34,7 +33,7 @@ from .domain import (
     read_group,
 )
 from .healing import SelfHealingQueue, Trigger, fix_source_time
-from .metrics import EventLog, MetricsRegistry, iter_groups
+from .metrics import ConsistencyTracker, EventLog, MetricsRegistry, iter_groups
 from .stores import ChangeEvent, LegacyStore, Snapshot, StoreUnavailable, TargetStore
 
 
@@ -123,7 +122,6 @@ class BootstrapJob:
         registry: MetricsRegistry,
         log: EventLog,
         mode: str = "direct",
-        start_at: int = 0,
     ):
         if mode not in ("direct", "queue"):
             raise ValueError(f"unknown bootstrap mode {mode!r}")
@@ -134,7 +132,6 @@ class BootstrapJob:
         self.registry = registry
         self.log = log
         self.mode = mode
-        self.start_at = start_at
         self.report = BootstrapReport(mode=mode)
         # The snapshot and the group list are dropped once the job is done.
         self._groups: list[tuple] | None = self._ordered_groups()
@@ -159,7 +156,7 @@ class BootstrapJob:
 
     def step(self, now: int, limiter: RateLimiter) -> int:
         """Process as many groups as spare capacity covers; returns ops used."""
-        if self.done or now < self.start_at:
+        if self.done:
             return 0
         if self.report.started_at is None:
             self.report.started_at = now
@@ -346,62 +343,35 @@ class ShadowReader:
 class OfflineReport:
     """What one sweep did, as its `offline_done` row also records it."""
 
-    scanned_keys: int = 0
-    enqueued: int = 0
+    scanned_keys: int
+    enqueued: int
 
 
 class OfflineVerifier:
-    """Full sweep of a source snapshot against the target, feeding misses
-    back to the queue."""
+    """Bulk verification of every settled rule group against the target,
+    read from the run's `ConsistencyTracker`; misses go back to the queue."""
 
-    def __init__(self, schema: Schema, queue: SelfHealingQueue, log: EventLog):
-        self.schema = schema
+    def __init__(self, tracker: ConsistencyTracker, queue: SelfHealingQueue, log: EventLog):
+        self.tracker = tracker
         self.queue = queue
         self.log = log
 
-    def run(
-        self,
-        source_snapshot: Snapshot,
-        target_view: Mapping[Key, TargetRecord],
-        cutoff: int,
-        now: int,
-    ) -> OfflineReport:
-        """Scan groups whose newest update is older than the cutoff.
-
-        The cutoff exists so an in-flight update racing the snapshot is
-        never flagged; everything genuinely settled and wrong is enqueued.
-        `target_view` may be the live target records: nothing writes the
-        target during a sweep.  A group that fails to map has every key
-        enqueued and counted as not consistent, and logs no verify line for
-        them.  The sweep ends with one `offline_done` row.
-        """
-        report = OfflineReport()
-        consistent = 0
-        horizon = source_snapshot.taken_at - cutoff
-        read = source_snapshot.records.get
-        get = target_view.get
-        for rule, gid in iter_groups(self.schema, source_snapshot.records):
-            # The horizon is checked before mapping: recent groups cost one
-            # read per input key, not a transform.
-            sources = read_group(rule, gid, read)
-            newest = fix_source_time(sources)
-            if newest > horizon:
-                continue
-            _expected, verdicts, bug = self.schema.check_group(
-                rule, sources, get, rule.target_keys(gid), now
-            )
-            for tkey, verdict in verdicts.items():
-                report.scanned_keys += 1
-                if verdict is DiscrepancyClass.CONSISTENT:
-                    consistent += 1
-                    continue
-                report.enqueued += 1
+    def run(self, now: int, cutoff: int) -> OfflineReport:
+        """Enqueue each inconsistent key of the groups whose newest update is
+        at or before `now - cutoff`; the cutoff keeps in-flight updates from
+        being flagged, and a key's source update time is its group's newest
+        update.  Every key of a group that fails to map is inconsistent and
+        logs no `verify` row.  The sweep ends with one `offline_done` row."""
+        scanned, groups = self.tracker.settled_inconsistencies(now, now - cutoff)
+        enqueued = 0
+        for newest, pairs, bug in groups:
+            for tkey, verdict in pairs:
+                enqueued += 1
                 self.queue.enqueue(tkey, Trigger.OFFLINE, now, newest)
                 if not bug:
                     self.log.append(now, "verify", tkey, src="offline", res=verdict.value)
-        rate = consistent / report.scanned_keys if report.scanned_keys else 1.0
+        rate = (scanned - enqueued) / scanned if scanned else 1.0
         self.log.append(
-            now, "offline_done",
-            scanned=report.scanned_keys, enqueued=report.enqueued, rate=round(rate, 6),
+            now, "offline_done", scanned=scanned, enqueued=enqueued, rate=round(rate, 6)
         )
-        return report
+        return OfflineReport(scanned, enqueued)

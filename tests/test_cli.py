@@ -196,3 +196,37 @@ class TestReport:
         (tmp_path / "report.json").write_bytes(text.encode("latin-1"))
         assert main(["report", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'report.json'}: ")
+
+
+# A broken report.json and the message both commands give for it.
+BROKEN_REPORTS = {
+    "empty": (lambda doc: {}, "'name' is missing"),
+    "sample_without_at": (lambda doc: {**doc, "samples": [{}]}, "samples[0]: 'at' is missing"),
+    "sample_field_wrong_type": (
+        lambda doc: {**doc, "samples": [{**doc["samples"][0], "overall_rate": "1"}]},
+        "samples[0]: 'overall_rate' is '1'",
+    ),
+    "switch_without_lost_updates": (
+        lambda doc: {
+            **doc, "switch": {k: v for k, v in doc["switch"].items() if k != "lost_updates"}
+        },
+        "switch: 'lost_updates' is missing",
+    ),
+    "samples_not_a_list": (lambda doc: {**doc, "samples": 3}, "'samples' is 3"),
+}
+
+
+@pytest.mark.parametrize("command", ["report", "verify"])
+@pytest.mark.parametrize("case", list(BROKEN_REPORTS))
+def test_report_with_a_bad_field_is_usage_error(run_dir, tmp_path, capsys, command, case):
+    broken, message = BROKEN_REPORTS[case]
+    good = json.loads((run_dir / "report.json").read_text())
+    shutil.copy(run_dir / "eventlog.jsonl", tmp_path / "eventlog.jsonl")
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(broken(good)))
+    if command == "report":
+        code = main(["report", str(tmp_path)])
+    else:
+        code = main(["verify", str(tmp_path / "eventlog.jsonl"), str(scenario_path("small"))])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"

@@ -80,10 +80,9 @@ def _healer(p, event):
 
 
 def _offline(p, event):
-    verifier = OfflineVerifier(p.schema, p.queue, p.log)
-    return dataclasses.asdict(
-        verifier.run(p.legacy.take_snapshot(0), dict(p.target.records), 0, 0)
-    )
+    tracker = ConsistencyTracker(p.schema, p.legacy.read, p.target.peek)
+    tracker.mark_source(SOURCE, 0)
+    return dataclasses.asdict(OfflineVerifier(tracker, p.queue, p.log).run(0, 0))
 
 
 def _tracker(p, event):

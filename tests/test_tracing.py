@@ -57,3 +57,6 @@ def test_traced_small_run_counts_the_hot_primitives(tmp_path):
         "verifiers.nearline_checked",
     ):
         assert layers[name] > 0, name
+    assert layers["verifiers.offline_scanned_keys"] == sum(
+        row.scanned for row in result.log.rows if row.kind == "offline_done"
+    )

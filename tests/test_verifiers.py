@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from migsim import domain, verifiers
-from migsim.domain import BOOTSTRAP_COUNTER, Key, TargetRecord, VersionStamp
+from migsim import domain
+from migsim.domain import BOOTSTRAP_COUNTER, DiscrepancyClass, Key, TargetRecord, VersionStamp
 from migsim.healing import Trigger
+from migsim.metrics import ConsistencyTracker, iter_groups
+from migsim.scenario import load_file
+from migsim.simulation import _SimState, run_scenario
 from migsim.stores import ChangeEvent, Clock, FaultProfile, LegacyStore, Snapshot, SourceRecord
 from migsim.verifiers import (
     BootstrapJob,
@@ -14,7 +17,9 @@ from migsim.verifiers import (
     ShadowReader,
 )
 
-from conftest import build_pipeline
+from conftest import SCENARIO_DIR, build_pipeline, scenario_path
+
+BENCH_SCENARIO_DIR = SCENARIO_DIR.parent / "bench" / "scenarios"
 
 
 def verify_rows(log, src: str) -> list[str]:
@@ -263,16 +268,25 @@ class TestShadowRead:
 
 
 class TestOfflineVerify:
-    def _run(self, p, records, target_view=None, cutoff=0, taken_at=100, now=100):
-        snap = make_snapshot(records, taken_at=taken_at)
-        verifier = OfflineVerifier(p.schema, p.queue, p.log)
-        view = target_view if target_view is not None else dict(p.target.records)
-        return verifier.run(snap, view, cutoff, now)
+    def _tracker(self, p, records) -> ConsistencyTracker:
+        """A tracker that saw each of `records` committed at its own commit
+        time."""
+        tracker = ConsistencyTracker(p.schema, p.legacy.read, p.target.peek)
+        for r in sorted(records, key=lambda r: r.version.commit_time):
+            p.legacy.records[r.key] = r
+            tracker.mark_source(r.key, r.version.commit_time)
+        return tracker
+
+    def _run(self, p, records, cutoff=0, now=100):
+        return OfflineVerifier(self._tracker(p, records), p.queue, p.log).run(now, cutoff)
 
     def _done_row(self, p) -> dict:
         entry = p.log.entries[-1]
         assert entry["k"] == "offline_done"
         return entry
+
+    def _queued(self, p) -> list[tuple[Key, int]]:
+        return [(e.target_key, e.source_update_time) for e in p.queue.pending()]
 
     def test_fully_consistent_rate_one(self, pipeline):
         pipeline.commit_and_replicate("project", "1", {"n": "x"})
@@ -282,14 +296,11 @@ class TestOfflineVerify:
 
     def test_missing_key_flagged_and_enqueued(self, pipeline):
         records = [srec("project", str(i), {"n": "p"}) for i in range(100)]
-        for r in records[:99]:
-            pipeline.legacy.records[r.key] = r
         # replicate 99 of 100 into the target
         for r in records[:99]:
             pipeline.target.put_if_fresher(
                 TargetRecord(Key("project_v2", r.key.id), dict(r.value), {r.key: r.version}, False)
             )
-        pipeline.legacy.records[records[99].key] = records[99]
         report = self._run(pipeline, records)
         assert report.scanned_keys == 100
         assert verify_rows(pipeline.log, "offline") == ["missing"]
@@ -301,11 +312,27 @@ class TestOfflineVerify:
     def test_cutoff_skips_in_flight_updates(self, pipeline):
         old = srec("project", "1", {"n": "old"}, counter=1, t=10)
         recent = srec("project", "2", {"n": "new"}, counter=1, t=95)
-        report = self._run(pipeline, [old, recent], cutoff=24, taken_at=100)
+        report = self._run(pipeline, [old, recent], cutoff=24)
         assert report.scanned_keys == 1
-        assert {e.target_key for e in pipeline.queue.pending()} == {Key("project_v2", "1")}
+        assert self._queued(pipeline) == [(Key("project_v2", "1"), 10)]
 
-    def test_recent_groups_are_skipped_before_mapping(self, pipeline, monkeypatch):
+    def test_horizon_is_inclusive(self, pipeline):
+        # now 100, cutoff 24: the horizon is tick 76.
+        at_horizon = srec("project", "1", {"n": "a"}, t=76)
+        past_horizon = srec("project", "2", {"n": "b"}, t=77)
+        report = self._run(pipeline, [at_horizon, past_horizon], cutoff=24)
+        assert (report.scanned_keys, report.enqueued) == (1, 1)
+        assert self._queued(pipeline) == [(Key("project_v2", "1"), 76)]
+
+    def test_a_sweep_with_nothing_dirty_maps_nothing(self, pipeline, monkeypatch):
+        recent = [srec("project", str(i), {"n": "x"}, t=95) for i in range(3)]
+        settled = srec("project", "9", {"n": "y"}, t=10)
+        pipeline.target.put_if_fresher(
+            TargetRecord(Key("project_v2", "9"), {"n": "y"}, {settled.key: settled.version}, False)
+        )
+        tracker = self._tracker(pipeline, [*recent, settled])
+        tracker.rates(100, 0)  # maps every group
+        pipeline.log.rows.clear()
         calls = []
 
         def counted(rule, sources):
@@ -314,11 +341,84 @@ class TestOfflineVerify:
 
         real = domain.map_source
         monkeypatch.setattr(domain, "map_source", counted)
-        monkeypatch.setattr(verifiers, "map_source", counted)
-        recent = [srec("project", str(i), {"n": "x"}, t=95) for i in range(3)]
-        report = self._run(pipeline, recent, cutoff=24, taken_at=100)
+        report = OfflineVerifier(tracker, pipeline.queue, pipeline.log).run(100, 24)
         assert calls == []
-        assert (report.scanned_keys, report.enqueued) == (0, 0)
+        assert (report.scanned_keys, report.enqueued) == (1, 0)
         assert [
             {k: v for k, v in e.items() if k != "seq"} for e in pipeline.log.entries
-        ] == [{"t": 100, "k": "offline_done", "scanned": 0, "enqueued": 0, "rate": 1.0}]
+        ] == [{"t": 100, "k": "offline_done", "scanned": 1, "enqueued": 0, "rate": 1.0}]
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            scenario_path("catchall"),
+            BENCH_SCENARIO_DIR / "live_churn.json",
+            BENCH_SCENARIO_DIR / "reshape_queue.json",
+        ],
+        ids=lambda p: p.stem,
+    )
+    def test_sweep_rows_equal_a_full_scan_of_settled_groups(self, monkeypatch, path):
+        """At every offline tick of a run, the rows the sweep logs are those
+        a brute-force `check_group` scan of the settled groups implies."""
+        states = []
+        init = _SimState.__init__
+
+        def remembered_init(self, *args):
+            init(self, *args)
+            states.append(self)
+
+        sweeps = []
+        run = OfflineVerifier.run
+
+        def checked_run(self, now, cutoff):
+            (sim,) = states
+            want = _full_scan_rows(sim, now, now - cutoff)
+            start = len(sim.log.rows)
+            report = run(self, now, cutoff)
+            sweeps.append((_sweep_rows(sim.log.rows[start:]), want))
+            return report
+
+        monkeypatch.setattr(_SimState, "__init__", remembered_init)
+        monkeypatch.setattr(OfflineVerifier, "run", checked_run)
+        run_scenario(load_file(path), seed=1)
+        assert sweeps
+        assert any(got[-1][1] for got, _ in sweeps)  # some sweep scanned keys
+        for got, want in sweeps:
+            assert got == want
+
+
+def _full_scan_rows(sim, now: int, horizon: int) -> list[tuple]:
+    """The rows an offline sweep at `now` should log, from a full scan of
+    the legacy store against the target (read without fault draws)."""
+    rows, scanned = [], 0
+    for rule, gid in iter_groups(sim.schema, sim.legacy.records):
+        sources = domain.read_group(rule, gid, sim.legacy.records.get)
+        newest = max(rec.version.commit_time for rec in sources.values())
+        if newest > horizon:
+            continue
+        _expected, verdicts, bug = sim.schema.check_group(
+            rule, sources, sim.target.records.get, rule.target_keys(gid), now
+        )
+        scanned += len(verdicts)
+        for tkey, verdict in verdicts.items():
+            if verdict is not DiscrepancyClass.CONSISTENT:
+                rows.append(("queue", tkey, "offline", newest))
+                if not bug:
+                    rows.append(("verify", tkey, "offline", verdict.value))
+    enqueued = sum(row[0] == "queue" for row in rows)
+    rate = (scanned - enqueued) / scanned if scanned else 1.0
+    return rows + [("offline_done", scanned, enqueued, round(rate, 6))]
+
+
+def _sweep_rows(rows) -> list[tuple]:
+    """Log rows as `_full_scan_rows` spells them; enqueue and coalesce alike
+    are one queue row."""
+    out = []
+    for row in rows:
+        if row.kind in ("enqueue", "coalesce"):
+            out.append(("queue", row.key, row.trig, row.sut))
+        elif row.kind == "verify":
+            out.append(("verify", row.key, row.src, row.res))
+        else:
+            out.append((row.kind, row.scanned, row.enqueued, row.rate))
+    return out
