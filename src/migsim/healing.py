@@ -136,19 +136,16 @@ class SelfHealingQueue:
 
         Popped events stay tracked as in-flight until settled back via
         finish / reschedule / dead_letter, so concurrent enqueues of the
-        same key coalesce instead of double-inserting.
+        same key coalesce instead of double-inserting.  Each pending event
+        has exactly one heap entry: only `enqueue` (for a key neither
+        pending nor in flight) and `reschedule` (for an in-flight one) push,
+        and only this method pops.
         """
+        heap = self._heap
         out: list[ValidationEvent] = []
-        while self._heap and len(out) < limit:
-            due, seq, key = self._heap[0]
-            if due > now:
-                break
-            heapq.heappop(self._heap)
-            event = self._by_key.get(key)
-            if event is None or event.seq != seq or event.due != due:
-                continue  # superseded heap entry
-            del self._by_key[key]
-            self._in_flight[key] = event
+        while heap and heap[0][0] <= now and len(out) < limit:
+            key = heapq.heappop(heap)[2]
+            event = self._in_flight[key] = self._by_key.pop(key)
             out.append(event)
         return out
 

@@ -93,8 +93,8 @@ def _as_entry(seq: int, row) -> dict:
 
 
 # The fields the oracle reads from each kind of row ("key" included).  A
-# commit that is not a delete also needs "val", and an accepted put that is
-# not native needs "prov", "tomb" and "val".
+# commit that is not a delete also needs "val", and an accepted put needs
+# "prov", "tomb" and "val".
 _ORACLE_FIELDS = {
     "commit": ("key", "op", "ver"),
     "put": ("key", "cls", "out"),
@@ -107,7 +107,7 @@ def _oracle_fields(kind: str, entry: dict) -> tuple[str, ...]:
     need = _ORACLE_FIELDS.get(kind, ())
     if kind == "commit" and entry.get("op") != "delete":
         need += ("val",)
-    elif kind == "put" and entry.get("out") == "accepted" and entry.get("cls") != "native":
+    elif kind == "put" and entry.get("out") == "accepted":
         need += ("prov", "tomb", "val")
     return need
 

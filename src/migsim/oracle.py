@@ -2,8 +2,8 @@
 
 `LogReplay` reads the log's rows once, in log order, and keeps what every
 check needs: the commits, the final source and target states, the accepted
-migration puts per target key, the replayed queue length at each sample and
-the dependency-order violations.  From those the oracle recomputes the final
+puts per target key, the replayed queue length at each sample and the
+dependency-order violations.  From those the oracle recomputes the final
 diff, per-update settlement times, window TTC at every sample, and lost
 updates at the flip.  It shares only the definitional primitives with the
 online path: the schema's rules and key relations, `map_source`, freshness
@@ -82,15 +82,13 @@ class OracleReport:
 class LogReplay:
     """The oracle's one pass over an event log's rows, in log order.
 
-    It keeps the commit rows; the accepted migration puts per target key
-    (native writes after a flip are not migration writes); `source`, the
-    last commit per key decoded into a `SourceRecord`; `target`, the last
-    migration put row per key; `queue_lengths`, a (time, sampled, replayed)
-    queue length per sample row; and `ordering_violations`, each live child
-    put whose parent target key no earlier migration put wrote, judged
-    against the source as committed by then.  After a flip the run commits
-    nothing and writes targets only natively, so the end state is the state
-    at the flip.
+    It keeps the commit rows; the accepted puts per target key; `source`,
+    the last commit per key decoded into a `SourceRecord`; `target`, the
+    last accepted put row per key; `queue_lengths`, a (time, sampled,
+    replayed) queue length per sample row; and `ordering_violations`, each
+    live child put whose parent target key no earlier put wrote, judged
+    against the source as committed by then.  The flip ends a run, so the
+    end state is the state at the flip.
     """
 
     def __init__(self, log: EventLog, schema: Schema):
@@ -111,7 +109,7 @@ class LogReplay:
                     row.key, {} if tomb else row.val, row.ver, tomb
                 )
             elif kind == "put":
-                if row.out == "accepted" and row.cls != "native":
+                if row.out == "accepted":
                     if not row.tomb:
                         self._check_parents(row, schema)
                     self.target[row.key] = row

@@ -66,8 +66,9 @@ class RampController:
     """Drives the freeze-drain-flip sequence on the virtual clock.
 
     The controller is the only writer of the source-of-truth flag.  It gets
-    stepped at the top of every tick with the run state, and exposes three
-    flags the rest of the system reads: bulk_frozen, writes_frozen, flipped.
+    stepped at the top of every tick with the run state, and exposes two
+    flags the rest of the system reads: bulk_frozen and writes_frozen.  The
+    step that flips returns True, and the runner ends the run in that tick.
     """
 
     def __init__(self, spec: RampSpec, log: EventLog):
@@ -87,8 +88,9 @@ class RampController:
     def note_rejected_write(self) -> None:
         self.report.rejected_writes += 1
 
-    def step(self, now: int, sim) -> None:
-        """Advance the state machine; `sim` is the live run state.
+    def step(self, now: int, sim) -> bool:
+        """Advance the state machine; `sim` is the live run state.  True in
+        the step that flips.
 
         The protocol `sim` meets: fresh_report() -> ConsistencyReport,
         dead_letter_count() -> int, drained() -> bool, unsettled_count() ->
@@ -96,7 +98,7 @@ class RampController:
         """
         spec = self.spec
         if self.finished:
-            return
+            return False
         if not self.bulk_frozen and now >= spec.time - spec.bulk_freeze_lead:
             self.bulk_frozen = True
             self.log.append(now, "ramp", act="bulk_freeze")
@@ -115,26 +117,28 @@ class RampController:
                 self.report.outcome = "aborted"
                 self.report.blocked_reasons = reasons
                 self.log.append(now, "ramp", act="abort", why="clearance_blocked")
-                return
+                return False
         if now < spec.time:
-            return
+            return False
 
         if spec.mode == "forced":
             self._flip(now, sim)
-            return
+            return True
 
         if not self.writes_frozen:
             self.writes_frozen = True
             self.log.append(now, "ramp", act="write_freeze")
         if sim.drained() and sim.unsettled_count() == 0:
             self._flip(now, sim)
-        elif now - spec.time >= spec.freeze_timeout:
+            return True
+        if now - spec.time >= spec.freeze_timeout:
             self.writes_frozen = False
             self.aborted = True
             self.report.outcome = "aborted"
             self.report.unavailability_window = now - spec.time
             self.report.blocked_reasons = ["drain exceeded freeze_timeout"]
             self.log.append(now, "ramp", act="abort", why="freeze_timeout")
+        return False
 
     def _flip(self, now: int, sim) -> None:
         self.flipped = True

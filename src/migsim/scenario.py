@@ -356,6 +356,9 @@ def _validate(scenario: Scenario) -> None:
             raise ConfigError(f"workload weight for unknown type {name!r}")
         if weight < 0:
             raise ConfigError("type weights must be >= 0")
+    for name in ("write_rate", "read_rate", "night_rate_factor"):
+        if not 0 <= getattr(scenario.workload, name) < float("inf"):
+            raise ConfigError(f"workload.{name} must be a finite number >= 0")
     for dt in scenario.workload.delete_types:
         if dt not in names:
             raise ConfigError(f"delete_types names unknown type {dt!r}")

@@ -1,10 +1,14 @@
 """Deterministic scenario runner on a virtual clock.
 
-Tick phases, in order: ramp controller, workload (legacy commits or, after
-the flip, native target traffic), dual-write replication, change-stream
-delivery, nearline checks, shadow reads, offline verification, self-healing
-queue processing, bootstrap backfill, metrics sampling.  Live traffic always
-runs before repair and backfill, which only get the tick's spare capacity.
+Tick phases, in order: ramp controller, workload (legacy commits and
+reads), dual-write replication, change-stream delivery, nearline checks,
+shadow reads, offline verification, self-healing queue processing,
+bootstrap backfill, metrics sampling.  Live traffic always runs before
+repair and backfill, which only get the tick's spare capacity.
+
+The flip ends the run.  The flip tick runs the ramp controller and a
+metrics sample and nothing else, so the run's end state is its state at the
+flip, where the switch report measures it.
 
 Equal scenarios produce byte-identical event logs; every random draw comes
 from a named substream of the scenario seed.
@@ -16,7 +20,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .domain import Key, Schema, SourceRecord, TargetRecord, VersionStamp
+from .domain import Key, Schema, TargetRecord
 from .dualwrite import DualWriter
 from .healing import Healer, SelfHealingQueue
 from .metrics import (
@@ -34,7 +38,7 @@ from .oracle import OracleReport, oracle_verify
 from .ramp import RampController
 from .rng import named_stream
 from .scenario import Scenario, serialize
-from .stores import ChangeStream, Clock, LegacyStore, Snapshot, StoreUnavailable, TargetStore
+from .stores import ChangeStream, Clock, LegacyStore, TargetStore
 from .verifiers import BootstrapJob, NearlineVerifier, OfflineVerifier, RateLimiter, ShadowReader
 from .workload import OP_DELETE, OP_READ, WorkloadGenerator
 
@@ -133,7 +137,6 @@ class _SimState:
             self.ramp = RampController(scenario.ramp, self.log)
         self.bootstrap_job: BootstrapJob | None = None
         self.samples: list[ConsistencyReport] = []
-        self.flip_rates: tuple[float, float] | None = None
 
         def _on_accept(record: TargetRecord, now: int) -> None:
             self.settlement.on_accepted_put(record, now)
@@ -159,33 +162,24 @@ class _SimState:
             self.dualwriter.on_commit(event)
             self.stream.feed(event, self.clock.now)
 
-    def take_snapshot(self, now: int) -> Snapshot:
-        """A legacy snapshot as of `now`, logged."""
-        snap = self.legacy.take_snapshot(now)
+    def log_snapshot(self, now: int) -> None:
+        """Log the `snapshot` row of the legacy store as of `now`: its size
+        and newest commit time, read from the live store."""
+        legacy = self.legacy
         self.log.append(
-            now, "snapshot", taken=snap.taken_at, lut=snap.last_update_time, n=len(snap)
+            now, "snapshot", taken=now, lut=legacy.last_update_time, n=len(legacy.records)
         )
-        return snap
 
     def workload_phase(self, now: int) -> list:
-        scenario = self.scenario
-        flipped = self.ramp is not None and self.ramp.flipped
         frozen_writes = self.ramp is not None and self.ramp.writes_frozen
         bulk_frozen = self.ramp is not None and self.ramp.bulk_frozen
-        read_current = self._post_flip_read if flipped else self.legacy.read
-        ops = self.workload.generate_step(now, read_current, bulk_frozen=bulk_frozen)
+        ops = self.workload.generate_step(now, self.legacy.read, bulk_frozen=bulk_frozen)
         reads: list = []
         for op in ops:
             if op.kind == OP_READ:
-                if flipped:
-                    self._native_read(op.key)
-                else:
-                    rec = self.legacy.read(op.key)
-                    if rec is not None:
-                        reads.append((op.key, rec))
-                continue
-            if flipped:
-                self._native_write(op)
+                rec = self.legacy.read(op.key)
+                if rec is not None:
+                    reads.append((op.key, rec))
                 continue
             if frozen_writes:
                 self.ramp.note_rejected_write()
@@ -193,34 +187,6 @@ class _SimState:
                 continue
             self._commit(op.key, None if op.kind == OP_DELETE else op.value, attach=True)
         return reads
-
-    def _post_flip_read(self, key: Key):
-        # The generator wants current values for updates; post flip the new
-        # store is the truth, so serve the mapped view without fault draws.
-        for rule in self.schema.rules_for_source(key.etype):
-            for tkey in rule.target_keys(key.id):
-                rec = self.target.peek(tkey)
-                if rec is not None and not rec.tombstone:
-                    return SourceRecord(key, rec.value, VersionStamp(0, self.clock.now), False)
-        return None
-
-    def _native_write(self, op) -> None:
-        tomb = op.kind == OP_DELETE
-        value = {} if tomb else op.value
-        for rule in self.schema.rules_for_source(op.key.etype):
-            for tkey in rule.target_keys(op.key.id):
-                try:
-                    self.target.put_native(TargetRecord(tkey, value, {}, tomb))
-                except StoreUnavailable:
-                    pass  # ordinary availability, client-visible, no repair loop
-
-    def _native_read(self, key: Key) -> None:
-        for rule in self.schema.rules_for_source(key.etype):
-            for tkey in rule.target_keys(key.id):
-                try:
-                    self.target.get(tkey)
-                except StoreUnavailable:
-                    pass
 
     # -- the ramp controller's view of the run ---------------------------
 
@@ -244,10 +210,7 @@ class _SimState:
     def flip_measurements(self, now: int) -> tuple[int, int]:
         """At the flip: unsettled source updates and the residual exact diff."""
         lost = self.settlement.unsettled_count()
-        overall, settled, _expected, discrepancies = self.ctracker.rates(
-            now, self._staleness_bound(now)
-        )
-        self.flip_rates = (overall, settled)
+        *_, discrepancies = self.ctracker.rates(now, self._staleness_bound(now))
         return lost, discrepancies
 
     def _staleness_bound(self, now: int) -> int:
@@ -259,9 +222,7 @@ class _SimState:
         return max(2 * observed, self.scenario.metrics.staleness_floor)
 
     def phase_label(self, now: int) -> str:
-        if self.ramp is not None and self.ramp.flipped:
-            return "post"
-        if self.ramp is not None and self.scenario.ramp.enabled and now >= self.scenario.ramp.time:
+        if self.ramp is not None and now >= self.scenario.ramp.time:
             return "ramp"
         job = self.bootstrap_job
         if self.scenario.bootstrap.enabled:
@@ -274,11 +235,7 @@ class _SimState:
 
     def sample_report(self, now: int, record: bool = True) -> ConsistencyReport:
         bound = self._staleness_bound(now)
-        if self.ramp is not None and self.ramp.flipped and self.flip_rates is not None:
-            overall, settled = self.flip_rates
-            expected = bad = 0
-        else:
-            overall, settled, expected, bad = self.ctracker.rates(now, bound)
+        overall, settled, expected, bad = self.ctracker.rates(now, bound)
         qlen, age = loop_gauges(self.queue, now)
         report = ConsistencyReport(
             at=now,
@@ -322,32 +279,26 @@ def run_scenario(
     for now in range(scn.duration + 1):
         sim.clock.now = now
         sim.limiter.begin_tick(now)
-        if sim.ramp is not None and not sim.ramp.finished:
-            sim.ramp.step(now, sim)
-        flipped = sim.ramp.flipped if sim.ramp else False
+        if sim.ramp is not None and sim.ramp.step(now, sim):
+            # The flip ends the run: its tick is sampled and nothing else
+            # runs.
+            sim.sample_report(now)
+            break
 
         ops_before = sim.target.op_count
         reads = sim.workload_phase(now)
-
-        if not flipped:
-            sim.target.writer_class = "dual"
-            sim.dualwriter.run_due(now)
-            sim.stream.deliver_due(now)
-            sim.target.writer_class = "live"
-            sim.nearline.run_due(now)
-            if scn.toggles.enable_shadow:
-                for skey, rec in reads:
-                    sim.shadow.on_read(skey, rec, now)
+        sim.target.writer_class = "dual"
+        sim.dualwriter.run_due(now)
+        sim.stream.deliver_due(now)
+        sim.target.writer_class = "live"
+        sim.nearline.run_due(now)
+        if scn.toggles.enable_shadow:
+            for skey, rec in reads:
+                sim.shadow.on_read(skey, rec, now)
         sim.limiter.note_live(sim.target.op_count - ops_before)
 
-        if (
-            not flipped
-            and scn.offline.enabled
-            and now > 0
-            and now % scn.offline.interval == 0
-        ):
-            # The sweep reads the tracker; the snapshot is taken for its row.
-            sim.take_snapshot(now)
+        if scn.offline.enabled and now > 0 and now % scn.offline.interval == 0:
+            sim.log_snapshot(now)
             sim.offline.run(now, scn.offline.cutoff)
 
         if (
@@ -357,18 +308,18 @@ def run_scenario(
         ):
             sim.queue.requeue_dead_letters(now)
 
-        if not flipped:
-            ops_before = sim.target.op_count
-            sim.target.writer_class = "repair"
-            sim.healer.process(now)
-            sim.target.writer_class = "live"
-            sim.limiter.note_backfill(sim.target.op_count - ops_before)
+        ops_before = sim.target.op_count
+        sim.target.writer_class = "repair"
+        sim.healer.process(now)
+        sim.target.writer_class = "live"
+        sim.limiter.note_backfill(sim.target.op_count - ops_before)
 
-        if scn.bootstrap.enabled and not flipped:
+        if scn.bootstrap.enabled:
             if sim.bootstrap_job is None and now >= scn.bootstrap.at:
+                sim.log_snapshot(now)
                 sim.bootstrap_job = BootstrapJob(
-                    sim.schema, sim.take_snapshot(now), sim.target, sim.queue, sim.registry,
-                    sim.log, mode=scn.bootstrap.mode,
+                    sim.schema, sim.legacy.take_snapshot(now), sim.target, sim.queue,
+                    sim.registry, sim.log, mode=scn.bootstrap.mode,
                 )
             if sim.bootstrap_job is not None and not sim.bootstrap_job.done:
                 sim.target.writer_class = "backfill"
@@ -422,17 +373,13 @@ def _assemble_report(sim: _SimState, out_dir: Path | None) -> RunReport:
     """Final rates and counters; the log digest pass also writes
     `eventlog.jsonl` into `out_dir` when one is given."""
     scn = sim.scenario
-    flipped = sim.ramp is not None and sim.ramp.flipped
-    if flipped and sim.flip_rates is not None:
-        final_overall, final_settled = sim.flip_rates
-        counts: dict = {}
-    else:
-        # The tracker stands in for a full scan: the last sample refreshed
-        # it at `duration` under this same bound.
-        final_overall, final_settled, _expected, _bad = sim.ctracker.rates(
-            scn.duration, sim._staleness_bound(scn.duration)
-        )
-        counts = {cls.value: n for cls, n in sim.ctracker.class_counts().items() if n}
+    # The tracker stands in for a full scan: the last sample refreshed it at
+    # the run's last tick (the flip or `duration`) under this same bound.
+    last = sim.clock.now
+    final_overall, final_settled, _expected, _bad = sim.ctracker.rates(
+        last, sim._staleness_bound(last)
+    )
+    counts = {cls.value: n for cls, n in sim.ctracker.class_counts().items() if n}
     n_initial = scn.workload.initial_records
     report = RunReport(
         name=scn.name,

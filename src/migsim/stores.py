@@ -27,8 +27,6 @@ from .domain import (
 )
 from .metrics import EventLog
 
-EMPTY_TIME = -1  # last_update_time of an empty snapshot
-
 
 class PutResult(str, Enum):
     ACCEPTED = "accepted"
@@ -83,9 +81,6 @@ class Snapshot:
     def __init__(self, taken_at: int, records: Mapping[Key, SourceRecord]):
         self.taken_at = taken_at
         self.records: dict[Key, SourceRecord] = dict(records)
-        self.last_update_time = max(
-            (r.version.commit_time for r in self.records.values()), default=EMPTY_TIME
-        )
 
     def __len__(self) -> int:
         return len(self.records)
@@ -98,6 +93,9 @@ class LegacyStore:
         self.clock = clock
         self.records: dict[Key, SourceRecord] = {}
         self._seq = 0  # sequence number of the latest commit
+        # Time of the latest commit, -1 before the first.  Records are never
+        # removed, so this is also their newest commit time.
+        self.last_update_time = -1
 
     def commit(self, key: Key, value: Mapping[str, str] | None) -> ChangeEvent:
         """Store a new version (value=None deletes) and return its change event.
@@ -115,6 +113,7 @@ class LegacyStore:
             rec = SourceRecord(key, dict(value), stamp, False)
             op = "write"
         self.records[key] = rec
+        self.last_update_time = stamp.commit_time
         self._seq += 1
         return ChangeEvent(self._seq, key, stamp, op)
 
@@ -127,10 +126,9 @@ class LegacyStore:
         Superseded versions are not kept, so `now` must not be earlier than
         the newest commit.
         """
-        snap = Snapshot(now, self.records)
-        if snap.last_update_time > now:
-            raise InvariantError(f"snapshot at {now} after a commit at {snap.last_update_time}")
-        return snap
+        if self.last_update_time > now:
+            raise InvariantError(f"snapshot at {now} after a commit at {self.last_update_time}")
+        return Snapshot(now, self.records)
 
 
 class TargetStore:
@@ -197,16 +195,6 @@ class TargetStore:
         for hook in self.on_accept:
             hook(record, self.clock.now)
         return PutResult.ACCEPTED
-
-    def put_native(self, record: TargetRecord) -> None:
-        """Unconditional write used once this store is the source of truth."""
-        if not self._check_available():
-            raise StoreUnavailable(f"native put {record.key}")
-        self.records[record.key] = record
-        if self.event_log is not None:
-            self.event_log.append(
-                self.clock.now, "put", record.key, cls="native", out="accepted"
-            )
 
     def get(self, key: Key) -> TargetRecord | None:
         if not self._check_available():

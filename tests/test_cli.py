@@ -147,6 +147,10 @@ class TestVerify:
             '{"cls":"dual","k":"put","key":["project_v2","4"],"out":"accepted",'
             '"prov":[["project","4",1,0]],"seq":4,"t":0,"tomb":false}',
             '{"seq":4,"t":0,"k":"ramp"}',
+            # An accepted native put without "prov", "tomb" and "val", as
+            # logs held once post-flip traffic ran.
+            '{"cls":"native","k":"put","key":["project_v2","4"],"out":"accepted",'
+            '"seq":4,"t":0}',
         ],
     )
     def test_verify_unreadable_log_is_usage_error(self, run_dir, tmp_path, capsys, broken):

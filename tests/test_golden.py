@@ -38,18 +38,18 @@ GOLDEN = {
         "65ab3fdc3b381ed9716e6945eab68e377f91dca02870cad889d72ffd925ea46f",
     ),
     "scenarios/ramp_pair_drained.json": (
-        "f328aaf1314d2ab699e387f5ca8f87a9fe8acf86baf16fc289c13f008fb7f4c5",
-        "77b17885e283f0c6c5db7f3623263b7e4df78e66d308ee7feab2ec91633953c9",
+        "9aa680106981167967824470dfd1fd934934061d80af493c35e323aa1ddbe0da",
+        "6b065322d0f663245167a039558cca302089b7f9740769d19aaab13b9f572c20",
         "fa33f780693b74c0f80cb80aadf5484f692300466375ff13a191799859aaac76",
     ),
     "scenarios/ramp_pair_forced.json": (
-        "e617fb6bb333249911079faea29911a88e6806860ffa38372ca39c81c99793b6",
-        "c6fa90935fdb2ca98bfb1646fa69a48ad734c788377339160d0e46f125f1a337",
+        "5986ba493e43e8b99a6d2e76bcb36a98258c35b04f0abffb9b20644a99aaeb90",
+        "4fc56afad5669e37931533175fb94099a33b3202aa7b30644833255f1fd195ba",
         "b6b6afde84b64bcd2fdb672727241fd595b39c6d07e35988b9b9034cd7392f47",
     ),
     "scenarios/reshape.json": (
-        "9197452111b725ebb8a01715991cbc2172fb0cafc2429bdaca42e3033cf6e93b",
-        "29b771015d91cc06ec757882682de77f7f368864a0a0f2a4fd4df67c3ff749ef",
+        "94ed26be5905dd95951ea82808366797dbdd6ed701596fe7936e6060cb2b7149",
+        "4e19865da6be380bb9599dd7dfc0fb1c352b2edf113581fa17ab6d9fc5682f52",
         "12d52be1e90dd77f67534f7522f4f45cd41df5db53d5b4e34e294ec9f40e05b1",
     ),
     "scenarios/resurrection.json": (
@@ -58,8 +58,8 @@ GOLDEN = {
         "15a8afd5d8f2dc816e8cba15b4633758fb47d3970377915da2593624e03cfd43",
     ),
     "scenarios/small.json": (
-        "048ea93ccd6338feff51edbab783678c184acdd94c2be104ce3c7b587052c07d",
-        "8bbcb6d90cc88b768491b5ddce808cb5b3d7bcde22385db78163c7887e7667f2",
+        "b3bb55c788c36a2fec9a0fc86244367852f77e9db2fb2119c56dc22b3e1e38a6",
+        "fc0fe552039270c7576a55bfd07614dc26a7679b11c4a0ad64156ca264f89d76",
         "095dbb9e52aebd87a1fee275b7b7b074437efd1a2d4c0648401bd79482da8824",
     ),
     "bench/scenarios/live_churn.json": (
@@ -68,8 +68,8 @@ GOLDEN = {
         "b08fa4ff02208cfb1c433dfa2cfb62029815920cb6036a7efa638604807e2683",
     ),
     "bench/scenarios/paper_default.json": (
-        "d8b9a2a44b4571ea6d00555ed7cd2199098b303c593bee1d4ab778bab2385b7e",
-        "f628c7a80e826cf2bf5c6e8181d7026bb6122c3d4d6c291b15626122c6b08b60",
+        "fc174b3ec19d363fe3a0508333d62caf8d49fc86be16bfefc4285369f023a442",
+        "45885d17f717d623bca49aa806dcc5637c91c7bc0799c08f5eae60913b4ef402",
         "3a08f9cc9f0d0c2240712d31c7c350daf1fdebe9912fa04c7585d2ed2d07838f",
     ),
     "bench/scenarios/reshape_queue.json": (

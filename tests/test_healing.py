@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, strategies as st
+
 from migsim.domain import Key, TargetRecord, VersionStamp
-from migsim.healing import FixStatus, RetryPolicy, Trigger
+from migsim.healing import FixStatus, RetryPolicy, SelfHealingQueue, Trigger
+from migsim.metrics import EventLog, MetricsRegistry
 
 from conftest import build_pipeline
 
@@ -249,6 +252,46 @@ class TestProcess:
         assert pipeline.log.entries[-1]["k"] == "coalesce"
         pipeline.queue.reschedule(popped[0], 2)
         assert len(pipeline.queue) == 1
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["enqueue", "pop", "reschedule", "finish", "dead_letter", "requeue"]),
+                st.integers(0, 4),
+                st.integers(0, 3),
+            ),
+            max_size=60,
+        )
+    )
+    def test_each_pending_event_has_exactly_one_heap_entry(self, steps):
+        # `pop_due` relies on this: every heap entry it pops names the
+        # pending event of its key, with that event's due time and seq.
+        queue = SelfHealingQueue(MetricsRegistry(), EventLog())
+        in_flight: list = []
+        now = 0
+        for step, n, dt in steps:
+            key = Key("project_v2", str(n))
+            if step == "enqueue":
+                queue.enqueue(key, Trigger.NEARLINE, now, now)
+            elif step == "pop":
+                popped = queue.pop_due(now, n)
+                assert len(popped) <= n and all(e.due <= now for e in popped)
+                in_flight += popped
+            elif step == "requeue":
+                queue.requeue_dead_letters(now)
+            elif in_flight:
+                event = in_flight.pop(n % len(in_flight))
+                if step == "reschedule":
+                    queue.reschedule(event, now + dt)
+                elif step == "finish":
+                    queue.finish(event)
+                else:
+                    queue.dead_letter(event, "gave up", now)
+            now += dt
+            assert sorted(queue._heap) == sorted(
+                (e.due, e.seq, e.target_key) for e in queue.pending()
+            )
+            assert len(queue._heap) == len(queue)
 
 
 class TestCounterAlgebra:

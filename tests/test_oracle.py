@@ -193,7 +193,7 @@ class TestOnePassReplay:
         schema, log = run_log
         decoded, puts = {}, {}
         for row, entry in zip(log.rows, log.entries):
-            if entry["k"] == "put" and entry["out"] == "accepted" and entry["cls"] != "native":
+            if entry["k"] == "put" and entry["out"] == "accepted":
                 key = Key(*entry["key"])
                 decoded[key] = TargetRecord(
                     key, entry["val"], _provenance(entry["prov"]), entry["tomb"]
@@ -216,5 +216,8 @@ class TestOnePassReplay:
             elif entry["k"] == "sample":
                 expected.append((entry["t"], entry["qlen"], length))
         replay = LogReplay(log, schema)
-        assert len(expected) > 10
+        # Not vacuous, however long the run: the queue is non-empty at one
+        # sample and empty at another.
+        lengths = {length for *_, length in expected}
+        assert 0 in lengths and len(lengths) > 1
         assert replay.queue_lengths == expected

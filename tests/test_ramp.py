@@ -76,12 +76,16 @@ class _Status:
         return (self.lost, self.disc)
 
 
-def drive(controller: RampController, status: _Status, until: int) -> None:
+def drive(controller: RampController, status: _Status, until: int) -> list[int]:
+    """Step until the controller finishes; the ticks whose step returned True."""
+    flips = []
     for now in range(until + 1):
         status.now = now
-        controller.step(now, status)
+        if controller.step(now, status):
+            flips.append(now)
         if controller.finished:
             break
+    return flips
 
 
 class TestController:
@@ -101,7 +105,7 @@ class TestController:
     def test_drained_flip_with_zero_window(self):
         spec = RampSpec(time=50, bulk_freeze_lead=10, freeze_timeout=20)
         controller = RampController(spec, EventLog())
-        drive(controller, _Status(drained_at=0), 60)
+        assert drive(controller, _Status(drained_at=0), 60) == [50]
         assert controller.report.outcome == "switched"
         assert controller.report.unavailability_window == 0
         assert controller.report.flip_time == 50
@@ -109,14 +113,14 @@ class TestController:
     def test_drained_flip_waits_for_drain(self):
         spec = RampSpec(time=50, bulk_freeze_lead=10, freeze_timeout=20)
         controller = RampController(spec, EventLog())
-        drive(controller, _Status(drained_at=57), 80)
+        assert drive(controller, _Status(drained_at=57), 80) == [57]
         assert controller.report.outcome == "switched"
         assert controller.report.unavailability_window == 7
 
     def test_drain_timeout_aborts_without_flip(self):
         spec = RampSpec(time=50, bulk_freeze_lead=10, freeze_timeout=20)
         controller = RampController(spec, EventLog())
-        drive(controller, _Status(drained_at=None), 200)
+        assert drive(controller, _Status(drained_at=None), 200) == []
         assert controller.report.outcome == "aborted"
         assert not controller.flipped
         assert not controller.writes_frozen  # writes resumed on the old side
@@ -124,7 +128,7 @@ class TestController:
     def test_blocked_clearance_aborts_before_freeze(self):
         spec = RampSpec(time=50, bulk_freeze_lead=10, clearance_lead=5)
         controller = RampController(spec, EventLog())
-        drive(controller, _Status(drained_at=0, cleared=False), 60)
+        assert drive(controller, _Status(drained_at=0, cleared=False), 60) == []
         assert controller.report.outcome == "aborted"
         assert controller.report.unavailability_window == 0
         assert controller.report.blocked_reasons
@@ -132,7 +136,7 @@ class TestController:
     def test_forced_mode_flips_instantly_and_counts_losses(self):
         spec = RampSpec(time=50, mode="forced", bulk_freeze_lead=10)
         controller = RampController(spec, EventLog())
-        drive(controller, _Status(drained_at=None, lost=7), 60)
+        assert drive(controller, _Status(drained_at=None, lost=7), 60) == [50]
         assert controller.report.outcome == "switched"
         assert controller.report.unavailability_window == 0
         assert controller.report.lost_updates == 7

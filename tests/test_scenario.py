@@ -291,6 +291,12 @@ class TestCodecContract:
             ("bug.id_mod", 0, "bug.id_mod must be > 0"),
             ("workload.type_weights", [["ghost", 1.0]], "workload weight for unknown type 'ghost'"),
             ("workload.type_weights", [["project", -1.0]], "type weights must be >= 0"),
+            ("workload.write_rate", -1.0, "workload.write_rate must be a finite number >= 0"),
+            ("workload.write_rate", float("nan"), "workload.write_rate must be a finite number >= 0"),
+            ("workload.read_rate", float("inf"), "workload.read_rate must be a finite number >= 0"),
+            ("workload.read_rate", -0.5, "workload.read_rate must be a finite number >= 0"),
+            ("workload.night_rate_factor", -1.0, "workload.night_rate_factor must be a finite number >= 0"),
+            ("workload.night_rate_factor", float("inf"), "workload.night_rate_factor must be a finite number >= 0"),
             ("workload.delete_types", ["ghost"], "delete_types names unknown type 'ghost'"),
             ("workload.bursts.type", "ghost", "burst targets unknown type 'ghost'"),
             ("bug.rule", "ghost_rule", "bug names unknown rule 'ghost_rule'"),

@@ -23,6 +23,12 @@ BENCH_SCENARIO_DIR = SCENARIO_DIR.parent / "bench" / "scenarios"
 FAST_SCENARIOS = sorted(
     p.stem for p in SCENARIO_DIR.glob("*.json") if p.stem != "default"
 )
+# Every shipped input with the ramp enabled, the default scenario aside.
+RAMP_INPUTS = [
+    path
+    for path in [*map(scenario_path, FAST_SCENARIOS), *sorted(BENCH_SCENARIO_DIR.glob("*.json"))]
+    if load_file(path).ramp.enabled
+]
 
 
 def load(name: str) -> Scenario:
@@ -126,17 +132,16 @@ class TestRampIntegration:
         ]
         assert late_commits
 
-    def test_post_switch_closure(self):
-        result = run_scenario(load("ramp_pair_drained"))
+    @pytest.mark.parametrize("path", RAMP_INPUTS, ids=lambda p: p.stem)
+    def test_post_switch_closure(self, path):
+        # The flip ends the run: its row is followed only by that tick's
+        # sample, and that sample is the last one.
+        result = run_scenario(load_file(path), seed=1)
         flip_t = result.report.switch["flip_time"]
-        for entry in result.log.entries:
-            if entry["k"] == "commit":
-                assert entry["t"] < flip_t
-        native = [
-            e for e in result.log.entries
-            if e["k"] == "put" and e.get("cls") == "native"
-        ]
-        assert native  # traffic continued, against the new store only
+        rows = result.log.rows
+        flip = next(i for i, row in enumerate(rows) if row.kind == "ramp" and row.act == "flip")
+        assert [(row.kind, row.t) for row in rows[flip + 1:]] == [("sample", flip_t)]
+        assert result.report.samples[-1].at == flip_t
 
     def test_bulk_freeze_zeroes_bursts_in_window(self):
         from migsim.scenario import BurstSpec
@@ -225,19 +230,20 @@ class TestTrackerAgainstFullScan:
                 now, self._staleness_bound(now),
             )
             bad = sum(n for cls, n in counts.items() if cls is not DiscrepancyClass.CONSISTENT)
-            flips.append(((*self.flip_rates, discrepancies), (overall, settled, bad)))
+            flips.append((discrepancies, (overall, settled, bad)))
             return lost, discrepancies
 
         monkeypatch.setattr(_SimState, "flip_measurements", checked)
-        rows = run_scenario(load_file(path), seed=1).log.rows
+        result = run_scenario(load_file(path), seed=1)
         assert len(flips) == 1
-        assert flips[0][0] == flips[0][1]
+        # The flip tick's sample carries the rates at the flip.
+        last = result.report.samples[-1]
+        discrepancies, full = flips[0]
+        assert (last.overall_rate, last.settled_rate, discrepancies) == full
         # The oracle takes the end state for the state at the flip: from the
-        # flip row on, the run commits nothing and writes targets only
-        # natively.
+        # flip row on, the run commits nothing.
+        rows = result.log.rows
         flip = next(i for i, row in enumerate(rows) if row.kind == "ramp" and row.act == "flip")
-        puts = [row for row in rows[flip:] if row.kind == "put" and row.out == "accepted"]
-        assert puts and all(row.cls == "native" for row in puts)
         assert not any(row.kind == "commit" for row in rows[flip:])
 
     @pytest.mark.parametrize(
@@ -249,41 +255,41 @@ class TestTrackerAgainstFullScan:
     def test_tracker_counts_equal_full_scan_where_the_report_reads_them(
         self, monkeypatch, path
     ):
-        # The report reads the tracker at the flip on runs with one, and
-        # at `duration` on the others.
+        # The report reads the tracker at the run's last tick: the flip on
+        # runs with one, `duration` on the others.
         seen = []
-
-        def full_scan(sim, now):
-            return consistency_rate(
-                sim.schema, sim.legacy.records, sim.target.records,
-                now, sim._staleness_bound(now),
-            )
-
-        flip_measurements = _SimState.flip_measurements
-
-        def at_flip(self, now):
-            out = flip_measurements(self, now)
-            seen.append(((*self.flip_rates, self.ctracker.class_counts()), full_scan(self, now)))
-            return out
-
         assemble = simulation._assemble_report
 
         def at_end(sim, out_dir):
             report = assemble(sim, out_dir)
-            if sim.flip_rates is None:
-                overall, settled, counts = full_scan(sim, sim.scenario.duration)
-                seen.append(
-                    ((report.final_overall, report.final_settled, sim.ctracker.class_counts()),
-                     (overall, settled, counts))
-                )
-                assert report.final_counts == {c.value: n for c, n in counts.items() if n}
+            last = sim.clock.now
+            overall, settled, counts = consistency_rate(
+                sim.schema, sim.legacy.records, sim.target.records,
+                last, sim._staleness_bound(last),
+            )
+            seen.append(
+                ((report.final_overall, report.final_settled, sim.ctracker.class_counts()),
+                 (overall, settled, counts))
+            )
+            assert report.final_counts == {c.value: n for c, n in counts.items() if n}
             return report
 
-        monkeypatch.setattr(_SimState, "flip_measurements", at_flip)
         monkeypatch.setattr(simulation, "_assemble_report", at_end)
-        run_scenario(load_file(path), seed=1)
+        report = run_scenario(load_file(path), seed=1).report
+        flip_t = report.switch["flip_time"] if report.switch else None
+        assert report.samples[-1].at == (report.duration if flip_t is None else flip_t)
         assert len(seen) == 1
         assert seen[0][0] == seen[0][1]
+
+    @pytest.mark.parametrize(
+        "path",
+        [scenario_path(name) for name in FAST_SCENARIOS] + sorted(BENCH_SCENARIO_DIR.glob("*.json")),
+        ids=lambda p: f"{p.parent.name}/{p.stem}",
+    )
+    def test_final_rates_are_the_last_samples(self, path):
+        report = run_scenario(load_file(path), seed=1).report
+        last = report.samples[-1]
+        assert (report.final_overall, report.final_settled) == (last.overall_rate, last.settled_rate)
 
 
 class TestTriggerEquivalence:
@@ -334,9 +340,8 @@ class TestCompactLog:
         for row in small_result.log.rows:
             if row.kind == "put" and row.out == "accepted":
                 last[row.key] = row
-        migration = [row for row in last.values() if row.cls != "native"]
-        assert migration
-        for row in migration:
+        assert last
+        for row in last.values():
             stored = small_result.target.records[row.key]
             assert row.prov is stored.provenance and row.val is stored.value
         # Every rule of small.json is an identity: a target that holds its

@@ -67,7 +67,7 @@ class TestSnapshot:
         store = LegacyStore(Clock(0))
         snap = store.take_snapshot(0)
         assert len(snap) == 0
-        assert snap.last_update_time == -1
+        assert store.last_update_time == -1
 
     def test_snapshot_immutable_across_later_commits(self):
         clock = Clock(0)
@@ -91,7 +91,8 @@ class TestSnapshot:
     def test_snapshot_of_random_history(self, steps):
         # Each step advances the clock by 0-3 ticks and writes or deletes
         # one of three keys; a snapshot taken then holds the newest version
-        # of each key committed so far.
+        # of each key committed so far, and the store's last update time is
+        # the newest commit time of its records.
         clock = Clock(0)
         store = LegacyStore(clock)
         want = {}
@@ -102,7 +103,8 @@ class TestSnapshot:
             want[key] = store.read(key)
             snap = store.take_snapshot(clock.now)
             assert list(snap.records.items()) == list(want.items())
-            assert snap.last_update_time == clock.now
+            newest = max(r.version.commit_time for r in snap.records.values())
+            assert store.last_update_time == newest == clock.now
 
 
 class TestTargetStore:
