@@ -46,6 +46,7 @@ _NUM, _NULL = (int, float), type(None)
 _REPORT_FIELDS = {
     "name": str, "seed": int, "duration": int, "attempts_total": int, "samples": list,
     "switch": (dict, _NULL), "attempts_ratio": (*_NUM, _NULL), "final_overall": _NUM,
+    "final_counts": dict,
 }
 _SAMPLE_FIELDS = {
     "at": int, "phase": str, "overall_rate": _NUM, "settled_rate": _NUM,

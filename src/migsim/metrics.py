@@ -23,13 +23,12 @@ import hashlib
 import json
 from bisect import bisect_right
 from collections import Counter, namedtuple
-from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from itertools import count
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .domain import (
     DiscrepancyClass,
@@ -56,109 +55,121 @@ _encode_line = json.JSONEncoder(
 ).encode
 
 
-@functools.cache
-def _row_class(kind: str, fields: tuple[str, ...]) -> type:
-    """The row class of one entry shape; `kind` is a class attribute."""
-    cls = namedtuple("Row", fields)
+# The event-log format, declared once.  Per kind of row: whether it has a
+# "key", then its required and its optional data fields, each with the type
+# its rows hold.  A field is required when every row of the kind carries it.
+_PROV, _STRINGS = dict[Key, VersionStamp], tuple[str, ...]
+ROW_KINDS: dict[str, tuple[bool, dict, dict]] = {
+    "commit": (True, {"cseq": int, "op": str, "ver": VersionStamp}, {"val": dict}),
+    "put": (True, {"cls": str, "out": str}, {"prov": _PROV, "tomb": bool, "val": dict}),
+    "reject_write": (True, {}, {}),
+    "snapshot": (False, {"lut": int, "n": int, "taken": int}, {}),
+    "sample": (False, {"age": int, "bound": int, "overall": float, "phase": str,
+                       "qlen": int, "settled": float}, {}),
+    "enqueue": (True, {"sut": int, "trig": str}, {}),
+    "coalesce": (True, {"sut": int, "trig": str}, {}),
+    "requeue": (True, {}, {}),
+    "retry": (True, {"attempts": int, "due": int}, {}),
+    "dequeue": (True, {"res": str}, {}),
+    "dead_letter": (True, {"reason": str}, {}),
+    "verify": (True, {"res": str, "src": str}, {"n": int}),
+    "offline_done": (False, {"enqueued": int, "rate": float, "scanned": int}, {}),
+    "bootstrap": (False, {"groups": int, "phase": str}, {"failures": int, "puts": int}),
+    # Per act: "clearance" has cleared and reasons, "abort" why, and "flip"
+    # discrepancies, lost, mode and window.
+    "ramp": (False, {"act": str}, {"cleared": bool, "discrepancies": int, "lost": int,
+                                   "mode": str, "reasons": _STRINGS, "why": str, "window": int}),
+}
+
+
+def _exact(value, cls: type):
+    """`value` if its type is exactly `cls`: JSON `true` is not an int here."""
+    if type(value) is not cls:
+        raise TypeError(f"{value!r} is not {cls.__name__}")
+    return value
+
+
+def _typed(value, *types: type) -> tuple:
+    """`value` if it is an array of one item of each of `types`, in order."""
+    if type(value) not in (list, tuple) or tuple(map(type, value)) != types:
+        raise TypeError(f"{value!r} is not an array of {', '.join(t.__name__ for t in types)}")
+    return value
+
+
+# The row value of each JSON array; a provenance map exports as its sorted
+# (type, id, counter, commit time) rows.
+_DECODE = {
+    Key: lambda v: Key(*_typed(v, str, str)),
+    VersionStamp: lambda v: VersionStamp(*_typed(v, int, int)),
+    _PROV: lambda rows: {
+        Key(et, gid): VersionStamp(c, ct)
+        for et, gid, c, ct in (_typed(r, str, str, int, int) for r in _exact(rows, list))
+    },
+    _STRINGS: lambda v: tuple(_exact(s, str) for s in _exact(v, list)),
+}
+
+
+def _row_class(kind: str, keyed: bool, required: dict, optional: dict) -> type:
+    """A kind's row class: a named tuple of "t", "key" if the kind has one,
+    the required fields and the optional ones (None when absent), each sorted
+    by name; with the `kind`, `optional` names and field `decoders`."""
+    fields = {"t": int} | ({"key": Key} if keyed else {})
+    fields |= dict(sorted(required.items())) | dict(sorted(optional.items()))
+    cls = namedtuple(kind, fields, defaults=(None,) * len(optional))
     cls.kind = kind
+    cls.optional = tuple(sorted(optional))
+    cls.decoders = {
+        name: _DECODE.get(tp) or functools.partial(_exact, cls=tp) for name, tp in fields.items()
+    }
     return cls
 
 
-@functools.cache
-def _row_shape(kind: str, has_key: bool, *names: str) -> tuple[type, Callable | None]:
-    """The row class of an `append` call with keywords `names`, and the
-    getter that lists its keyword values in the class's field order (None
-    when the call already passes them in that order).
-
-    A row holds "t", then "key" when the entry has one, then the data fields
-    sorted by name, so a shape has one class whatever order its keywords
-    come in.  Both caches hold a few dozen entries per run.
-    """
-    fields = sorted(names)
-    cls = _row_class(kind, ("t", "key", *fields) if has_key else ("t", *fields))
-    return cls, None if fields == list(names) else itemgetter(*fields)
+_ROW_CLASSES = {kind: _row_class(kind, *spec) for kind, spec in ROW_KINDS.items()}
 
 
 def _as_entry(seq: int, row) -> dict:
-    """One row as its exported entry: "seq", "t", "k", "key" and the data.
-
-    A put's provenance map becomes its wire rows, (type, id, counter, commit
-    time) each, sorted.
-    """
+    """One row as its exported entry: "seq", "t", "k", "key", the data, and
+    a put's provenance map as its wire rows; absent optional fields are left
+    out."""
     entry = dict(zip(row._fields, row), seq=seq, k=row.kind)
+    for name in row.optional:
+        if entry[name] is None:
+            del entry[name]
     prov = entry.get("prov")
     if prov is not None:
         entry["prov"] = sorted([k + v for k, v in prov.items()])
     return entry
 
 
-# The fields the oracle reads from each kind of row ("key" included).  A
-# commit that is not a delete also needs "val", and an accepted put needs
-# "prov", "tomb" and "val".
-_ORACLE_FIELDS = {
-    "commit": ("key", "op", "ver"),
-    "put": ("key", "cls", "out"),
-    "sample": ("qlen",),
-    "ramp": ("act",),
-}
-
-
-def _oracle_fields(kind: str, entry: dict) -> tuple[str, ...]:
-    need = _ORACLE_FIELDS.get(kind, ())
-    if kind == "commit" and entry.get("op") != "delete":
-        need += ("val",)
-    elif kind == "put" and entry.get("out") == "accepted":
-        need += ("prov", "tomb", "val")
-    return need
-
-
-def _frozen(value):
-    """A parsed JSON value with its arrays as the tuples `append` is given."""
-    return tuple(map(_frozen, value)) if type(value) is list else value
-
-
-def _typed(value, *types: type) -> tuple:
-    """`value` if it is an array of one item of each of `types`, in order.
-
-    Exact types: JSON `true` parses to a bool, which is not an int here.
-    """
-    if type(value) not in (list, tuple) or tuple(map(type, value)) != types:
-        raise TypeError(f"{value!r} is not an array of {', '.join(t.__name__ for t in types)}")
-    return value
-
-
-class _EntryView(Sequence):
-    """Read-only view of a log's rows, each decoded into its entry dict when
-    read.  For tests and debugging; the run reads rows."""
-
-    def __init__(self, rows: list):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index: int) -> dict:
-        return _as_entry(range(len(self._rows))[index] + 1, self._rows[index])
-
-    def __iter__(self) -> Iterator[dict]:
-        return map(_as_entry, count(1), self._rows)
+def _missing_conditional(row) -> list[str]:
+    """The optional fields a row lacks that it must carry: "val" on a commit
+    that is not a delete, "prov", "tomb" and "val" on an accepted put."""
+    need = ()
+    if row.kind == "commit" and row.op != "delete":
+        need = ("val",)
+    elif row.kind == "put" and row.out == "accepted":
+        need = ("prov", "tomb", "val")
+    return [name for name in need if getattr(row, name) is None]
 
 
 class EventLog:
     """Append-only, totally ordered record of everything a run did.
 
-    Each entry is one row: a per-shape named tuple (see `_row_shape`) of its
-    tick, its key if it has one and its data fields.  An entry's "seq" is its
-    row index + 1 and its "k" is its row class's `kind`, so neither is
-    stored.  The oracle reads `rows` in place; `entries` decodes them one at
-    a time for tests and debugging.
+    `ROW_KINDS` declares the format, and `append`, the export and
+    `parse_lines` all read it.  Each entry is one row of its kind's named
+    tuple class: its tick, its key if the kind has one, then the kind's data
+    fields.  So an unknown kind, an undeclared field or a missing required
+    one raises at the `append` that makes it.  An entry's "seq" is its row
+    index + 1 and its "k" is its row class's `kind`, so neither is stored.
+    The oracle reads `rows` in place; `entries` decodes them for tests and
+    debugging.
 
     The export is one compact, sorted-key JSON object per entry and line,
-    each ending in a newline; the digest is over that export, so two runs
-    with equal digests did byte-identical things.  Rows stay unserialized
-    until the run ends and are then decoded and serialized one at a time:
-    `digest(path)` writes the export to `path` in the same pass that hashes
-    it.
+    each ending in a newline, without the optional fields a row lacks; the
+    digest is over that export, so two runs with equal digests did
+    byte-identical things.  Rows are decoded and serialized one at a time
+    when the run ends: `digest(path)` writes the export to `path` in the
+    same pass that hashes it.
 
     Rows share the run's own immutable objects instead of copying them: the
     `Key` under "key", a commit's `VersionStamp` under "ver", record value
@@ -183,17 +194,15 @@ class EventLog:
         self.rows: list[tuple] = []
 
     def append(self, t: int, kind: str, key: Key | None = None, **data) -> None:
-        cls, pick = _row_shape(kind, key is not None, *data)
-        values = data.values() if pick is None else pick(data)
-        self.rows.append(
-            tuple.__new__(cls, (t, *values) if key is None else (t, key, *values))
-        )
+        """Log one row; the field types are not checked here, where it is hot."""
+        cls = _ROW_CLASSES[kind]
+        self.rows.append(cls(t, **data) if key is None else cls(t, key, **data))
 
     @property
-    def entries(self) -> Sequence[dict]:
+    def entries(self) -> list[dict]:
         """The entries as their export dicts, decoded when read; no run code
         reads them."""
-        return _EntryView(self.rows)
+        return list(map(_as_entry, count(1), self.rows))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -214,14 +223,13 @@ class EventLog:
 
     @staticmethod
     def parse_lines(lines: Iterable[str]) -> "EventLog":
-        """Rows rebuilt through `append`, shaped as the run built them: a
-        `Key` under "key", a `VersionStamp` under "ver", a `{Key:
-        VersionStamp}` map under "prov" and tuples for other arrays.  Raises
-        ValueError on a line that is not a JSON entry of that shape, whose
-        "t" is not an int, "key" not two strings, "ver" not two ints, "prov"
-        rows not (str, str, int, int), "val" not an object, that lacks a
-        field the oracle reads (`_ORACLE_FIELDS`), or whose "seq" is not its
-        entry's position."""
+        """Rows rebuilt as the run built them, each checked against its
+        kind's declaration in `ROW_KINDS`.  Raises ValueError on a line that
+        is not a JSON entry, whose kind is unknown, that has an undeclared
+        field (a "key" on a keyless kind included), lacks a required field
+        or has one of the wrong type, that lacks "val" on a commit that is
+        not a delete or "prov", "tomb" or "val" on an accepted put, or whose
+        "seq" is not its entry's position."""
         log = EventLog()
         for line in lines:
             if not line.strip():
@@ -229,30 +237,18 @@ class EventLog:
             seq = len(log.rows) + 1
             entry = json.loads(line)
             try:
-                found = entry.pop("seq")
-                t, kind = entry.pop("t"), entry.pop("k")
-                missing = [name for name in _oracle_fields(kind, entry) if name not in entry]
+                found, kind = entry.pop("seq"), entry.pop("k")
+                cls = _ROW_CLASSES[kind]
+                decoders = cls.decoders
+                row = cls(**{name: decoders[name](value) for name, value in entry.items()})
+                missing = _missing_conditional(row)
                 if missing:
                     raise KeyError(f"{kind} row without {', '.join(missing)}")
-                key = entry.pop("key", None)
-                if type(t) is not int:
-                    raise TypeError(f"t {t!r} is not an int")
-                data = {name: _frozen(value) for name, value in entry.items()}
-                if "ver" in data:
-                    data["ver"] = VersionStamp(*_typed(data["ver"], int, int))
-                if "prov" in data:
-                    data["prov"] = {
-                        Key(et, gid): VersionStamp(c, ct)
-                        for et, gid, c, ct in (_typed(r, str, str, int, int) for r in data["prov"])
-                    }
-                if "val" in data and type(data["val"]) is not dict:
-                    raise TypeError(f"val {data['val']!r} is not an object")
-                key = None if key is None else Key(*_typed(key, str, str))
-                log.append(t, kind, key, **data)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"entry {seq} is malformed: {exc!r}") from exc
             if found != seq:
                 raise ValueError(f"entry {seq} is out of sequence")
+            log.rows.append(row)
         return log
 
 

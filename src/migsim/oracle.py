@@ -321,14 +321,20 @@ def oracle_verify(
                 bad == claimed_disc,
                 f"oracle={bad} report={claimed_disc}",
             )
-    elif report is not None:
+    if report is not None:
         total = sum(counts.values())
         overall = (total - bad) / total if total else 1.0
-        claimed_overall = report.get("final_overall", 1.0)
+        claimed_overall = report["final_overall"]
         result.add(
             "final consistency matches report",
             abs(overall - claimed_overall) < 1e-12,
             f"oracle={overall:.9f} report={claimed_overall:.9f}",
+        )
+        claimed_counts = report["final_counts"]
+        result.add(
+            "final counts match report",
+            counts == claimed_counts,
+            f"oracle={dict(sorted(counts.items()))} report={dict(sorted(claimed_counts.items()))}",
         )
 
     return result

@@ -49,7 +49,7 @@ class RunReport:
 
     name: str
     seed: int
-    duration: int
+    duration: int  # the run's last tick: the flip's, or the scenario's `duration`
     initial_records: int
     samples: list[ConsistencyReport] = field(default_factory=list)
     bootstrap: dict | None = None
@@ -152,10 +152,10 @@ class _SimState:
 
     def _commit(self, key: Key, value, attach: bool) -> None:
         event = self.legacy.commit(key, value)
-        entry = {"cseq": event.seq, "ver": event.new_version, "op": event.op}
-        if event.op == "write":
-            entry["val"] = self.legacy.records[key].value
-        self.log.append(self.clock.now, "commit", key, **entry)
+        self.log.append(
+            self.clock.now, "commit", key, cseq=event.seq, op=event.op, ver=event.new_version,
+            val=self.legacy.records[key].value if event.op == "write" else None,
+        )
         self.settlement.on_commit(key, event.new_version)
         self.ctracker.mark_source(key, event.new_version.commit_time)
         if attach:
@@ -384,7 +384,7 @@ def _assemble_report(sim: _SimState, out_dir: Path | None) -> RunReport:
     report = RunReport(
         name=scn.name,
         seed=sim.seed,
-        duration=scn.duration,
+        duration=last,
         initial_records=n_initial,
         samples=sim.samples,
         bootstrap=sim.bootstrap_job.report.as_dict() if sim.bootstrap_job else None,

@@ -156,25 +156,11 @@ class TargetStore:
             return False
         return draw < self.fault.availability_p
 
-    def _log_put(self, record: TargetRecord, outcome: str) -> None:
-        if self.event_log is None:
-            return
-        if outcome == PutResult.ACCEPTED.value:
-            # The stored record's value and provenance maps are shared, not
-            # copied (see EventLog).
+    def _log_put(self, record: TargetRecord, outcome: str, **stored) -> None:
+        """Log a put; an accepted one also passes what was `stored`."""
+        if self.event_log is not None:
             self.event_log.append(
-                self.clock.now,
-                "put",
-                record.key,
-                cls=self.writer_class,
-                out=outcome,
-                prov=record.provenance,
-                tomb=record.tombstone,
-                val=record.value,
-            )
-        else:
-            self.event_log.append(
-                self.clock.now, "put", record.key, cls=self.writer_class, out=outcome
+                self.clock.now, "put", record.key, cls=self.writer_class, out=outcome, **stored
             )
 
     def put_if_fresher(self, record: TargetRecord) -> PutResult:
@@ -191,7 +177,12 @@ class TargetStore:
             self._log_put(record, PutResult.STALE_REJECTED.value)
             return PutResult.STALE_REJECTED
         self.records[record.key] = record
-        self._log_put(record, PutResult.ACCEPTED.value)
+        # The stored record's value and provenance maps are shared, not
+        # copied (see EventLog).
+        self._log_put(
+            record, PutResult.ACCEPTED.value,
+            prov=record.provenance, tomb=record.tombstone, val=record.value,
+        )
         for hook in self.on_accept:
             hook(record, self.clock.now)
         return PutResult.ACCEPTED

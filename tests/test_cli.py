@@ -151,6 +151,15 @@ class TestVerify:
             # logs held once post-flip traffic ran.
             '{"cls":"native","k":"put","key":["project_v2","4"],"out":"accepted",'
             '"seq":4,"t":0}',
+            # Rows that the declared format (`ROW_KINDS`) does not admit:
+            # each once verified with exit 0, or failed the oracle.
+            '{"seq":4,"t":0,"k":"bogus"}',
+            '{"cseq":4,"k":"commit","key":["project","4"],"op":"write","seq":4,'
+            '"t":0,"val":{"note":"n"},"ver":[1,0],"zzz":1}',
+            '{"k":"snapshot","key":["project","4"],"lut":0,"n":0,"seq":4,"t":0,"taken":0}',
+            '{"age":0,"bound":0,"k":"sample","overall":1.0,"phase":"pre","qlen":"x",'
+            '"seq":4,"settled":1.0,"t":0}',
+            '{"k":"enqueue","key":["project_v2","4"],"seq":4,"sut":0,"t":0,"trig":1}',
         ],
     )
     def test_verify_unreadable_log_is_usage_error(self, run_dir, tmp_path, capsys, broken):
@@ -217,6 +226,10 @@ BROKEN_REPORTS = {
         "switch: 'lost_updates' is missing",
     ),
     "samples_not_a_list": (lambda doc: {**doc, "samples": 3}, "'samples' is 3"),
+    "without_final_counts": (
+        lambda doc: {k: v for k, v in doc.items() if k != "final_counts"},
+        "'final_counts' is missing",
+    ),
 }
 
 

@@ -1,4 +1,5 @@
-"""Static checks on the package source: no import goes unused.
+"""Static checks on the package source: no import goes unused, and no
+`assert` statement stands in for a check (`python -O` strips them).
 
 An import counts as used when its bound name appears anywhere else in the
 module as a name or as the root of an attribute chain.  `__init__.py`
@@ -39,6 +40,11 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def assert_lines(source: str) -> list[int]:
+    """The line of every `assert` statement in `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
 def reexports(source: str) -> list[str]:
     """The names a module imports on lines marked `# noqa: F401`."""
     lines = source.splitlines()
@@ -73,6 +79,15 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     source = "import os\nfrom json import dumps, loads  # noqa: F401\nfrom re import match\nmatch\n"
     assert unused_imports(source) == ["os (line 1)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_an_assert():
+    assert assert_lines("x = 1\nif x:\n    assert x, 'x'\n") == [3]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

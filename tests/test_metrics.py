@@ -461,36 +461,47 @@ class TestConsistencyTracker:
         assert tracker.rates(0, 10) == (1.0, 1.0, 0, 0)
 
 
+def sample_data(qlen=0, phase="steady"):
+    """The data fields of a `sample` row."""
+    return dict(age=0, bound=10, overall=1.0, phase=phase, qlen=qlen, settled=1.0)
+
+
 class TestEventLog:
     def test_digest_depends_on_content(self):
         a, b = EventLog(), EventLog()
-        a.append(0, "commit", Key("p", "1"), op="write")
-        b.append(0, "commit", Key("p", "1"), op="write")
+        a.append(0, "commit", Key("p", "1"), cseq=1, op="delete", ver=VersionStamp(1, 0))
+        b.append(0, "commit", Key("p", "1"), cseq=1, op="delete", ver=VersionStamp(1, 0))
         assert a.digest() == b.digest()
-        b.append(1, "commit", Key("p", "2"), op="write")
+        b.append(1, "commit", Key("p", "2"), cseq=2, op="delete", ver=VersionStamp(1, 1))
         assert a.digest() != b.digest()
 
     def test_export_parse_round_trip(self):
         log = EventLog()
         log.append(3, "put", Key("p_v2", "1"), cls="dual", out="stale_rejected")
-        log.append(4, "sample", qlen=2)
+        log.append(4, "sample", **sample_data(qlen=2))
         parsed = EventLog.parse_lines(log.export_lines())
         assert list(parsed.entries) == list(log.entries)
-        assert parsed.entries[1] == {"seq": 2, "t": 4, "k": "sample", "qlen": 2}
+        # An absent optional field is left out of the export.
+        assert parsed.entries[0] == {
+            "seq": 1, "t": 3, "k": "put", "key": ("p_v2", "1"), "cls": "dual",
+            "out": "stale_rejected",
+        }
+        assert parsed.entries[1] == {"seq": 2, "t": 4, "k": "sample", **sample_data(qlen=2)}
 
     def test_parse_lines_shapes_entries_like_append(self):
         log = EventLog()
-        log.append(1, "commit", Key("p", "1"), ver=VersionStamp(2, 1), op="write", val={"n": "x"})
+        log.append(
+            1, "commit", Key("p", "1"), cseq=1, ver=VersionStamp(2, 1), op="write", val={"n": "x"}
+        )
         prov = {Key("p", "1"): VersionStamp(2, 1), Key("a", "1"): VersionStamp(0, 3)}
         log.append(
             2, "put", Key("p_v2", "1"), cls="dual", out="accepted", prov=prov, tomb=False, val={}
         )
-        log.append(3, "ramp", act="clearance", reasons=("a", "b"))
+        log.append(3, "ramp", act="clearance", cleared=False, reasons=("a", "b"))
         # The export flattens the map to sorted rows.
         assert log.entries[1]["prov"] == [("a", "1", 0, 3), ("p", "1", 2, 1)]
         parsed = EventLog.parse_lines(log.export_lines())
-        # Same class per row (kind and field names), and a list would not
-        # equal a tuple.
+        # Same class per row, and a list would not equal a tuple.
         assert [(type(r), r) for r in parsed.rows] == [(type(r), r) for r in log.rows]
         commit, put, ramp = parsed.rows
         assert type(commit.key) is Key and type(put.key) is Key
@@ -499,16 +510,34 @@ class TestEventLog:
         assert type(put.prov) is dict and put.prov == prov
         assert all(type(k) is Key and type(v) is VersionStamp for k, v in put.prov.items())
         assert (commit.kind, put.kind, ramp.kind) == ("commit", "put", "ramp")
+        assert type(ramp.reasons) is tuple and ramp.why is None
 
-    def test_row_shape_does_not_depend_on_keyword_order(self):
+    @pytest.mark.parametrize(
+        "kind, key, data",
+        [
+            ("bogus", None, {}),
+            ("dequeue", Key("p", "1"), {"res": "fixed", "why": "x"}),  # undeclared field
+            ("dequeue", Key("p", "1"), {"rez": "fixed"}),  # misspelt field
+            ("dequeue", Key("p", "1"), {}),  # missing field
+            ("dequeue", None, {"res": "fixed"}),  # missing key
+            ("snapshot", Key("p", "1"), {"lut": 0, "n": 0, "taken": 0}),  # key on a keyless kind
+        ],
+    )
+    def test_append_raises_on_a_row_its_kind_does_not_declare(self, kind, key, data):
         log = EventLog()
-        log.append(1, "dequeue", Key("p", "1"), res="fixed", why="x")
-        log.append(1, "dequeue", Key("p", "1"), why="x", res="fixed")
-        a, b = log.rows
-        assert type(a) is type(b) and a == b
-        assert a._fields == ("t", "key", "res", "why")
-        first, second = log.entries
-        assert first == {**second, "seq": 1}
+        with pytest.raises((KeyError, TypeError)):
+            log.append(1, kind, key, **data)
+        assert log.rows == []
+
+    def test_rows_hold_the_declared_fields_in_order(self):
+        log = EventLog()
+        log.append(1, "verify", Key("p", "1"), src="nearline", res="enqueued", n=2)
+        log.append(1, "verify", Key("p", "1"), res="ok", src="nearline")
+        enqueued, ok = log.rows
+        assert type(enqueued) is type(ok)
+        # Required fields sorted by name, then the optional ones.
+        assert enqueued._fields == ("t", "key", "res", "src", "n")
+        assert ok.n is None and "n" not in log.entries[1]
 
     def test_seq_and_kind_are_not_stored(self):
         log = EventLog()
@@ -523,15 +552,18 @@ class TestEventLog:
     def test_parse_lines_rejects_a_gap_in_seq(self):
         log = EventLog()
         for t in range(3):
-            log.append(t, "sample", qlen=0)
+            log.append(t, "sample", **sample_data())
         lines = list(log.export_lines())
         with pytest.raises(ValueError, match="entry 2 is out of sequence"):
             EventLog.parse_lines([lines[0], lines[2]])
 
     def test_digest_pass_writes_the_export(self, tmp_path):
         log = EventLog()
-        log.append(0, "commit", Key("p", "1"), op="write", val={"b": "2", "a": "1"})
-        log.append(2, "sample", qlen=0, phase="steady")
+        log.append(
+            0, "commit", Key("p", "1"), cseq=1, op="write", ver=VersionStamp(1, 0),
+            val={"b": "2", "a": "1"},
+        )
+        log.append(2, "sample", **sample_data())
         path = tmp_path / "eventlog.jsonl"
         digest = log.digest(path)
         data = path.read_bytes()

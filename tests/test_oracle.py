@@ -135,7 +135,10 @@ class TestHandBuiltCases:
     def test_queue_replay_detects_mismatched_sample(self):
         entries = [
             (0, "enqueue", Key("project_v2", "1"), {"trig": "nearline", "sut": 0}),
-            (1, "sample", None, {"qlen": 0}),  # wrong: should be 1
+            (1, "sample", None, {  # wrong qlen: should be 1
+                "age": 0, "bound": 10, "overall": 1.0, "phase": "steady", "qlen": 0,
+                "settled": 1.0,
+            }),
         ]
         replay = LogReplay(build_log(entries), build_figure3_schema())
         assert replay.queue_lengths == [(1, 0, 1)]
@@ -161,9 +164,16 @@ class TestAgainstRuns:
         result = run_scenario(scenario)
         doc = result.report.as_dict()
         doc["samples"][-1]["window_ttc"] = 999
+        # small.json flips: the final-state checks run on flipped runs too.
+        doc["final_overall"] = 0.5
+        doc["final_counts"] = {**doc["final_counts"], "stale": 1}
         tampered = oracle_verify(result.log, scenario, doc)
         failed = {c.name for c in tampered.checks if not c.ok}
-        assert "window TTC matches report" in failed
+        assert failed == {
+            "window TTC matches report",
+            "final consistency matches report",
+            "final counts match report",
+        }
 
 
 @pytest.fixture(scope="module", params=["small", "reshape", "mapping_bug"])

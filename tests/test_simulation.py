@@ -275,9 +275,11 @@ class TestTrackerAgainstFullScan:
             return report
 
         monkeypatch.setattr(simulation, "_assemble_report", at_end)
-        report = run_scenario(load_file(path), seed=1).report
+        scenario = load_file(path)
+        report = run_scenario(scenario, seed=1).report
         flip_t = report.switch["flip_time"] if report.switch else None
-        assert report.samples[-1].at == (report.duration if flip_t is None else flip_t)
+        last_tick = scenario.duration if flip_t is None else flip_t
+        assert report.samples[-1].at == report.duration == last_tick
         assert len(seen) == 1
         assert seen[0][0] == seen[0][1]
 
