@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from migsim.domain import (
     DiscrepancyClass,
+    EntityType,
     Key,
+    Schema,
     SourceRecord,
     TargetRecord,
     VersionStamp,
@@ -27,7 +29,9 @@ from migsim.domain import (
 from migsim.healing import SelfHealingQueue, Trigger
 from migsim.metrics import EventLog, MetricsRegistry
 from migsim.rng import named_stream
+from migsim.scenario import WorkloadSpec
 from migsim.stores import Clock, FaultProfile, PutResult, TargetStore
+from migsim.workload import WorkloadGenerator
 
 BATCH = 1_000
 VALUE = {"name": "n-17", "owner": "o-3", "state": "open"}
@@ -142,3 +146,29 @@ def test_map_source_split(benchmark):
     )
     sources = {Key("project", "1"): _source("1")}
     assert len(benchmark(map_source, rule, sources)) == 2
+
+
+def test_type_pick_batch(benchmark):
+    """BATCH weighted entity-type picks, one per steady write in a run."""
+    types = ("project", "stage", "candidate")
+    schema = Schema(
+        [EntityType(t) for t in types], [identity_rule(f"{t}_rule", t, f"{t}_v2") for t in types]
+    )
+    spec = WorkloadSpec(type_weights=(("project", 0.2), ("stage", 0.2), ("candidate", 0.6)))
+    gen = WorkloadGenerator(spec, schema, named_stream(1, "workload"))
+
+    def pick_batch() -> list[str]:
+        return [gen._pick_type() for _ in range(BATCH)]
+
+    assert set(benchmark(pick_batch)) == set(types)
+
+
+def test_check_available_batch(benchmark):
+    """BATCH availability draws of the target store, one per store operation."""
+    fault = FaultProfile(availability_p=0.9, outage_windows=((100, 200),))
+    store = TargetStore(Clock(0), fault, named_stream(1, "target_ops"))
+
+    def check_batch() -> int:
+        return sum(store._check_available() for _ in range(BATCH))
+
+    assert 0 < benchmark(check_batch) < BATCH

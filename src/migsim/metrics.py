@@ -25,7 +25,7 @@ from bisect import bisect_right
 from collections import Counter, namedtuple
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from itertools import count
+from itertools import count, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -47,12 +47,28 @@ from .domain import (
 NOT_SETTLED = None  # sentinel spelled out where a settlement is still open
 
 
-# One encoder for every exported line; `json.dumps` with keyword arguments
-# would build a new encoder per call.  No circular-reference check: see
-# `EventLog`.
-_encode_line = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), check_circular=False
-).encode
+# One encoder for every exported line: compact, sorted keys, ASCII only, and
+# no circular-reference check (see `EventLog`).  `JSONEncoder.encode` builds
+# a new C encoder on every call, so the C encoder it would build is made
+# here once; where the C accelerator is missing, `encode` is the fallback
+# and gives the same bytes.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+if json.encoder.c_make_encoder is None:
+    _encode_line = _LINE_ENCODER.encode
+else:
+    _c_encode = json.encoder.c_make_encoder(
+        None, _LINE_ENCODER.default, json.encoder.encode_basestring_ascii, None,
+        _LINE_ENCODER.key_separator, _LINE_ENCODER.item_separator,
+        _LINE_ENCODER.sort_keys, _LINE_ENCODER.skipkeys, _LINE_ENCODER.allow_nan,
+    )
+
+    def _encode_line(entry: dict) -> str:
+        return "".join(_c_encode(entry, 0))
+
+# Lines the export hashes and writes at a time: few enough that the pass
+# holds only a small slice of the export, many enough to amortise the hash
+# and write calls.
+EXPORT_BLOCK = 512
 
 
 # The event-log format, declared once.  Per kind of row: whether it has a
@@ -167,9 +183,9 @@ class EventLog:
     The export is one compact, sorted-key JSON object per entry and line,
     each ending in a newline, without the optional fields a row lacks; the
     digest is over that export, so two runs with equal digests did
-    byte-identical things.  Rows are decoded and serialized one at a time
-    when the run ends: `digest(path)` writes the export to `path` in the
-    same pass that hashes it.
+    byte-identical things.  Rows are decoded and serialized when the run
+    ends, a block of lines at a time: `digest(path)` writes the export to
+    `path` in the same pass that hashes it.
 
     Rows share the run's own immutable objects instead of copying them: the
     `Key` under "key", a commit's `VersionStamp` under "ver", record value
@@ -211,11 +227,15 @@ class EventLog:
         return map(_encode_line, map(_as_entry, count(1), self.rows))
 
     def digest(self, path: str | Path | None = None) -> str:
-        """sha256 of the export; the exported bytes also go to `path` if given."""
+        """sha256 of the export; the exported bytes also go to `path` if given.
+
+        The export is hashed and written `EXPORT_BLOCK` lines at a time."""
         h = hashlib.sha256()
+        lines = self.export_lines()
         with open(path, "wb") if path is not None else nullcontext() as fh:
-            for line in self.export_lines():
-                data = (line + "\n").encode("utf-8")
+            while block := list(islice(lines, EXPORT_BLOCK)):
+                block.append("")
+                data = "\n".join(block).encode("utf-8")
                 h.update(data)
                 if fh is not None:
                     fh.write(data)

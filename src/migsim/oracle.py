@@ -6,9 +6,10 @@ puts per target key, the replayed queue length at each sample and the
 dependency-order violations.  From those the oracle recomputes the final
 diff, per-update settlement times, window TTC at every sample, and lost
 updates at the flip.  It shares only the definitional primitives with the
-online path: the schema's rules and key relations, `map_source`, freshness
-order and record compare.  Every aggregate is derived independently and any
-disagreement with the run report is flagged.
+online path: the schema's rules and key relations, the injected bug's
+`broken_source`, `map_source`, freshness order and record compare.  Every
+aggregate is derived independently and any disagreement with the run report
+is flagged.
 """
 
 from __future__ import annotations
@@ -220,26 +221,38 @@ def final_diff(
     schema: Schema,
     source: Mapping[Key, SourceRecord],
     target: Mapping[Key, tuple],
-) -> tuple[dict[str, int], int]:
+    last: int,
+) -> tuple[dict[str, int], int, dict[str, int]]:
     """Classify every expected key against the last put row per target key;
-    count live target-only extras separately.
+    count live target-only extras separately; and count the keys as the run
+    classifies them at its `last` tick.
 
     A group's expected records are its rule applied to its present sources,
-    without the schema's fault.  Groups are walked in no particular order:
-    the counts do not depend on it.
+    without the schema's fault.  The run cannot map a group that the fault
+    breaks at its last tick, so it counts every target key of that group
+    corrupt, as `consistency_rate` does; its other groups it classifies as
+    here.  Groups are walked in no particular order: the counts do not
+    depend on it.
     """
     gids: dict[str, set[str]] = {rule.name: set() for rule in schema.rules}
     for skey in source:
         for rule in schema.rules_for_source(skey.etype):
             gids[rule.name].add(skey.id)
     counts: dict[str, int] = {}
+    run_counts: dict[str, int] = {}
+    corrupt = DiscrepancyClass.CORRUPT.value
     expected_keys: set[Key] = set()
     read = source.get
+    fault = schema.fault
     for rule in schema.rules:
         for gid in gids[rule.name]:
+            sources = read_group(rule, gid, read)
+            broken = fault is not None and fault.broken_source(rule.name, sources, last) is not None
+            if broken:
+                run_counts[corrupt] = run_counts.get(corrupt, 0) + len(rule.target_keys(gid))
             # Through the module, so that bench/tracing.py, which wraps
             # `domain.map_source`, counts these calls too.
-            for exp in domain.map_source(rule, read_group(rule, gid, read)):
+            for exp in domain.map_source(rule, sources):
                 expected_keys.add(exp.key)
                 row = target.get(exp.key)
                 actual = None if row is None else TargetRecord(
@@ -247,8 +260,10 @@ def final_diff(
                 )
                 verdict = compare_records(exp, actual).value
                 counts[verdict] = counts.get(verdict, 0) + 1
+                if not broken:
+                    run_counts[verdict] = run_counts.get(verdict, 0) + 1
     extras = sum(1 for tkey in target.keys() - expected_keys if not target[tkey].tomb)
-    return counts, extras
+    return counts, extras, run_counts
 
 
 def oracle_verify(
@@ -259,11 +274,14 @@ def oracle_verify(
     replay = LogReplay(log, schema)
     result = OracleReport()
 
-    counts, extras = final_diff(schema, replay.source, replay.target)
+    # The run's last tick: the flip's, or the scenario's `duration`.
+    last = scenario.duration if replay.flip_time is None else replay.flip_time
+    counts, extras, run_counts = final_diff(schema, replay.source, replay.target, last)
     result.final_counts = dict(counts)
     if extras:
         result.final_counts["live_extras"] = extras
-    bad = sum(n for cls, n in counts.items() if cls != DiscrepancyClass.CONSISTENT.value)
+    # The report's final figures are the run's classification.
+    bad = sum(n for cls, n in run_counts.items() if cls != DiscrepancyClass.CONSISTENT.value)
 
     resurrections = counts.get(DiscrepancyClass.RESURRECTION.value, 0)
     result.add(
@@ -322,7 +340,7 @@ def oracle_verify(
                 f"oracle={bad} report={claimed_disc}",
             )
     if report is not None:
-        total = sum(counts.values())
+        total = sum(run_counts.values())
         overall = (total - bad) / total if total else 1.0
         claimed_overall = report["final_overall"]
         result.add(
@@ -333,8 +351,9 @@ def oracle_verify(
         claimed_counts = report["final_counts"]
         result.add(
             "final counts match report",
-            counts == claimed_counts,
-            f"oracle={dict(sorted(counts.items()))} report={dict(sorted(claimed_counts.items()))}",
+            run_counts == claimed_counts,
+            f"oracle={dict(sorted(run_counts.items()))} "
+            f"report={dict(sorted(claimed_counts.items()))}",
         )
 
     return result

@@ -16,6 +16,7 @@ from a named substream of the scenario seed.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -266,10 +267,32 @@ class _SimState:
         return report
 
 
+# The cyclic collector's thresholds while a run executes.  A run builds
+# hundreds of thousands of long-lived containers (records, rows, queue
+# entries), and at CPython's default (700, 10, 10) the collector runs after
+# every 700 net container allocations.  On a 2-vCPU machine the 100k default
+# run collected 3,825 times and spent 20 % of its wall time in GC pauses at
+# the default, and 52 times and 6 % at this setting.
+RUN_GC_THRESHOLD = (50_000, 20, 100)
+
+
 def run_scenario(
     scenario: Scenario, seed: int | None = None, out_dir: str | Path | None = None
 ) -> SimResult:
-    """Execute one scenario end to end and assemble its report."""
+    """Execute one scenario end to end and assemble its report.
+
+    The collector runs at `RUN_GC_THRESHOLD` for the run and gets its old
+    thresholds back afterwards, also when the run raises.
+    """
+    saved = gc.get_threshold()
+    gc.set_threshold(*RUN_GC_THRESHOLD)
+    try:
+        return _run(scenario, seed, out_dir)
+    finally:
+        gc.set_threshold(*saved)
+
+
+def _run(scenario: Scenario, seed: int | None, out_dir: str | Path | None) -> SimResult:
     use_seed = scenario.seed if seed is None else seed
     sim = _SimState(scenario, use_seed)
     scn = scenario

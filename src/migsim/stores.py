@@ -26,6 +26,7 @@ from .domain import (
     provenance_covers,
 )
 from .metrics import EventLog
+from .rng import uniforms
 
 
 class PutResult(str, Enum):
@@ -136,13 +137,14 @@ class TargetStore:
 
     Availability is decided per operation from a seeded stream, so the k-th
     store operation of a run always sees the same draw for the same seed.
-    Tombstones are never compacted away within a run.
+    The store owns that stream and draws only uniforms from it, so it takes
+    them in blocks.  Tombstones are never compacted away within a run.
     """
 
     def __init__(self, clock: Clock, fault: FaultProfile, rng: np.random.Generator):
         self.clock = clock
         self.fault = fault
-        self._rng = rng
+        self._draws = uniforms(rng)
         self.records: dict[Key, TargetRecord] = {}
         self.op_count = 0
         self.on_accept: list[Callable[[TargetRecord, int], None]] = []
@@ -151,7 +153,7 @@ class TargetStore:
 
     def _check_available(self) -> bool:
         self.op_count += 1
-        draw = self._rng.random()
+        draw = next(self._draws)
         if self.fault.in_outage(self.clock.now):
             return False
         return draw < self.fault.availability_p
@@ -204,8 +206,8 @@ class ChangeStream:
     Events are fed in sequence order and all wait the same lag, so the
     pending ones form a FIFO queue that delivers in sequence order.
     Delivery is at-most-once: a dropped event is gone (offline verification
-    is the catch-all for those).  With no consumer, due events are
-    discarded.
+    is the catch-all for those).  Drops draw from a stream only the change
+    stream uses, in blocks.  With no consumer, due events are discarded.
     """
 
     def __init__(
@@ -215,13 +217,13 @@ class ChangeStream:
         consumer: Callable[[ChangeEvent, int], None] | None = None,
     ):
         self.fault = fault
-        self._rng = rng
+        self._draws = uniforms(rng)
         self._consumer = consumer
         self._pending: deque[tuple[int, ChangeEvent]] = deque()
         self.dropped: int = 0
 
     def feed(self, event: ChangeEvent, now: int) -> None:
-        if self.fault.stream_drop_p > 0 and self._rng.random() < self.fault.stream_drop_p:
+        if self.fault.stream_drop_p > 0 and next(self._draws) < self.fault.stream_drop_p:
             self.dropped += 1
             return
         self._pending.append((now + self.fault.stream_lag, event))

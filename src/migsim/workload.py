@@ -9,6 +9,7 @@ of what the rest of the system does with it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -45,7 +46,10 @@ class WorkloadGenerator:
         order = [t for t in schema.source_order if weights.get(t, 0) > 0]
         total = sum(weights[t] for t in order) or 1.0
         self._types = order
-        self._weights = np.array([weights[t] / total for t in order]) if order else None
+        # What `rng.choice(len(order), p=p)` searches for the normalised
+        # weights p: `p.cumsum()` divided by its last element.
+        cdf = np.cumsum([weights[t] / total for t in order])
+        self._type_cdf = (cdf / cdf[-1]).tolist() if order else []
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -155,8 +159,17 @@ class WorkloadGenerator:
                             ops.append(op)
         return ops
 
+    def _pick_type(self) -> str:
+        """A weighted entity type, as `rng.choice` over the weights picks it.
+
+        `choice` draws one uniform and searches `_type_cdf` from the right,
+        so this is the same pick, draw for draw, without numpy's per-call
+        cost.
+        """
+        return self._types[bisect_right(self._type_cdf, self.rng.random())]
+
     def _steady_write(self, read_current) -> Iterable[WorkloadOp]:
-        etype = self._types[int(self.rng.choice(len(self._types), p=self._weights))]
+        etype = self._pick_type()
         roll = self.rng.random()
         if roll < self.spec.delete_fraction and etype in self.spec.delete_types:
             victim = self._pick_live(etype)

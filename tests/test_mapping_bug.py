@@ -22,6 +22,7 @@ from migsim.domain import (
 )
 from migsim.healing import FixOutcome, FixStatus, RetryPolicy, Trigger
 from migsim.metrics import ConsistencyTracker, consistency_rate
+from migsim.oracle import oracle_verify
 from migsim.scenario import load_file
 from migsim.simulation import run_scenario
 from migsim.verifiers import (
@@ -197,3 +198,61 @@ def test_direct_bootstrap_inside_the_bug_window_runs_to_the_end():
     assert result.report.bootstrap["events_enqueued"] == len(routed) == len(set(routed))
     assert result.report.dead_letters == []  # drained after the requeue
     assert result.report.ok
+
+
+def _ending_inside_the_bug_window(candidates_before_the_bug: bool):
+    """`mapping_bug.json` with its bug active to the end and no requeue.
+
+    As shipped, every candidate is created inside the window, so no
+    candidate group ever maps.  With candidates among the initial records,
+    some groups map and are written before the bug switches on.
+    """
+    scenario = load_file(scenario_path("mapping_bug"))
+    scenario = dataclasses.replace(
+        scenario, bug=dataclasses.replace(scenario.bug, active_until=10_000, requeue_at=None)
+    )
+    if candidates_before_the_bug:
+        workload = dataclasses.replace(
+            scenario.workload, initial_records=300,
+            type_weights=(("project", 0.4), ("stage", 0.3), ("candidate", 0.3)),
+        )
+        scenario = dataclasses.replace(scenario, workload=workload)
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "candidates_before_the_bug, report_counts, oracle_counts",
+    [
+        (False, {"consistent": 1282, "corrupt": 40}, {"consistent": 1282, "missing": 40}),
+        (
+            True,
+            {"consistent": 424, "corrupt": 214},
+            {"consistent": 461, "missing": 113, "stale": 64},
+        ),
+    ],
+    ids=["shipped_weights", "candidates_before_the_bug"],
+)
+def test_a_run_that_ends_inside_the_bug_window_passes_the_oracle(
+    candidates_before_the_bug, report_counts, oracle_counts
+):
+    """The report classifies as the full scan does: a group the bug breaks
+    at the last tick is corrupt in every key.  The oracle's own diff stays
+    fault-free, and it holds the report to that classification."""
+    scenario = _ending_inside_the_bug_window(candidates_before_the_bug)
+    result = run_scenario(scenario, seed=1)
+    report = result.report
+    last = report.duration
+    assert scenario.bug.active_at(last) and result.oracle_report.ok
+    _overall, _settled, full = consistency_rate(
+        result.schema, result.legacy.records, result.target.records, last, 0
+    )
+    assert report.final_counts == {c.value: n for c, n in full.items() if n} == report_counts
+    assert result.oracle_report.final_counts == oracle_counts
+
+    # Not vacuous: a report that moves one key between bad classes, or
+    # that says the oracle's fault-free counts, is flagged.
+    for counts in ({**report_counts, "corrupt": report_counts["corrupt"] - 1, "missing": 1},
+                   oracle_counts):
+        tampered = {**report.as_dict(), "final_counts": counts}
+        failed = {c.name for c in oracle_verify(result.log, scenario, tampered).checks if not c.ok}
+        assert failed == {"final counts match report"}

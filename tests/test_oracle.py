@@ -113,9 +113,10 @@ class TestHandBuiltCases:
             # delete never replicated; target stays live
         ]
         replay = LogReplay(build_log(entries), schema)
-        counts, extras = final_diff(schema, replay.source, replay.target)
+        counts, extras, run_counts = final_diff(schema, replay.source, replay.target, 2)
         assert counts["resurrection"] == 1
         assert extras == 0
+        assert run_counts == counts  # no fault: the run classifies alike
 
     def test_final_diff_counts_live_extras_only(self):
         schema = build_figure3_schema()
@@ -128,8 +129,8 @@ class TestHandBuiltCases:
             put_entry(1, "project_v2", "9", [["project", "9", 1, 0]], tomb=True),
         ]
         replay = LogReplay(build_log(entries), schema)
-        counts, extras = final_diff(schema, replay.source, replay.target)
-        assert counts == {"consistent": 1}
+        counts, extras, run_counts = final_diff(schema, replay.source, replay.target, 1)
+        assert counts == run_counts == {"consistent": 1}
         assert extras == 2
 
     def test_queue_replay_detects_mismatched_sample(self):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 
@@ -69,25 +70,69 @@ class TestDeterminism:
         assert commits(run_scenario(base)) == commits(run_scenario(no_shadow))
 
 
+def _empty(duration: int = 10) -> Scenario:
+    """`small.json` without records, traffic or ramp: a run of `duration`
+    ticks that does next to nothing."""
+    base = load("small")
+    return dataclasses.replace(
+        base,
+        name="empty",
+        duration=duration,
+        workload=dataclasses.replace(
+            base.workload, initial_records=0, write_rate=0.0, read_rate=0.0
+        ),
+        ramp=dataclasses.replace(base.ramp, enabled=False),
+    )
+
+
 class TestEmptyScenario:
     def test_no_records_no_workload_rates_one(self):
-        base = load("small")
-        empty = dataclasses.replace(
-            base,
-            name="empty",
-            duration=10,
-            workload=dataclasses.replace(
-                base.workload, initial_records=0, write_rate=0.0, read_rate=0.0
-            ),
-            ramp=dataclasses.replace(base.ramp, enabled=False),
-        )
-        result = run_scenario(empty)
+        result = run_scenario(_empty())
         report = result.report
         assert report.attempts_total == 0
         assert report.attempts_ratio is None
         assert report.final_overall == 1.0 and report.final_settled == 1.0
         assert all(s.overall_rate == 1.0 for s in report.samples)
         assert report.oracle["ok"]
+
+
+class TestGcThreshold:
+    """A run sets `RUN_GC_THRESHOLD` and gives the collector its old
+    thresholds back."""
+
+    @pytest.fixture
+    def caller_threshold(self):
+        saved = gc.get_threshold()
+        mine = (1234, 5, 6)
+        gc.set_threshold(*mine)
+        yield mine
+        gc.set_threshold(*saved)
+
+    def test_run_uses_its_threshold_and_restores_the_callers(
+        self, caller_threshold, monkeypatch
+    ):
+        seen = []
+        seed_phase = _SimState.seed_phase
+
+        def recording_seed_phase(state):
+            seen.append(gc.get_threshold())
+            seed_phase(state)
+
+        monkeypatch.setattr(_SimState, "seed_phase", recording_seed_phase)
+        run_scenario(_empty())
+        assert seen == [simulation.RUN_GC_THRESHOLD]
+        assert gc.get_threshold() == caller_threshold
+
+    def test_a_run_that_raises_restores_the_callers(self, caller_threshold, monkeypatch):
+        def failing_offline_run(self, now, cutoff):
+            raise RuntimeError("offline sweep failed")
+
+        monkeypatch.setattr(simulation.OfflineVerifier, "run", failing_offline_run)
+        scenario = _empty(duration=200)
+        assert scenario.offline.enabled and scenario.offline.interval <= 200
+        with pytest.raises(RuntimeError, match="offline sweep failed"):
+            run_scenario(scenario)
+        assert gc.get_threshold() == caller_threshold
 
 
 class TestOracleAgreement:

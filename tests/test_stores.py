@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from migsim.domain import InvariantError, Key, SourceRecord, TargetRecord, VersionStamp
 from migsim.metrics import EventLog
-from migsim.rng import named_stream
+from migsim.rng import named_stream, uniforms
 from migsim.stores import (
     ChangeStream,
     Clock,
@@ -258,3 +258,50 @@ def test_put_sequence_converges_to_pointwise_max(order):
     for counter in order:
         store.put_if_fresher(rec("1", counter, t=counter))
     assert store.peek(Key("p_v2", "1")).provenance[Key("p", "1")] == VersionStamp(4, 4)
+
+
+class TestBlockDraws:
+    """The stores take their uniforms in blocks; every outcome must be the
+    one a scalar `rng.random()` per operation gives."""
+
+    @pytest.mark.parametrize("block", [1, 3, 512])
+    def test_uniforms_are_the_scalar_draws(self, block):
+        draws = uniforms(named_stream(4, "target_ops"), block)
+        ref = named_stream(4, "target_ops")
+        assert [next(draws) for _ in range(1_500)] == [ref.random() for _ in range(1_500)]
+
+    def test_availability_equals_scalar_draws_under_an_outage(self):
+        clock = Clock(0)
+        store = make_target(availability=0.7, outages=[(40, 70)], seed=11, clock=clock)
+        ref, fault = named_stream(11, "target_ops"), store.fault
+        got, expected = [], []
+        for now in range(150):
+            clock.now = now
+            for i in range(now % 23):  # 1,584 operations: several blocks
+                try:
+                    if i % 2:
+                        store.get(Key("p_v2", str(i)))
+                    else:
+                        store.put_if_fresher(rec(str(i), now + 1, t=now))
+                    got.append((now, True))
+                except StoreUnavailable:
+                    got.append((now, False))
+                draw = ref.random()
+                expected.append((now, not fault.in_outage(now) and draw < fault.availability_p))
+        assert got == expected
+        assert store.op_count == len(expected) == 1_584
+        assert {ok for now, ok in got if 40 <= now < 70} == {False}
+        assert {ok for now, ok in got if not 40 <= now < 70} == {False, True}
+
+    def test_drops_equal_scalar_draws(self):
+        got = []
+        fault = FaultProfile(stream_lag=2, stream_drop_p=0.3)
+        stream = ChangeStream(fault, named_stream(6, "stream"), lambda e, now: got.append(e.seq))
+        events = commits(2_000)
+        for event in events:
+            stream.feed(event, 0)
+        stream.deliver_due(2)
+        ref = named_stream(6, "stream")
+        expected = [e.seq for e in events if not ref.random() < fault.stream_drop_p]
+        assert got == expected
+        assert stream.dropped == len(events) - len(expected) > 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from migsim.rng import named_stream
 from migsim.scenario import BurstSpec, WorkloadSpec
 from migsim.workload import OP_DELETE, OP_READ, OP_WRITE, WorkloadGenerator
@@ -115,3 +117,33 @@ def test_deletes_only_from_declared_types():
     ]
     assert deletes
     assert all(op.key.etype == "candidate" for op in deletes)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(0.2, 0.2, 0.6), (1.0, 1.0, 1.0), (0.5, 0.0, 0.5), (0.0, 0.3, 0.7), (0.1, 0.9, 0.0),
+     (0.0, 0.0, 1.0), (3e-9, 0.999, 7.0)],
+    ids=["figure3", "thirds", "zero_middle", "zero_first", "zero_last", "one", "tiny"],
+)
+def test_type_pick_is_generator_choice_draw_for_draw(weights):
+    """The generator's type pick is `rng.choice(len(p), p=p)` over the
+    normalised weights, zeros included: the same type on every draw and
+    the same generator state afterwards, with other draws interleaved."""
+    schema = build_figure3_schema()
+    types = schema.source_order
+    gen = WorkloadGenerator(
+        WorkloadSpec(type_weights=tuple(zip(types, weights))), schema,
+        named_stream(5, "workload"),
+    )
+    ref = named_stream(5, "workload")
+    p = [w / sum(weights) for w in weights]
+    picks, expected = [], []
+    for i in range(5_000):
+        picks.append(gen._pick_type())
+        expected.append(types[ref.choice(len(p), p=p)])
+        if i % 3 == 0:
+            assert gen.rng.integers(1 + i % 17) == ref.integers(1 + i % 17)
+    assert picks == expected
+    assert gen.rng.bit_generator.state == ref.bit_generator.state
+    assert {t for t, w in zip(types, weights) if w == 0}.isdisjoint(picks)
+
