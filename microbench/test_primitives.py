@@ -27,7 +27,7 @@ from migsim.domain import (
     split_rule,
 )
 from migsim.healing import SelfHealingQueue, Trigger
-from migsim.metrics import EventLog, MetricsRegistry
+from migsim.metrics import EventLog
 from migsim.rng import named_stream
 from migsim.scenario import WorkloadSpec
 from migsim.stores import Clock, FaultProfile, PutResult, TargetStore
@@ -100,7 +100,7 @@ def test_put_if_fresher_batch(benchmark):
 
 def _enqueued(keys: list[Key]) -> SelfHealingQueue:
     """A fresh queue after one enqueue per key, the i-th due at tick i."""
-    queue = SelfHealingQueue(MetricsRegistry(), EventLog())
+    queue = SelfHealingQueue(EventLog())
     for t, key in enumerate(keys):
         queue.enqueue(key, Trigger.NEARLINE, t, t)
     return queue

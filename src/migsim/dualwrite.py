@@ -19,8 +19,7 @@ class DualWriter:
     """Per-commit replication, processed in commit order.
 
     The pending changes wait in a deque; each is due from its own commit
-    tick.  A failed replication is recorded by the queue's `enqueue` rows
-    and the registry.
+    tick.  A failed replication is recorded by the queue's `enqueue` rows.
     """
 
     def __init__(

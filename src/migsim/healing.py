@@ -10,9 +10,10 @@ moves it strictly forward.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 from .domain import (
     DiscrepancyClass,
@@ -23,7 +24,7 @@ from .domain import (
     compare_records,  # noqa: F401  re-exported: bench/tracing.py wraps it here
     read_group,
 )
-from .metrics import EventLog, MetricsRegistry
+from .metrics import EventLog
 from .stores import Clock, LegacyStore, PutResult, StoreUnavailable, TargetStore, Ticks
 
 
@@ -41,8 +42,16 @@ class FixStatus(str, Enum):
     FAILED = "failed"
 
 
+# Why a fix failed after its check found the key inconsistent.  A check that
+# could not judge fails with "unavailable" or the bug's reason instead.
+FIX_UNAVAILABLE = "fix_unavailable"
+MISSING_PARENT = "missing_parent"
+
+
 @dataclass
 class FixOutcome:
+    """A validate-and-fix result; a failure's `reason` goes into its log row."""
+
     status: FixStatus
     reason: str = ""
 
@@ -53,7 +62,6 @@ class ValidationEvent:
 
     target_key: Key
     trigger: Trigger
-    enqueued_at: int
     source_update_time: int
     attempts: int = 0
     due: int = 0
@@ -79,7 +87,6 @@ class RetryPolicy:
 class DeadLetter:
     event: ValidationEvent
     last_error: str
-    surfaced_at: int
 
 
 @dataclass
@@ -93,8 +100,7 @@ class ProcessReport:
 class SelfHealingQueue:
     """At most one pending event per target key, ordered by due time."""
 
-    def __init__(self, registry: MetricsRegistry, log: EventLog):
-        self.registry = registry
+    def __init__(self, log: EventLog):
         self.log = log
         self._by_key: dict[Key, ValidationEvent] = {}
         self._heap: list[tuple[int, int, Key]] = []
@@ -115,20 +121,13 @@ class SelfHealingQueue:
         # reads the latest source state, so the new trigger adds nothing.
         existing = self._by_key.get(key) or self._in_flight.get(key)
         if existing is not None:
-            existing.source_update_time = max(
-                existing.source_update_time, source_update_time
-            )
-            existing.enqueued_at = min(existing.enqueued_at, now)
-            self.registry.coalesced += 1
+            existing.source_update_time = max(existing.source_update_time, source_update_time)
             self.log.append(now, "coalesce", key, trig=trigger.value, sut=source_update_time)
             return
         self._seq += 1
-        event = ValidationEvent(
-            key, trigger, now, source_update_time, attempts=0, due=now, seq=self._seq
-        )
+        event = ValidationEvent(key, trigger, source_update_time, due=now, seq=self._seq)
         self._by_key[key] = event
         heapq.heappush(self._heap, (event.due, event.seq, key))
-        self.registry.enqueued += 1
         self.log.append(now, "enqueue", key, trig=trigger.value, sut=source_update_time)
 
     def pop_due(self, now: int, limit: int) -> list[ValidationEvent]:
@@ -164,8 +163,7 @@ class SelfHealingQueue:
         # Re-surfacing the same key replaces the earlier entry, so the list
         # names each stuck key exactly once.
         self._in_flight.pop(event.target_key, None)
-        self._dead[event.target_key] = DeadLetter(event, error, now)
-        self.registry.dead_lettered += 1
+        self._dead[event.target_key] = DeadLetter(event, error)
         self.log.append(now, "dead_letter", event.target_key, reason=error)
 
     def dead_letters(self) -> list[DeadLetter]:
@@ -176,14 +174,9 @@ class SelfHealingQueue:
         letters = list(self._dead.values())
         self._dead.clear()
         for letter in letters:
-            self.registry.requeued += 1
-            self.log.append(now, "requeue", letter.event.target_key)
-            self.enqueue(
-                letter.event.target_key,
-                letter.event.trigger,
-                now,
-                letter.event.source_update_time,
-            )
+            event = letter.event
+            self.log.append(now, "requeue", event.target_key)
+            self.enqueue(event.target_key, event.trigger, now, event.source_update_time)
         return len(letters)
 
 
@@ -226,7 +219,6 @@ class Healer:
         legacy: LegacyStore,
         target: TargetStore,
         queue: SelfHealingQueue,
-        registry: MetricsRegistry,
         log: EventLog,
         clock: Clock,
         policy: RetryPolicy,
@@ -235,7 +227,6 @@ class Healer:
         self.legacy = legacy
         self.target = target
         self.queue = queue
-        self.registry = registry
         self.log = log
         self.clock = clock
         self.policy = policy
@@ -249,7 +240,6 @@ class Healer:
         somebody fresher already won.
         """
         now = self.clock.now if now is None else now
-        self.registry.attempts_total += 1
         rule = self.schema.rule_for_target(key.etype)
         sources = read_group(rule, key.id, self.legacy.read)
         expected, verdicts, bug = self.schema.check_group(
@@ -257,12 +247,9 @@ class Healer:
         )
         verdict = verdicts[key]
         if bug or verdict is None:
-            self.registry.validation_failure += 1
             return FixOutcome(FixStatus.FAILED, bug or "unavailable")
         if verdict is DiscrepancyClass.CONSISTENT:
-            self.registry.validation_success += 1
             return FixOutcome(FixStatus.ALREADY_CONSISTENT)
-        self.registry.validation_failure += 1
 
         fix = expected.get(key)
         if fix is None:
@@ -277,54 +264,43 @@ class Healer:
             try:
                 missing = self._parents.missing(sources)
             except StoreUnavailable:
-                self.registry.fix_failure += 1
-                return FixOutcome(FixStatus.FAILED, "unavailable")
+                return FixOutcome(FixStatus.FAILED, FIX_UNAVAILABLE)
             if missing is not None:
-                self.queue.enqueue(
-                    missing, Trigger.DUALWRITE, now, fix_source_time(sources)
-                )
-                self.registry.fix_failure += 1
-                return FixOutcome(FixStatus.FAILED, f"missing_parent: {missing}")
+                self.queue.enqueue(missing, Trigger.DUALWRITE, now, fix_source_time(sources))
+                return FixOutcome(FixStatus.FAILED, f"{MISSING_PARENT}: {missing}")
 
         try:
             result = self.target.put_if_fresher(fix)
         except StoreUnavailable:
-            self.registry.fix_failure += 1
-            return FixOutcome(FixStatus.FAILED, "unavailable")
+            return FixOutcome(FixStatus.FAILED, FIX_UNAVAILABLE)
         if not fix.tombstone:
             self._parents.note(key)
         if result is PutResult.STALE_REJECTED:
             # Freshness race resolved in the target's favor.
-            self.registry.validation_success += 1
             return FixOutcome(FixStatus.ALREADY_CONSISTENT)
-        self.registry.fix_success += 1
         return FixOutcome(FixStatus.FIXED)
 
     def process(self, now: int) -> ProcessReport:
         """Drain due events up to the rate limit; retry or dead-letter failures."""
-        report = ProcessReport()
-        for event in self.queue.pop_due(now, self.policy.rate_limit):
-            report.processed += 1
+        events = self.queue.pop_due(now, self.policy.rate_limit)
+        for event in events:
             outcome = self.validate_and_fix(event.target_key, now)
             if outcome.status is FixStatus.FAILED:
                 event.attempts += 1
                 if event.attempts >= self.policy.max_attempts:
                     self.queue.dead_letter(event, outcome.reason, now)
                 else:
-                    self.registry.retries += 1
                     due = now + self.policy.backoff(event.attempts)
                     self.queue.reschedule(event, due)
                     self.log.append(
-                        now, "retry", event.target_key, attempts=event.attempts, due=due
+                        now, "retry", event.target_key,
+                        attempts=event.attempts, due=due, reason=outcome.reason,
                     )
                 continue
             self.queue.finish(event)
-            self.registry.dequeued += 1
-            self.registry.in_queue_latency.add(now - event.enqueued_at)
-            self.registry.pipeline_latency.add(now - event.source_update_time)
             res = "fixed" if outcome.status is FixStatus.FIXED else "consistent"
             self.log.append(now, "dequeue", event.target_key, res=res)
-        return report
+        return ProcessReport(len(events))
 
 
 def fix_source_time(sources) -> int:
@@ -332,3 +308,88 @@ def fix_source_time(sources) -> int:
     if not sources:
         return 0
     return max(rec.version.commit_time for rec in sources.values())
+
+
+class Latency(NamedTuple):
+    """Count, mean and largest value of one latency, in ticks."""
+
+    count: int
+    mean: float
+    max: int
+
+    @classmethod
+    def of(cls, values: list[int]) -> Latency:
+        mean = sum(values) / len(values) if values else 0.0
+        return cls(len(values), mean, max(values, default=0))
+
+
+@dataclass(frozen=True)
+class RepairCounts:
+    """The repair loop's counters, as `repair_counts` folds them from a log."""
+
+    enqueued: int
+    coalesced: int
+    dequeued: int
+    dead_lettered: int
+    requeued: int
+    validation_success: int
+    validation_failure: int
+    fix_success: int
+    fix_failure: int
+    retries: int
+    attempts_total: int
+    in_queue_latency: Latency
+    pipeline_latency: Latency
+
+    def as_dict(self) -> dict:
+        """The report's `counters`: these and the queue length."""
+        queue_length = self.enqueued - self.dequeued - self.dead_lettered
+        counters = dict(vars(self), queue_length=queue_length)
+        for name in ("in_queue_latency", "pipeline_latency"):
+            counters[name] = {**counters[name]._asdict(), "mean": round(counters[name].mean, 3)}
+        return counters
+
+
+def repair_counts(rows: Sequence[tuple]) -> RepairCounts:
+    """The repair loop's counters, read from an event log's rows.
+
+    A key's event opens at its `enqueue` row, takes the largest `sut` of its
+    `coalesce` rows, stays open through `retry` rows and closes at its
+    `dequeue` or `dead_letter` row.  Its latencies run from its enqueue tick
+    and from that `sut` to its dequeue tick.  Each queued attempt ends in one
+    `dequeue`, `retry` or `dead_letter` row, and each direct bootstrap load
+    in one `backfill` put.  A check fails on every failed attempt, on every
+    fix, and on every repair put that a fresher record rejected.
+    """
+    kinds = Counter(row.kind for row in rows)
+    puts = Counter((row.cls, row.out) for row in rows if row.kind == "put")
+    events: dict[Key, list[int]] = {}  # [enqueue tick, largest sut] per open event
+    in_queue: list[int] = []
+    pipeline: list[int] = []
+    fixed = fix_failures = 0
+    for row in rows:
+        kind = row.kind
+        if kind == "enqueue":
+            events[row.key] = [row.t, row.sut]
+        elif kind == "coalesce":
+            event = events[row.key]
+            event[1] = max(event[1], row.sut)
+        elif kind == "dequeue":
+            enqueued_at, sut = events.pop(row.key)
+            in_queue.append(row.t - enqueued_at)
+            pipeline.append(row.t - sut)
+            fixed += row.res == "fixed"
+        elif kind == "retry" or kind == "dead_letter":
+            fix_failures += row.reason.partition(":")[0] in (FIX_UNAVAILABLE, MISSING_PARENT)
+            if kind == "dead_letter":
+                del events[row.key]
+    failed = kinds["retry"] + kinds["dead_letter"]
+    backfill = sum(n for (cls, _out), n in puts.items() if cls == "backfill")
+    return RepairCounts(
+        enqueued=kinds["enqueue"], coalesced=kinds["coalesce"], dequeued=kinds["dequeue"],
+        dead_lettered=kinds["dead_letter"], requeued=kinds["requeue"], retries=kinds["retry"],
+        validation_success=kinds["dequeue"] - fixed, fix_success=fixed,
+        validation_failure=failed + fixed + puts["repair", PutResult.STALE_REJECTED.value],
+        fix_failure=fix_failures, attempts_total=backfill + kinds["dequeue"] + failed,
+        in_queue_latency=Latency.of(in_queue), pipeline_latency=Latency.of(pipeline),
+    )

@@ -1,9 +1,11 @@
-"""Convergence metrics: counters, the event log, settlement and TTC math.
+"""Convergence metrics: the event log, settlement and TTC math.
 
-Two measurement paths exist on purpose.  The registry and trackers here are
-updated online while a run executes; the oracle recomputes the same numbers
-from the event log alone after the fact, and any disagreement is a bug.
-In the run, samples and the offline sweep read one `ConsistencyTracker`.
+Two measurement paths exist on purpose.  The trackers here are updated
+online while a run executes; the oracle recomputes the same numbers from
+the event log alone after the fact, and any disagreement is a bug.  In the
+run, samples and the offline sweep read one `ConsistencyTracker`.  The
+report's repair counters have no online copy: `healing.repair_counts`
+folds them from the log once the run ends.
 
 Definitions used throughout:
 
@@ -24,7 +26,7 @@ import json
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from itertools import count, islice
 from operator import itemgetter
 from pathlib import Path
@@ -85,7 +87,7 @@ ROW_KINDS: dict[str, tuple[bool, dict, dict]] = {
     "enqueue": (True, {"sut": int, "trig": str}, {}),
     "coalesce": (True, {"sut": int, "trig": str}, {}),
     "requeue": (True, {}, {}),
-    "retry": (True, {"attempts": int, "due": int}, {}),
+    "retry": (True, {"attempts": int, "due": int, "reason": str}, {}),
     "dequeue": (True, {"res": str}, {}),
     "dead_letter": (True, {"reason": str}, {}),
     "verify": (True, {"res": str, "src": str}, {"n": int}),
@@ -272,69 +274,6 @@ class EventLog:
         return log
 
 
-@dataclass
-class Histogram:
-    count: int = 0
-    total: int = 0
-    max_value: int = 0
-
-    def add(self, value: int) -> None:
-        self.count += 1
-        self.total += value
-        if value > self.max_value:
-            self.max_value = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict:
-        return {"count": self.count, "mean": round(self.mean, 3), "max": self.max_value}
-
-
-@dataclass
-class MetricsRegistry:
-    """Online counters and latency histograms for the repair loop."""
-
-    enqueued: int = 0
-    coalesced: int = 0
-    dequeued: int = 0
-    dead_lettered: int = 0
-    requeued: int = 0
-    validation_success: int = 0
-    validation_failure: int = 0
-    fix_success: int = 0
-    fix_failure: int = 0
-    retries: int = 0
-    attempts_total: int = 0
-    in_queue_latency: Histogram = field(default_factory=Histogram)
-    pipeline_latency: Histogram = field(default_factory=Histogram)
-
-    @property
-    def queue_length(self) -> int:
-        return self.enqueued - self.dequeued - self.dead_lettered
-
-    def check_algebra(self) -> None:
-        """Raise InvariantError unless the counters are mutually consistent."""
-        if self.dequeued > self.enqueued:
-            raise InvariantError(f"dequeued {self.dequeued} > enqueued {self.enqueued}")
-        if self.queue_length < 0:
-            raise InvariantError(f"queue length {self.queue_length} < 0")
-        settled = self.fix_success + self.fix_failure + self.validation_success
-        if settled < self.dequeued:
-            raise InvariantError(
-                f"fix_success + fix_failure + validation_success {settled}"
-                f" < dequeued {self.dequeued}"
-            )
-
-    def counters_dict(self) -> dict:
-        counters = {name: value for name, value in vars(self).items() if isinstance(value, int)}
-        counters["queue_length"] = self.queue_length
-        counters["in_queue_latency"] = self.in_queue_latency.as_dict()
-        counters["pipeline_latency"] = self.pipeline_latency.as_dict()
-        return counters
-
-
 class SettlementTracker:
     """Streaming settlement times for every source update.
 
@@ -481,9 +420,6 @@ class ConsistencyReport:
     window_ttc: int | None = None
     expected_keys: int = 0
     inconsistent_keys: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def consistency_rate(

@@ -86,10 +86,11 @@ class LogReplay:
     It keeps the commit rows; the accepted puts per target key; `source`,
     the last commit per key decoded into a `SourceRecord`; `target`, the
     last accepted put row per key; `queue_lengths`, a (time, sampled,
-    replayed) queue length per sample row; and `ordering_violations`, each
-    live child put whose parent target key no earlier put wrote, judged
-    against the source as committed by then.  The flip ends a run, so the
-    end state is the state at the flip.
+    replayed) queue length per sample row; `queue_below_zero`, the first
+    (time, replayed length) at which that length fell below zero, if it
+    ever did; and `ordering_violations`, each live child put whose parent
+    target key no earlier put wrote, judged against the source as committed
+    by then.  The flip ends a run, so the end state is the state at the flip.
     """
 
     def __init__(self, log: EventLog, schema: Schema):
@@ -98,6 +99,7 @@ class LogReplay:
         self.source: dict[Key, SourceRecord] = {}
         self.target: dict[Key, tuple] = {}
         self.queue_lengths: list[tuple[int, int, int]] = []
+        self.queue_below_zero: tuple[int, int] | None = None
         self.ordering_violations: list[dict] = []
         self.flip_time: int | None = None
         qlen = 0
@@ -119,6 +121,8 @@ class LogReplay:
                 qlen += 1
             elif kind == "dequeue" or kind == "dead_letter":
                 qlen -= 1
+                if qlen < 0 and self.queue_below_zero is None:
+                    self.queue_below_zero = (row.t, qlen)
             elif kind == "sample":
                 self.queue_lengths.append((row.t, row.qlen, qlen))
             elif kind == "ramp" and row.act == "flip":
@@ -312,12 +316,14 @@ def oracle_verify(
             f"{len(mismatches)} mismatches" + (f", first {mismatches[0]}" if mismatches else ""),
         )
 
-    # Queue length trajectory vs sampled gauge.
+    # Queue length trajectory vs sampled gauge; it never goes below zero.
     qlen_bad = [q for q in replay.queue_lengths if q[1] != q[2]]
+    below = replay.queue_below_zero
     result.add(
         "queue length matches log replay",
-        not qlen_bad,
-        f"{len(qlen_bad)} mismatches" + (f", first {qlen_bad[0]}" if qlen_bad else ""),
+        not qlen_bad and below is None,
+        f"{len(qlen_bad)} mismatches" + (f", first {qlen_bad[0]}" if qlen_bad else "")
+        + (f", replayed length {below[1]} at t={below[0]}" if below else ""),
     )
 
     # Dependency ordering over the whole trace.

@@ -23,12 +23,11 @@ from pathlib import Path
 
 from .domain import Key, Schema, TargetRecord
 from .dualwrite import DualWriter
-from .healing import Healer, SelfHealingQueue
+from .healing import Healer, RepairCounts, SelfHealingQueue, repair_counts
 from .metrics import (
     ConsistencyReport,
     ConsistencyTracker,
     EventLog,
-    MetricsRegistry,
     SettlementTracker,
     consistency_rate,  # noqa: F401  re-exported: bench/tracing.py wraps it here
     loop_gauges,
@@ -86,7 +85,7 @@ class SimResult:
     legacy: LegacyStore
     target: TargetStore
     queue: SelfHealingQueue
-    registry: MetricsRegistry
+    registry: RepairCounts  # folded from `log` after the run
     settlement: SettlementTracker
     limiter: RateLimiter
     oracle_report: OracleReport | None = None
@@ -98,17 +97,16 @@ class _SimState:
         self.seed = seed
         self.clock = Clock(0)
         self.log = EventLog()
-        self.registry = MetricsRegistry()
         self.schema = scenario.build_schema()
         self.legacy = LegacyStore(self.clock)
         self.target = TargetStore(
             self.clock, scenario.fault, named_stream(seed, "target_ops")
         )
         self.target.event_log = self.log
-        self.queue = SelfHealingQueue(self.registry, self.log)
+        self.queue = SelfHealingQueue(self.log)
         self.healer = Healer(
             self.schema, self.legacy, self.target, self.queue,
-            self.registry, self.log, self.clock, scenario.retry,
+            self.log, self.clock, scenario.retry,
         )
         self.dualwriter = DualWriter(
             self.schema, self.legacy, self.target, self.queue,
@@ -342,7 +340,7 @@ def _run(scenario: Scenario, seed: int | None, out_dir: str | Path | None) -> Si
                 sim.log_snapshot(now)
                 sim.bootstrap_job = BootstrapJob(
                     sim.schema, sim.legacy.take_snapshot(now), sim.target, sim.queue,
-                    sim.registry, sim.log, mode=scn.bootstrap.mode,
+                    sim.log, mode=scn.bootstrap.mode,
                 )
             if sim.bootstrap_job is not None and not sim.bootstrap_job.done:
                 sim.target.writer_class = "backfill"
@@ -353,7 +351,6 @@ def _run(scenario: Scenario, seed: int | None, out_dir: str | Path | None) -> Si
             sim.sample_report(now)
 
     sim.limiter.finish()
-    sim.registry.check_algebra()
 
     # Window TTC per sample, with full end-of-run settlement knowledge.
     ttcs = window_ttcs(
@@ -366,7 +363,8 @@ def _run(scenario: Scenario, seed: int | None, out_dir: str | Path | None) -> Si
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    report = _assemble_report(sim, out_dir)
+    counts = repair_counts(sim.log.rows)
+    report = _assemble_report(sim, counts, out_dir)
     if scn.toggles.run_oracle:
         oracle_report = oracle_verify(sim.log, scn, report.as_dict())
         report.oracle = oracle_report.as_dict()
@@ -382,7 +380,7 @@ def _run(scenario: Scenario, seed: int | None, out_dir: str | Path | None) -> Si
         legacy=sim.legacy,
         target=sim.target,
         queue=sim.queue,
-        registry=sim.registry,
+        registry=counts,
         settlement=sim.settlement,
         limiter=sim.limiter,
         oracle_report=sim_oracle,
@@ -392,9 +390,10 @@ def _run(scenario: Scenario, seed: int | None, out_dir: str | Path | None) -> Si
     return result
 
 
-def _assemble_report(sim: _SimState, out_dir: Path | None) -> RunReport:
-    """Final rates and counters; the log digest pass also writes
-    `eventlog.jsonl` into `out_dir` when one is given."""
+def _assemble_report(sim: _SimState, counts: RepairCounts, out_dir: Path | None) -> RunReport:
+    """Final rates, and the repair `counts` folded from the log; the log
+    digest pass also writes `eventlog.jsonl` into `out_dir` when one is
+    given."""
     scn = sim.scenario
     # The tracker stands in for a full scan: the last sample refreshed it at
     # the run's last tick (the flip or `duration`) under this same bound.
@@ -402,7 +401,7 @@ def _assemble_report(sim: _SimState, out_dir: Path | None) -> RunReport:
     final_overall, final_settled, _expected, _bad = sim.ctracker.rates(
         last, sim._staleness_bound(last)
     )
-    counts = {cls.value: n for cls, n in sim.ctracker.class_counts().items() if n}
+    final_counts = {cls.value: n for cls, n in sim.ctracker.class_counts().items() if n}
     n_initial = scn.workload.initial_records
     report = RunReport(
         name=scn.name,
@@ -412,17 +411,15 @@ def _assemble_report(sim: _SimState, out_dir: Path | None) -> RunReport:
         samples=sim.samples,
         bootstrap=sim.bootstrap_job.report.as_dict() if sim.bootstrap_job else None,
         switch=sim.ramp.report.as_dict() if sim.ramp else None,
-        counters=sim.registry.counters_dict(),
-        attempts_total=sim.registry.attempts_total,
-        attempts_ratio=(
-            sim.registry.attempts_total / n_initial if n_initial > 0 else None
-        ),
+        counters=counts.as_dict(),
+        attempts_total=counts.attempts_total,
+        attempts_ratio=counts.attempts_total / n_initial if n_initial > 0 else None,
         dead_letters=[
             [list(d.event.target_key), d.last_error] for d in sim.queue.dead_letters()
         ],
         final_overall=final_overall,
         final_settled=final_settled,
-        final_counts=counts,
+        final_counts=final_counts,
         rejected_writes=sim.ramp.report.rejected_writes if sim.ramp else 0,
         log_digest=sim.log.digest(
             out_dir / "eventlog.jsonl" if out_dir is not None else None

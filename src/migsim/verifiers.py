@@ -10,9 +10,9 @@ the outcome.  All four feed the same validate-and-fix primitive, so the
 eventual repaired state never depends on which trigger noticed first.
 
 A trigger's outcome is recorded only in the event log (`verify`,
-`enqueue`/`coalesce`, `bootstrap` and `offline_done` rows) and the
-registry.  Bootstrap's `BootstrapReport` reaches `report.json`; the offline
-sweep returns the two counts its `offline_done` row carries.
+`enqueue`/`coalesce`, `bootstrap`, `put` and `offline_done` rows).
+Bootstrap's `BootstrapReport` reaches `report.json`; the offline sweep
+returns the two counts its `offline_done` row carries.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .domain import (
     read_group,
 )
 from .healing import SelfHealingQueue, Trigger, fix_source_time
-from .metrics import ConsistencyTracker, EventLog, MetricsRegistry, iter_groups
+from .metrics import ConsistencyTracker, EventLog, iter_groups
 from .stores import ChangeEvent, LegacyStore, Snapshot, StoreUnavailable, TargetStore
 
 
@@ -119,7 +119,6 @@ class BootstrapJob:
         snapshot: Snapshot,
         target: TargetStore,
         queue: SelfHealingQueue,
-        registry: MetricsRegistry,
         log: EventLog,
         mode: str = "direct",
     ):
@@ -129,7 +128,6 @@ class BootstrapJob:
         self.snapshot = snapshot
         self.target = target
         self.queue = queue
-        self.registry = registry
         self.log = log
         self.mode = mode
         self.report = BootstrapReport(mode=mode)
@@ -205,7 +203,6 @@ class BootstrapJob:
         provenance = {rec.key: default_stamp for rec in sources.values()}
         for record in expected.values():
             stale_record = TargetRecord(record.key, record.value, provenance, record.tombstone)
-            self.registry.attempts_total += 1
             self.report.puts += 1
             try:
                 self.target.put_if_fresher(stale_record)

@@ -22,8 +22,14 @@ from migsim.domain import (
     split_rule,
 )
 from migsim.dualwrite import DualWriter
-from migsim.healing import Healer, RetryPolicy, SelfHealingQueue
-from migsim.metrics import EventLog, MetricsRegistry
+from migsim.healing import (
+    Healer,
+    RepairCounts,
+    RetryPolicy,
+    SelfHealingQueue,
+    repair_counts,
+)
+from migsim.metrics import EventLog
 from migsim.rng import named_stream
 from migsim.stores import Clock, FaultProfile, LegacyStore, TargetStore
 
@@ -88,8 +94,12 @@ class Pipeline:
     queue: SelfHealingQueue
     healer: Healer
     dualwriter: DualWriter
-    registry: MetricsRegistry
     log: EventLog
+
+    @property
+    def counts(self) -> RepairCounts:
+        """The repair counters folded from the log so far."""
+        return repair_counts(self.log.rows)
 
     def commit(self, etype: str, gid: str, value=None, delete: bool = False):
         key = Key(etype, gid)
@@ -113,15 +123,14 @@ def build_pipeline(
     fault = FaultProfile(availability_p=availability, outage_windows=outages)
     legacy = LegacyStore(clock)
     target = TargetStore(clock, fault, named_stream(seed, "target_ops"))
-    registry = MetricsRegistry()
     log = EventLog()
     target.event_log = log
-    queue = SelfHealingQueue(registry, log)
+    queue = SelfHealingQueue(log)
     healer = Healer(
-        schema, legacy, target, queue, registry, log, clock, policy or RetryPolicy()
+        schema, legacy, target, queue, log, clock, policy or RetryPolicy()
     )
     dualwriter = DualWriter(schema, legacy, target, queue)
-    return Pipeline(clock, schema, legacy, target, queue, healer, dualwriter, registry, log)
+    return Pipeline(clock, schema, legacy, target, queue, healer, dualwriter, log)
 
 
 @pytest.fixture

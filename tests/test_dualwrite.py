@@ -28,7 +28,7 @@ class TestReplicate:
     def test_healthy_child_write_with_parent_present(self, pipeline):
         pipeline.commit_and_replicate("project", "1", {"n": "p"})
         pipeline.commit_and_replicate("stage", "1", {"n": "s", "parent_project": "1"})
-        assert pipeline.registry.enqueued == 0
+        assert pipeline.counts.enqueued == 0
         assert pipeline.target.peek(Key("stage_v2", "1")) is not None
 
     def test_child_before_parent_enqueues_and_writes_nothing(self, pipeline):
@@ -74,14 +74,14 @@ class TestReplicate:
         # Replaying the older change re-reads latest state: equal provenance
         # is acceptable, never a failure.
         pipeline.dualwriter.replicate(event, 0)
-        assert pipeline.registry.enqueued == 0
+        assert pipeline.counts.enqueued == 0
         assert pipeline.target.peek(Key("project_v2", "1")).value == {"n": "b"}
 
     def test_delete_replicates_as_tombstone_without_parent_gate(self, pipeline):
         pipeline.commit_and_replicate("project", "1", {"n": "p"})
         pipeline.commit_and_replicate("stage", "1", {"n": "s", "parent_project": "1"})
         pipeline.commit_and_replicate("stage", "1", delete=True)
-        assert pipeline.registry.enqueued == 0
+        assert pipeline.counts.enqueued == 0
         assert pipeline.target.peek(Key("stage_v2", "1")).tombstone
 
     def test_disabled_dualwriter_schedules_nothing(self):

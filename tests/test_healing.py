@@ -1,12 +1,24 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import given, strategies as st
 
 from migsim.domain import Key, TargetRecord, VersionStamp
-from migsim.healing import FixStatus, RetryPolicy, SelfHealingQueue, Trigger
-from migsim.metrics import EventLog, MetricsRegistry
+from migsim.healing import (
+    FixOutcome,
+    FixStatus,
+    Latency,
+    RepairCounts,
+    RetryPolicy,
+    SelfHealingQueue,
+    Trigger,
+    repair_counts,
+)
+from migsim.metrics import EventLog
+from migsim.stores import StoreUnavailable
 
 from conftest import build_pipeline
 
@@ -15,7 +27,7 @@ class TestEnqueue:
     def test_first_event_enqueued(self, pipeline):
         pipeline.queue.enqueue(Key("project_v2", "1"), Trigger.NEARLINE, 0, 0)
         assert [e["k"] for e in pipeline.log.entries] == ["enqueue"]
-        assert pipeline.registry.enqueued == 1
+        assert pipeline.counts.enqueued == 1
         assert len(pipeline.queue) == 1
 
     def test_same_key_coalesces(self, pipeline):
@@ -23,10 +35,9 @@ class TestEnqueue:
         pipeline.queue.enqueue(key, Trigger.NEARLINE, 0, 3)
         pipeline.queue.enqueue(key, Trigger.OFFLINE, 5, 9)
         assert [e["k"] for e in pipeline.log.entries] == ["enqueue", "coalesce"]
-        assert pipeline.registry.coalesced == 1
+        assert pipeline.counts.coalesced == 1
         assert len(pipeline.queue) == 1
         (event,) = pipeline.queue.pending()
-        assert event.enqueued_at == 0  # earliest kept
         assert event.source_update_time == 9  # latest kept
 
     def test_distinct_keys_both_queued(self, pipeline):
@@ -38,8 +49,8 @@ class TestEnqueue:
         key = Key("project_v2", "1")
         pipeline.queue.enqueue(key, Trigger.NEARLINE, 0, 0)
         pipeline.queue.enqueue(key, Trigger.NEARLINE, 1, 1)
-        assert pipeline.registry.enqueued == 1
-        assert pipeline.registry.coalesced == 1
+        assert pipeline.counts.enqueued == 1
+        assert pipeline.counts.coalesced == 1
 
 
 class TestValidateAndFix:
@@ -82,8 +93,19 @@ class TestValidateAndFix:
         p = build_pipeline(outages=((0, 100),))
         p.commit("project", "1", {"n": "x"})
         outcome = p.healer.validate_and_fix(Key("project_v2", "1"))
-        assert outcome.status is FixStatus.FAILED
-        assert "unavailable" in outcome.reason
+        # The check's own read failed: it could not judge the key.
+        assert outcome == FixOutcome(FixStatus.FAILED, "unavailable")
+        assert p.target.records == {}
+
+    def test_failed_put_is_a_fix_stage_failure(self, pipeline, monkeypatch):
+        pipeline.commit("project", "1", {"n": "x"})
+
+        def unavailable(record):
+            raise StoreUnavailable(f"put {record.key}")
+
+        monkeypatch.setattr(pipeline.target, "put_if_fresher", unavailable)
+        outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
+        assert outcome == FixOutcome(FixStatus.FAILED, "fix_unavailable")
 
     def test_missing_parent_enqueues_parent_and_fails(self, pipeline):
         pipeline.commit("project", "1", {"n": "p"})
@@ -220,7 +242,7 @@ class TestProcess:
         assert rounds == 10
         letters = p.queue.dead_letters()
         assert [d.event.target_key for d in letters] == [Key("project_v2", "1")]
-        assert "unavailable" in letters[0].last_error
+        assert letters[0].last_error == "unavailable"
 
     def test_dead_letters_never_auto_cleared_and_requeue_drains(self):
         policy = RetryPolicy(max_attempts=2, backoff_base=1, backoff_cap=2)
@@ -266,7 +288,7 @@ class TestProcess:
     def test_each_pending_event_has_exactly_one_heap_entry(self, steps):
         # `pop_due` relies on this: every heap entry it pops names the
         # pending event of its key, with that event's due time and seq.
-        queue = SelfHealingQueue(MetricsRegistry(), EventLog())
+        queue = SelfHealingQueue(EventLog())
         in_flight: list = []
         now = 0
         for step, n, dt in steps:
@@ -294,16 +316,103 @@ class TestProcess:
             assert len(queue._heap) == len(queue)
 
 
-class TestCounterAlgebra:
-    def test_every_removal_is_justified(self):
+# Every integer counter of `RepairCounts` at zero.
+_NO_COUNTS = dict.fromkeys(
+    ["enqueued", "coalesced", "dequeued", "dead_lettered", "requeued", "validation_success",
+     "validation_failure", "fix_success", "fix_failure", "retries", "attempts_total"], 0,
+)
+
+
+class TestRepairCounts:
+    def test_fold_equals_the_attempts_the_healer_made(self):
         p = build_pipeline(availability=0.7, seed=17, policy=RetryPolicy(max_attempts=3))
+        p.target.writer_class = "repair"  # as the run sets it around `process`
+        outcomes: Counter = Counter()
+        validate_and_fix = p.healer.validate_and_fix
+
+        def tallied(key, now=None):
+            outcome = validate_and_fix(key, now)
+            outcomes[outcome.status, outcome.reason.partition(":")[0]] += 1
+            return outcome
+
+        p.healer.validate_and_fix = tallied
         for i in range(30):
             p.commit("project", str(i), {"n": "x"})
             p.queue.enqueue(Key("project_v2", str(i)), Trigger.NEARLINE, 0, 0)
         for now in range(0, 40):
             p.clock.now = now
             p.healer.process(now)
-        r = p.registry
-        r.check_algebra()
-        assert r.queue_length == len(p.queue)
-        assert r.fix_success + r.fix_failure + r.validation_success >= r.dequeued
+        failed = FixStatus.FAILED
+        # Not vacuous: both stages failed at least once.
+        assert outcomes[failed, "unavailable"] and outcomes[failed, "fix_unavailable"]
+        c = p.counts
+        assert c.attempts_total == sum(outcomes.values())
+        assert c.fix_success == outcomes[FixStatus.FIXED, ""]
+        assert c.validation_success == outcomes[FixStatus.ALREADY_CONSISTENT, ""]
+        assert c.fix_failure == (
+            outcomes[failed, "fix_unavailable"] + outcomes[failed, "missing_parent"]
+        )
+        failures = sum(n for (status, _), n in outcomes.items() if status is failed)
+        assert c.retries + c.dead_lettered == failures
+        assert c.as_dict()["queue_length"] == len(p.queue)
+        assert c.dequeued + c.dead_lettered <= c.enqueued
+
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            pytest.param(
+                [
+                    (0, "enqueue", {"trig": "nearline", "sut": 0}),
+                    (2, "coalesce", {"trig": "offline", "sut": 2}),
+                    (3, "dequeue", {"res": "fixed"}),
+                ],
+                dict(enqueued=1, coalesced=1, dequeued=1, fix_success=1,
+                     validation_failure=1, attempts_total=1,
+                     in_queue_latency=Latency(1, 3, 3), pipeline_latency=Latency(1, 1, 1)),
+                id="coalesce_into_in_flight_raises_sut",
+            ),
+            pytest.param(
+                [
+                    (1, "enqueue", {"trig": "nearline", "sut": 0}),
+                    (1, "retry", {"attempts": 1, "due": 3, "reason": "unavailable"}),
+                    (3, "retry", {"attempts": 2, "due": 7, "reason": "fix_unavailable"}),
+                    (7, "put", {"cls": "repair", "out": "stale_rejected"}),
+                    (7, "dequeue", {"res": "consistent"}),
+                ],
+                dict(enqueued=1, dequeued=1, retries=2, validation_success=1,
+                     validation_failure=3, fix_failure=1, attempts_total=3,
+                     in_queue_latency=Latency(1, 6, 6), pipeline_latency=Latency(1, 7, 7)),
+                id="retry_keeps_the_enqueue_tick",
+            ),
+            pytest.param(
+                [
+                    (0, "put", {"cls": "backfill", "out": "unavailable"}),
+                    (0, "enqueue", {"trig": "bootstrap", "sut": 0}),
+                    (1, "dead_letter", {"reason": "missing_parent: ('project_v2', '9')"}),
+                    (10, "requeue", {}),
+                    (10, "enqueue", {"trig": "bootstrap", "sut": 0}),
+                    (12, "dequeue", {"res": "fixed"}),
+                ],
+                dict(enqueued=2, dequeued=1, dead_lettered=1, requeued=1, fix_success=1,
+                     validation_failure=2, fix_failure=1, attempts_total=3,
+                     in_queue_latency=Latency(1, 2, 2), pipeline_latency=Latency(1, 12, 12)),
+                id="requeue_opens_a_new_event",
+            ),
+        ],
+    )
+    def test_fold_over_hand_built_rows(self, rows, want):
+        log = EventLog()
+        for t, kind, data in rows:
+            log.append(t, kind, Key("project_v2", "1"), **data)
+        assert repair_counts(log.rows) == RepairCounts(**(_NO_COUNTS | want))
+
+    def test_latency_of_values_and_its_rounded_summary(self):
+        assert Latency.of([1, 1, 2]) == Latency(3, 4 / 3, 2)
+        assert Latency.of([]) == Latency(0, 0.0, 0)
+        counters = RepairCounts(
+            **_NO_COUNTS, in_queue_latency=Latency.of([1, 1, 2]), pipeline_latency=Latency.of([])
+        ).as_dict()
+        # Only the report's copy of a mean is rounded.
+        assert counters["in_queue_latency"] == {"count": 3, "mean": 1.333, "max": 2}
+        assert counters["pipeline_latency"] == {"count": 0, "mean": 0.0, "max": 0}
+        assert counters["queue_length"] == 0

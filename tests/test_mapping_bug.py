@@ -3,7 +3,9 @@
 One rule raises `TransformError` on one value.  Every caller that maps a
 rule group meets it; each is pinned here by what it returns (the dual
 writer, nearline and shadow triggers return nothing), the target reads it
-makes (none), the registry counters it moves and the log lines it writes.
+makes (none), the repair counters folded from its log and the log lines it
+writes.  The healer case also calls validate-and-fix directly; only the
+attempt that `process` logs counts.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ CASES = {
             FixOutcome(FixStatus.FAILED, REASON),
             {"processed": 1},
         ),
-        {"enqueued": 1, "dead_lettered": 1, "validation_failure": 2, "attempts_total": 2},
+        {"enqueued": 1, "dead_lettered": 1, "validation_failure": 1, "attempts_total": 1},
         [
             {"t": 0, "k": "enqueue", "key": PART_A, "trig": "nearline", "sut": 0},
             {"t": 0, "k": "dead_letter", "key": PART_A, "reason": REASON},
@@ -150,7 +152,7 @@ def test_a_group_that_fails_to_map_reads_no_target(caller):
     event = p.commit("project", "1", {"n": "bug"})
     result = act(p, event)
     counters = {
-        name: n for name, n in p.registry.counters_dict().items()
+        name: n for name, n in p.counts.as_dict().items()
         if n and not isinstance(n, dict)
     }
     lines = [{k: v for k, v in e.items() if k != "seq"} for e in p.log.entries]
@@ -165,7 +167,7 @@ def test_direct_bootstrap_sends_a_group_that_fails_to_map_to_the_queue():
     p.commit("project", "1", {"n": "bug"})
     p.commit("project", "2", {"n": "ok"})
     job = BootstrapJob(
-        p.schema, p.legacy.take_snapshot(0), p.target, p.queue, p.registry, p.log,
+        p.schema, p.legacy.take_snapshot(0), p.target, p.queue, p.log,
         mode="direct",
     )
     limiter = RateLimiter(100)

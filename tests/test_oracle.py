@@ -144,6 +144,27 @@ class TestHandBuiltCases:
         replay = LogReplay(build_log(entries), build_figure3_schema())
         assert replay.queue_lengths == [(1, 0, 1)]
 
+    def test_queue_replay_detects_a_dequeue_before_its_enqueue(self):
+        key = Key("project_v2", "1")
+        entries = [
+            (0, "dequeue", key, {"res": "fixed"}),
+            (1, "enqueue", key, {"trig": "nearline", "sut": 1}),
+            (2, "sample", None, {
+                "age": 0, "bound": 10, "overall": 1.0, "phase": "steady", "qlen": 0,
+                "settled": 1.0,
+            }),
+        ]
+        log = build_log(entries)
+        replay = LogReplay(log, build_figure3_schema())
+        # The sample agrees with the replay; only the replayed length's
+        # dip below zero shows that the dequeue came first.
+        assert replay.queue_lengths == [(2, 0, 0)]
+        assert replay.queue_below_zero == (0, -1)
+        checks = {c.name: c for c in oracle_verify(log, load_file(scenario_path("small"))).checks}
+        check = checks["queue length matches log replay"]
+        assert not check.ok
+        assert check.detail == "0 mismatches, replayed length -1 at t=0"
+
 
 class TestAgainstRuns:
     def test_forced_flip_lost_updates_recounted(self):

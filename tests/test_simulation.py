@@ -305,8 +305,8 @@ class TestTrackerAgainstFullScan:
         seen = []
         assemble = simulation._assemble_report
 
-        def at_end(sim, out_dir):
-            report = assemble(sim, out_dir)
+        def at_end(sim, counts, out_dir):
+            report = assemble(sim, counts, out_dir)
             last = sim.clock.now
             overall, settled, counts = consistency_rate(
                 sim.schema, sim.legacy.records, sim.target.records,

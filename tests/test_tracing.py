@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib.util
 import time
+from collections import Counter
 from pathlib import Path
 
 from migsim import oracle, simulation
@@ -60,3 +61,13 @@ def test_traced_small_run_counts_the_hot_primitives(tmp_path):
     assert layers["verifiers.offline_scanned_keys"] == sum(
         row.scanned for row in result.log.rows if row.kind == "offline_done"
     )
+    # The repair counters the tracer reads are the log's own row counts.
+    rows = Counter(row.kind for row in result.log.rows)
+    assert rows["retry"] and rows["coalesce"]
+    for name, kind in (
+        ("healing.enqueued", "enqueue"),
+        ("healing.coalesced", "coalesce"),
+        ("healing.retries", "retry"),
+        ("healing.dead_lettered", "dead_letter"),
+    ):
+        assert layers[name] == rows[kind], name

@@ -73,7 +73,7 @@ class TestBootstrap:
     def test_empty_snapshot_zero_events(self, pipeline):
         job = BootstrapJob(
             pipeline.schema, make_snapshot([]), pipeline.target, pipeline.queue,
-            pipeline.registry, pipeline.log,
+            pipeline.log,
         )
         limiter = RateLimiter(100)
         limiter.begin_tick(0)
@@ -94,7 +94,7 @@ class TestBootstrap:
         )
         job = BootstrapJob(
             pipeline.schema, snap, pipeline.target, pipeline.queue,
-            pipeline.registry, pipeline.log, mode="queue",
+            pipeline.log, mode="queue",
         )
         limiter = RateLimiter(100)
         limiter.begin_tick(0)
@@ -106,7 +106,7 @@ class TestBootstrap:
         snap = make_snapshot([srec("project", "1", {"n": "p"}, counter=4, t=3)], taken_at=5)
         job = BootstrapJob(
             pipeline.schema, snap, pipeline.target, pipeline.queue,
-            pipeline.registry, pipeline.log, mode="direct",
+            pipeline.log, mode="direct",
         )
         limiter = RateLimiter(100)
         limiter.begin_tick(0)
@@ -119,7 +119,7 @@ class TestBootstrap:
         records = [srec("project", str(i), {"n": "p"}) for i in range(1000)]
         job = BootstrapJob(
             pipeline.schema, make_snapshot(records), pipeline.target, pipeline.queue,
-            pipeline.registry, pipeline.log, mode="direct",
+            pipeline.log, mode="direct",
         )
         limiter = RateLimiter(159)
         now = 0
@@ -133,7 +133,7 @@ class TestBootstrap:
         records = [srec("project", str(i), {"n": "p"}) for i in range(10)]
         job = BootstrapJob(
             pipeline.schema, make_snapshot(records), pipeline.target, pipeline.queue,
-            pipeline.registry, pipeline.log, mode="direct",
+            pipeline.log, mode="direct",
         )
         limiter = RateLimiter(10)
         limiter.begin_tick(0)
@@ -154,7 +154,7 @@ class TestBootstrap:
             ]
         )
         job = BootstrapJob(
-            p.schema, snap, p.target, p.queue, p.registry, p.log, mode="direct"
+            p.schema, snap, p.target, p.queue, p.log, mode="direct"
         )
         original_put = p.target.put_if_fresher
 
@@ -260,11 +260,11 @@ class TestShadowRead:
         reader = self._reader(pipeline, interval=10)
         record = pipeline.legacy.read(Key("project", "1"))
         reader.on_read(Key("project", "1"), record, 0)
-        assert pipeline.registry.enqueued == 1
+        assert pipeline.counts.enqueued == 1
         reader.on_read(Key("project", "1"), record, 5)  # within interval: no new event
-        assert pipeline.registry.enqueued + pipeline.registry.coalesced == 1
+        assert pipeline.counts.enqueued + pipeline.counts.coalesced == 1
         reader.on_read(Key("project", "1"), record, 10)  # interval over
-        assert pipeline.registry.enqueued + pipeline.registry.coalesced == 2
+        assert pipeline.counts.enqueued + pipeline.counts.coalesced == 2
 
 
 class TestOfflineVerify:
