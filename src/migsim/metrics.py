@@ -187,7 +187,9 @@ class EventLog:
     digest is over that export, so two runs with equal digests did
     byte-identical things.  Rows are decoded and serialized when the run
     ends, a block of lines at a time: `digest(path)` writes the export to
-    `path` in the same pass that hashes it.
+    `path` in the same pass that hashes it.  The runner makes that call in
+    a helper process it forks after the last tick, while it runs the
+    oracle itself (`simulation._exported`); no row changes after that tick.
 
     Rows share the run's own immutable objects instead of copying them: the
     `Key` under "key", a commit's `VersionStamp` under "ver", record value
@@ -231,7 +233,9 @@ class EventLog:
     def digest(self, path: str | Path | None = None) -> str:
         """sha256 of the export; the exported bytes also go to `path` if given.
 
-        The export is hashed and written `EXPORT_BLOCK` lines at a time."""
+        The export is hashed and written `EXPORT_BLOCK` lines at a time.  A
+        run calls this in its export helper process, not in the process
+        that ran the ticks; the result is the same in either."""
         h = hashlib.sha256()
         lines = self.export_lines()
         with open(path, "wb") if path is not None else nullcontext() as fh:

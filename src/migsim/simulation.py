@@ -11,15 +11,23 @@ metrics sample and nothing else, so the run's end state is its state at the
 flip, where the switch report measures it.
 
 Equal scenarios produce byte-identical event logs; every random draw comes
-from a named substream of the scenario seed.
+from a named substream of the scenario seed.  The run itself is one
+process.  Once the last tick has logged its rows, the log is frozen, and a
+helper process forked from the run exports and hashes it (`EventLog.digest`)
+while the run folds the repair counters, assembles the report and runs the
+oracle.  The run then waits for the helper and fills the report's
+`log_digest` before it checks expectations and writes the other artifacts.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, Iterator, NoReturn
 
 from .domain import Key, Schema, TargetRecord
 from .dualwrite import DualWriter
@@ -280,7 +288,8 @@ def run_scenario(
     """Execute one scenario end to end and assemble its report.
 
     The collector runs at `RUN_GC_THRESHOLD` for the run and gets its old
-    thresholds back afterwards, also when the run raises.
+    thresholds back afterwards, also when the run raises.  The event-log
+    export helper (`_exported`) has ended by the time this returns or raises.
     """
     saved = gc.get_threshold()
     gc.set_threshold(*RUN_GC_THRESHOLD)
@@ -352,25 +361,29 @@ def _run(scenario: Scenario, seed: int | None, out_dir: str | Path | None) -> Si
 
     sim.limiter.finish()
 
-    # Window TTC per sample, with full end-of-run settlement knowledge.
-    ttcs = window_ttcs(
-        sim.settlement.updates_as_pairs(),
-        [(sample.at - scn.metrics.ttc_window, sample.at) for sample in sim.samples],
-    )
-    for sample, ttc in zip(sim.samples, ttcs):
-        sample.window_ttc = ttc
-
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    counts = repair_counts(sim.log.rows)
-    report = _assemble_report(sim, counts, out_dir)
-    if scn.toggles.run_oracle:
-        oracle_report = oracle_verify(sim.log, scn, report.as_dict())
-        report.oracle = oracle_report.as_dict()
-        sim_oracle = oracle_report
-    else:
-        sim_oracle = None
+    eventlog_path = out_dir / "eventlog.jsonl" if out_dir is not None else None
+    with _exported(sim.log, eventlog_path) as log_digest:
+        # Window TTC per sample, with full end-of-run settlement knowledge.
+        ttcs = window_ttcs(
+            sim.settlement.updates_as_pairs(),
+            [(sample.at - scn.metrics.ttc_window, sample.at) for sample in sim.samples],
+        )
+        for sample, ttc in zip(sim.samples, ttcs):
+            sample.window_ttc = ttc
+
+        counts = repair_counts(sim.log.rows)
+        report = _assemble_report(sim, counts)
+        if scn.toggles.run_oracle:
+            # The oracle never reads `log_digest`, which is still empty here.
+            oracle_report = oracle_verify(sim.log, scn, report.as_dict())
+            report.oracle = oracle_report.as_dict()
+            sim_oracle = oracle_report
+        else:
+            sim_oracle = None
+        report.log_digest = log_digest()
     report.expect_failures = _check_expectations(scn, report)
 
     result = SimResult(
@@ -390,10 +403,85 @@ def _run(scenario: Scenario, seed: int | None, out_dir: str | Path | None) -> Si
     return result
 
 
-def _assemble_report(sim: _SimState, counts: RepairCounts, out_dir: Path | None) -> RunReport:
-    """Final rates, and the repair `counts` folded from the log; the log
-    digest pass also writes `eventlog.jsonl` into `out_dir` when one is
-    given."""
+# The most of a failed export's message the helper sends back; far below a
+# pipe's buffer, so its one write never blocks.
+_HELPER_MESSAGE_MAX = 2048
+
+
+@contextmanager
+def _exported(log: EventLog, path: Path | None) -> Iterator[Callable[[], str]]:
+    """Export the frozen `log` in a helper process while the block runs.
+
+    Yields `join`, which waits for the helper and returns
+    `log.digest(path)`: the same digest and bytes as an inline call.  An
+    export that fails in the helper raises RuntimeError in `join`, naming
+    the helper's exit status.  The helper is reaped when the block exits,
+    also when it raises, so none outlives the run.  The helper is forked,
+    so it reads the rows the run built, shared copy-on-write, with nothing
+    pickled; threads would not overlap, since JSON encoding holds the GIL.
+    The helper runs only the export, which takes no lock that another
+    thread of the caller could hold at the fork.  Where `os.fork` does not
+    exist, the digest is computed inline.
+    """
+    if not hasattr(os, "fork"):
+        digest = log.digest(path)
+        yield lambda: digest
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _export_and_exit(log, path, read_fd, write_fd)
+    os.close(write_fd)
+    exit_code: int | None = None
+
+    def reap() -> int:
+        nonlocal exit_code
+        if exit_code is None:
+            os.close(read_fd)
+            exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return exit_code
+
+    def join() -> str:
+        chunks = []
+        while chunk := os.read(read_fd, _HELPER_MESSAGE_MAX):
+            chunks.append(chunk)
+        code = reap()
+        text = b"".join(chunks).decode("utf-8", "replace")
+        if code != 0:
+            raise RuntimeError(f"event-log export helper exited with status {code}: {text}")
+        return text
+
+    try:
+        yield join
+    finally:
+        reap()
+
+
+def _export_and_exit(log: EventLog, path: Path | None, read_fd: int, write_fd: int) -> NoReturn:
+    """The helper's whole life: write the digest, or what went wrong, to
+    `write_fd` and end with `os._exit`, never returning into the run's
+    frames or flushing the stdio buffers it shares with the run.  The
+    collector stays off: the helper only reads rows that no longer change."""
+    status = 1
+    try:
+        os.close(read_fd)
+        gc.disable()
+        try:
+            message = log.digest(path).encode("ascii")
+            status = 0
+        except Exception as exc:
+            message = repr(exc).encode("utf-8", "replace")[:_HELPER_MESSAGE_MAX]
+        os.write(write_fd, message)
+    finally:
+        # Also on an interrupt, which reaches the run as status 1.
+        os._exit(status)
+
+
+def _assemble_report(sim: _SimState, counts: RepairCounts) -> RunReport:
+    """Final rates, and the repair `counts` folded from the log.
+
+    `log_digest` is left empty: the export helper computes it while the
+    oracle runs, and the runner fills it in once the helper ends."""
     scn = sim.scenario
     # The tracker stands in for a full scan: the last sample refreshed it at
     # the run's last tick (the flip or `duration`) under this same bound.
@@ -403,7 +491,7 @@ def _assemble_report(sim: _SimState, counts: RepairCounts, out_dir: Path | None)
     )
     final_counts = {cls.value: n for cls, n in sim.ctracker.class_counts().items() if n}
     n_initial = scn.workload.initial_records
-    report = RunReport(
+    return RunReport(
         name=scn.name,
         seed=sim.seed,
         duration=last,
@@ -421,11 +509,7 @@ def _assemble_report(sim: _SimState, counts: RepairCounts, out_dir: Path | None)
         final_settled=final_settled,
         final_counts=final_counts,
         rejected_writes=sim.ramp.report.rejected_writes if sim.ramp else 0,
-        log_digest=sim.log.digest(
-            out_dir / "eventlog.jsonl" if out_dir is not None else None
-        ),
     )
-    return report
 
 
 def _check_expectations(scn: Scenario, report: RunReport) -> list[str]:
@@ -460,7 +544,7 @@ def _check_expectations(scn: Scenario, report: RunReport) -> list[str]:
 
 
 def _write_artifacts(result: SimResult, scenario: Scenario, out_dir: Path) -> None:
-    """Every artifact but `eventlog.jsonl`, which the digest pass wrote."""
+    """Every artifact but `eventlog.jsonl`, which the export helper wrote."""
     (out_dir / "scenario.json").write_text(serialize(scenario), encoding="utf-8")
     (out_dir / "report.json").write_text(
         json.dumps(result.report.as_dict(), indent=2, sort_keys=True) + "\n",

@@ -9,6 +9,7 @@ dual writes race without transactions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -71,9 +72,19 @@ class FaultProfile:
                 raise ValueError("outage windows must not overlap")
         if self.stream_lag < 0 or not 0.0 <= self.stream_drop_p <= 1.0:
             raise ValueError("invalid stream fault parameters")
+        # The sorted windows' starts and ends, for `in_outage`; attributes,
+        # not fields, so scenario files and equality never see them.
+        object.__setattr__(self, "_starts", tuple(start for start, _ in spans))
+        object.__setattr__(self, "_ends", tuple(end for _, end in spans))
 
     def in_outage(self, now: int) -> bool:
-        return any(start <= now < end for start, end in self.outage_windows)
+        """Whether `now` falls in an outage window.  Windows do not overlap,
+        so only the last one that starts at or before `now` can hold it."""
+        starts = self._starts
+        if not starts:
+            return False
+        i = bisect_right(starts, now) - 1
+        return i >= 0 and now < self._ends[i]
 
 
 class Snapshot:

@@ -359,6 +359,31 @@ class TestPerTypeKeyMaps:
                         sources
                     ) == _parent_target_keys_by_definition(schema, sources)
 
+    def test_built_keys_are_keys_equal_to_constructed_ones(self, schema):
+        # The queries build keys with `tuple.__new__`, not `Key(...)`: the
+        # results must still be `Key`s, equal and sorted as before.
+        built = []
+        for rule in schema.rules:
+            built.append((rule.input_keys("7"), tuple(Key(st, "7") for st in rule.source_types)))
+            built.append((rule.target_keys("7"), tuple(Key(tt, "7") for tt in rule.target_types)))
+        for etype, et in schema.types.items():
+            key = Key(etype, "7")
+            refs = {"parent_" + p: "3" for p in et.parents}
+            record = SourceRecord(key, refs, VersionStamp(1, 0), False)
+            built += [
+                (schema.affected_targets(key), _affected_targets_by_definition(schema, key)),
+                (schema.parent_source_keys(record), tuple(Key(p, "3") for p in sorted(et.parents))),
+                (
+                    schema.parent_target_keys({key: record}),
+                    _parent_target_keys_by_definition(schema, {key: record}),
+                ),
+            ]
+        assert any(got for got, _want in built[2 * len(schema.rules):])
+        for got, want in built:
+            assert got == want
+            assert all(type(k) is Key for k in got)
+            assert [str(k) for k in got] == [f"{k.etype}#{k.id}" for k in want]
+
 
 group_ids = st.sampled_from(["1", "2", "7", "42"])
 

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -305,8 +306,8 @@ class TestTrackerAgainstFullScan:
         seen = []
         assemble = simulation._assemble_report
 
-        def at_end(sim, counts, out_dir):
-            report = assemble(sim, counts, out_dir)
+        def at_end(sim, counts):
+            report = assemble(sim, counts)
             last = sim.clock.now
             overall, settled, counts = consistency_rate(
                 sim.schema, sim.legacy.records, sim.target.records,
@@ -433,3 +434,50 @@ class TestArtifacts:
         assert data.decode("utf-8").splitlines() == list(result.log.export_lines())
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["log_digest"] == result.report.log_digest
+
+
+class TestExportHelper:
+    """The event log is exported and hashed by a helper process forked after
+    the last tick; the run reaps it on every path out."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_digest_and_bytes_equal_an_inline_export(self, tmp_path):
+        result = run_scenario(load("small"), out_dir=tmp_path / "run")
+        inline = result.log.digest(tmp_path / "inline.jsonl")
+        assert result.report.log_digest == inline
+        assert (tmp_path / "run" / "eventlog.jsonl").read_bytes() == (
+            tmp_path / "inline.jsonl"
+        ).read_bytes()
+
+    def test_digest_without_out_dir_equals_an_inline_export(self, small_result):
+        assert len(small_result.report.log_digest) == 64
+        assert small_result.report.log_digest == small_result.log.digest()
+
+    def test_without_fork_the_digest_is_computed_inline(self, monkeypatch, small_result):
+        monkeypatch.delattr(os, "fork")
+        result = run_scenario(load("small"))
+        assert result.report.log_digest == small_result.report.log_digest
+
+    def test_an_export_that_fails_in_the_helper_raises_in_the_run(self, tmp_path):
+        out = tmp_path / "run"
+        (out / "eventlog.jsonl").mkdir(parents=True)
+        with pytest.raises(RuntimeError, match=r"helper exited with status 1: IsADirectoryError"):
+            run_scenario(load("small"), out_dir=out)
+        assert not (out / "report.json").exists()
+
+    def test_a_run_that_raises_after_the_fork_reaps_the_helper(self, tmp_path, monkeypatch):
+        def failing_oracle(*args, **kwargs):
+            raise ValueError("oracle failed")
+
+        monkeypatch.setattr(simulation, "oracle_verify", failing_oracle)
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="oracle failed"):
+            run_scenario(load("small"), out_dir=out)
+        # The helper was waited for, not killed: its export is whole.
+        data = (out / "eventlog.jsonl").read_bytes()
+        assert data.endswith(b"\n") and data.count(b"\n") > 1000

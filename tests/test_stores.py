@@ -107,6 +107,19 @@ class TestSnapshot:
             assert store.last_update_time == newest == clock.now
 
 
+class TestFaultProfile:
+    @pytest.mark.parametrize(
+        "windows",
+        [(), ((5, 9),), ((14, 15), (3, 6), (6, 10))],  # the last: two adjacent, unsorted
+        ids=["none", "one", "three"],
+    )
+    def test_in_outage_equals_a_scan_of_every_window(self, windows):
+        fault = FaultProfile(outage_windows=windows)
+        last_end = max((end for _, end in windows), default=0)
+        for now in range(last_end + 3):
+            assert fault.in_outage(now) == any(start <= now < end for start, end in windows), now
+
+
 class TestTargetStore:
     def test_put_then_get(self):
         store = make_target()
