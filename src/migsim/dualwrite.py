@@ -12,7 +12,8 @@ from collections import deque
 
 from .domain import Key, Schema, read_group
 from .healing import ParentGate, SelfHealingQueue, Trigger
-from .stores import ChangeEvent, LegacyStore, StoreUnavailable, TargetStore
+from .metrics import NoteWritten
+from .stores import ChangeEvent, LegacyStore, PutResult, StoreUnavailable, TargetStore
 
 
 class DualWriter:
@@ -20,6 +21,8 @@ class DualWriter:
 
     The pending changes wait in a deque; each is due from its own commit
     tick.  A failed replication is recorded by the queue's `enqueue` rows.
+    A rule group whose every output was accepted is passed to `note_written`
+    (`ConsistencyTracker.note_written`) as of the replication tick.
     """
 
     def __init__(
@@ -28,12 +31,14 @@ class DualWriter:
         legacy: LegacyStore,
         target: TargetStore,
         queue: SelfHealingQueue,
+        note_written: NoteWritten,
         enabled: bool = True,
     ):
         self.schema = schema
         self.legacy = legacy
         self.target = target
         self.queue = queue
+        self.note_written = note_written
         self.enabled = enabled
         self._pending: deque[ChangeEvent] = deque()
         self._parents = ParentGate(schema, target)
@@ -75,6 +80,7 @@ class DualWriter:
             outputs = sorted(
                 expected.values(), key=lambda r: self.schema.target_rank(r.key.etype)
             )
+            accepted = 0
             for idx, record in enumerate(outputs):
                 if not record.tombstone:
                     try:
@@ -85,12 +91,15 @@ class DualWriter:
                         failed.extend(r.key for r in outputs[idx:])
                         break
                 try:
-                    self.target.put_if_fresher(record)
+                    accepted += self.target.put(record, "dual") is PutResult.ACCEPTED
                 except StoreUnavailable:
                     failed.extend(r.key for r in outputs[idx:])
                     break
                 if not record.tombstone:
                     self._parents.note(record.key)
+            # Every output accepted, and the outputs are the group's target keys.
+            if accepted == len(rule.target_types):
+                self.note_written(rule, skey.id, now)
         commit_time = change.new_version.commit_time
         for tkey in sorted(set(failed)):
             self.queue.enqueue(tkey, Trigger.DUALWRITE, now, commit_time)

@@ -270,7 +270,7 @@ class Healer:
                 return FixOutcome(FixStatus.FAILED, f"{MISSING_PARENT}: {missing}")
 
         try:
-            result = self.target.put_if_fresher(fix)
+            result = self.target.put(fix, "repair")
         except StoreUnavailable:
             return FixOutcome(FixStatus.FAILED, FIX_UNAVAILABLE)
         if not fix.tombstone:

@@ -4,8 +4,11 @@ Two measurement paths exist on purpose.  The trackers here are updated
 online while a run executes; the oracle recomputes the same numbers from
 the event log alone after the fact, and any disagreement is a bug.  In the
 run, samples and the offline sweep read one `ConsistencyTracker`.  The
-report's repair counters have no online copy: `healing.repair_counts`
-folds them from the log once the run ends.
+tracker maps a rule group again only when something may have changed its
+verdict; a writer that has just left a group consistent says so with
+`note_written`, so the group is not mapped twice.  The report's repair
+counters have no online copy: `healing.repair_counts` folds them from the
+log once the run ends.
 
 Definitions used throughout:
 
@@ -36,6 +39,7 @@ from .domain import (
     DiscrepancyClass,
     InvariantError,
     Key,
+    MappingRule,
     Schema,
     SourceRecord,
     TargetRecord,
@@ -477,6 +481,11 @@ def iter_groups(
     return [(by_tag[tag], tag[1]) for tag in sorted(by_tag)]
 
 
+# `ConsistencyTracker.note_written` as the writers that call it see it:
+# (rule, group id, as_of).
+NoteWritten = Callable[[MappingRule, str, int], None]
+
+
 class ConsistencyTracker:
     """Incremental consistency bookkeeping for samples and offline sweeps.
 
@@ -485,7 +494,20 @@ class ConsistencyTracker:
     the fault's rule whenever the fault switches on or off.  Produces
     exactly the numbers the full scan would, per-class counts included;
     tests hold it to that.  `peek_target` must draw no fault.  `mark_source`
-    must see every commit, in nondecreasing commit time.
+    must see every commit, in nondecreasing commit time.  A group expects
+    one key per target type of its rule from its first commit on, since
+    sources are never removed, and none before.
+
+    The dual writer and the direct-mode bootstrap have just mapped each
+    group they write.  Once every output of a group came back accepted, the
+    writer calls `note_written`, and the group's verdict is CONSISTENT
+    without mapping it again.  That is exact: the store holds the very
+    records the mapping produced, so `compare_records` finds equal values
+    and tombstones.  A dual write's provenance is the sources' own
+    versions.  A bootstrap record's default stamp `(BOOTSTRAP_COUNTER,
+    taken_at)` is at least as fresh as every version committed by
+    `taken_at`, as `at_least_as_fresh` orders a default against a commit.
+    The healer writes one key of a group at a time and sends no note.
     """
 
     def __init__(self, schema: Schema, read_source, peek_target):
@@ -494,7 +516,6 @@ class ConsistencyTracker:
         self._peek = peek_target
         self._dirty: set[tuple[str, str]] = set()
         self._group_rule: dict[tuple[str, str], object] = {}
-        self._expected_count: dict[tuple[str, str], int] = {}
         # (inconsistent (target key, class) pairs in `target_keys` order, bug)
         # per group with any; a group that fails to map has all keys corrupt.
         self._bad: dict[tuple[str, str], tuple[list, str]] = {}
@@ -513,7 +534,10 @@ class ConsistencyTracker:
             tag = (rule.name, skey.id)
             self._group_rule[tag] = rule
             self._dirty.add(tag)
-            self._last_update.pop(tag, None)
+            if self._last_update.pop(tag, None) is None:
+                # The group's first commit: it expects every target key of
+                # its rule from now on, since sources are never removed.
+                self._total_expected += len(rule.target_types)
             self._last_update[tag] = commit_time
 
     def mark_target(self, tkey: Key) -> None:
@@ -524,6 +548,28 @@ class ConsistencyTracker:
         tag = (rule.name, tkey.id)
         self._group_rule[tag] = rule
         self._dirty.add(tag)
+
+    def note_written(self, rule: MappingRule, gid: str, as_of: int) -> None:
+        """Take a writer's word that group `gid` of `rule` is consistent.
+
+        The contract: every target key of the group now holds, accepted by
+        the store, the record the group's sources map to as they stood at
+        `as_of`, after every commit of that tick.  The group leaves the
+        dirty set and its inconsistent keys are dropped; nothing is mapped.
+        A note is refused, and the group stays dirty, when the group has a
+        commit later than `as_of` (the writer's sources are stale) or
+        belongs to the fault's rule, whose verdict depends on the instant
+        it is mapped at.  Any later commit or accepted put marks the group
+        dirty again.
+        """
+        tag = (rule.name, gid)
+        fault = self.schema.fault
+        if self._last_update[tag] > as_of or (fault is not None and fault.rule == rule.name):
+            return
+        self._dirty.discard(tag)
+        old = self._bad.pop(tag, None)
+        if old is not None:
+            self._total_bad -= len(old[0])
 
     def _refresh(self, at: int) -> None:
         self._at = at
@@ -540,12 +586,9 @@ class ConsistencyTracker:
                 _expected, verdicts, bug = self.schema.check_group(
                     rule, sources, self._peek, rule.target_keys(gid), at
                 )
-                n_expected = len(verdicts)
                 bad = [pair for pair in verdicts.items() if pair[1] is not consistent]
             else:
-                n_expected, bad, bug = 0, [], ""  # a group with no source expects nothing
-            self._total_expected += n_expected - self._expected_count.get(tag, 0)
-            self._expected_count[tag] = n_expected
+                bad, bug = [], ""  # a group with no source expects nothing
             old, _bug = self._bad.pop(tag, ((), ""))
             if bad:
                 self._bad[tag] = (bad, bug)
@@ -555,11 +598,12 @@ class ConsistencyTracker:
     def _recent(self, since: int) -> tuple[list[tuple[str, str]], int]:
         """Groups updated at or after `since`, and their expected keys in all."""
         recent, expected = [], 0
+        group_rule = self._group_rule
         for tag, last_update in reversed(self._last_update.items()):
             if last_update < since:
                 break
             recent.append(tag)
-            expected += self._expected_count[tag]
+            expected += len(group_rule[tag].target_types)
         return recent, expected
 
     def rates(self, at: int, staleness_bound: int) -> tuple[float, float, int, int]:

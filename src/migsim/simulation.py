@@ -116,8 +116,9 @@ class _SimState:
             self.schema, self.legacy, self.target, self.queue,
             self.log, self.clock, scenario.retry,
         )
+        self.ctracker = ConsistencyTracker(self.schema, self.legacy.read, self.target.peek)
         self.dualwriter = DualWriter(
-            self.schema, self.legacy, self.target, self.queue,
+            self.schema, self.legacy, self.target, self.queue, self.ctracker.note_written,
             enabled=scenario.toggles.enable_dualwrite,
         )
         self.nearline = NearlineVerifier(
@@ -133,7 +134,6 @@ class _SimState:
             scenario.toggles.shadow_alarm_interval,
         )
         self.settlement = SettlementTracker(self.schema.affected_targets)
-        self.ctracker = ConsistencyTracker(self.schema, self.legacy.read, self.target.peek)
         self.offline = OfflineVerifier(self.ctracker, self.queue, self.log)
         self.limiter = RateLimiter(scenario.bootstrap.limiter_capacity)
         self.workload = WorkloadGenerator(
@@ -317,10 +317,8 @@ def _run(scenario: Scenario, seed: int | None, out_dir: str | Path | None) -> Si
 
         ops_before = sim.target.op_count
         reads = sim.workload_phase(now)
-        sim.target.writer_class = "dual"
         sim.dualwriter.run_due(now)
         sim.stream.deliver_due(now)
-        sim.target.writer_class = "live"
         sim.nearline.run_due(now)
         if scn.toggles.enable_shadow:
             for skey, rec in reads:
@@ -339,9 +337,7 @@ def _run(scenario: Scenario, seed: int | None, out_dir: str | Path | None) -> Si
             sim.queue.requeue_dead_letters(now)
 
         ops_before = sim.target.op_count
-        sim.target.writer_class = "repair"
         sim.healer.process(now)
-        sim.target.writer_class = "live"
         sim.limiter.note_backfill(sim.target.op_count - ops_before)
 
         if scn.bootstrap.enabled:
@@ -349,12 +345,10 @@ def _run(scenario: Scenario, seed: int | None, out_dir: str | Path | None) -> Si
                 sim.log_snapshot(now)
                 sim.bootstrap_job = BootstrapJob(
                     sim.schema, sim.legacy.take_snapshot(now), sim.target, sim.queue,
-                    sim.log, mode=scn.bootstrap.mode,
+                    sim.log, sim.ctracker.note_written, mode=scn.bootstrap.mode,
                 )
             if sim.bootstrap_job is not None and not sim.bootstrap_job.done:
-                sim.target.writer_class = "backfill"
                 sim.bootstrap_job.step(now, sim.limiter)
-                sim.target.writer_class = "live"
 
         if now % scn.metrics.sample_interval == 0 or now == scn.duration:
             sim.sample_report(now)

@@ -160,7 +160,7 @@ class TargetStore:
         self.op_count = 0
         self.on_accept: list[Callable[[TargetRecord, int], None]] = []
         self.event_log: EventLog | None = None
-        self.writer_class = "live"  # which pipeline is writing; set per phase
+        self._cls = "live"  # the class of the put in progress; see `put`
 
     def _check_available(self) -> bool:
         self.op_count += 1
@@ -173,14 +173,29 @@ class TargetStore:
         """Log a put; an accepted one also passes what was `stored`."""
         if self.event_log is not None:
             self.event_log.append(
-                self.clock.now, "put", record.key, cls=self.writer_class, out=outcome, **stored
+                self.clock.now, "put", record.key, cls=self._cls, out=outcome, **stored
             )
+
+    def put(self, record: TargetRecord, cls: str) -> PutResult:
+        """A writer's put: `put_if_fresher`, with `cls` naming the writer in
+        the put row ("dual", "repair" or "backfill").
+
+        The class rides on the store for the length of the one call, not as
+        an argument of `put_if_fresher`, because the benchmark tracer
+        (`bench/tracing.py`) wraps that method with a one-record signature.
+        """
+        self._cls = cls
+        try:
+            return self.put_if_fresher(record)
+        finally:
+            self._cls = "live"
 
     def put_if_fresher(self, record: TargetRecord) -> PutResult:
         """Accept unless the write would regress any stored provenance entry.
 
         Raises StoreUnavailable on a fault; the stored value is untouched and
-        the attempt is still audited.
+        the attempt is still audited.  Called directly, not through `put`,
+        its row's class is "live".
         """
         if not self._check_available():
             self._log_put(record, "unavailable")

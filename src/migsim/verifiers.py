@@ -33,8 +33,8 @@ from .domain import (
     read_group,
 )
 from .healing import SelfHealingQueue, Trigger, fix_source_time
-from .metrics import ConsistencyTracker, EventLog, iter_groups
-from .stores import ChangeEvent, LegacyStore, Snapshot, StoreUnavailable, TargetStore
+from .metrics import ConsistencyTracker, EventLog, NoteWritten, iter_groups
+from .stores import ChangeEvent, LegacyStore, PutResult, Snapshot, StoreUnavailable, TargetStore
 
 
 class RateLimiter:
@@ -109,8 +109,12 @@ class BootstrapJob:
     direct mode each produced record is written with a snapshot-time
     default provenance stamp, so any later repair or dual write supersedes
     it; failed writes and groups that fail to map fall through to the
-    queue.  In queue mode every group just enqueues a validation event and
-    the queue does the writing.
+    queue.  A direct-mode group whose every record was accepted is passed
+    to `note_written` (`ConsistencyTracker.note_written`) as of the
+    snapshot: its default stamp covers every source version committed by
+    then, so the group is as consistent as a dual write would leave it.  In
+    queue mode every group just enqueues a validation event and the queue
+    does the writing.
     """
 
     def __init__(
@@ -120,6 +124,7 @@ class BootstrapJob:
         target: TargetStore,
         queue: SelfHealingQueue,
         log: EventLog,
+        note_written: NoteWritten,
         mode: str = "direct",
     ):
         if mode not in ("direct", "queue"):
@@ -129,6 +134,7 @@ class BootstrapJob:
         self.target = target
         self.queue = queue
         self.log = log
+        self.note_written = note_written
         self.mode = mode
         self.report = BootstrapReport(mode=mode)
         # The snapshot and the group list are dropped once the job is done.
@@ -201,11 +207,12 @@ class BootstrapJob:
             return
         default_stamp = self._default_stamp
         provenance = {rec.key: default_stamp for rec in sources.values()}
+        accepted = 0
         for record in expected.values():
             stale_record = TargetRecord(record.key, record.value, provenance, record.tombstone)
             self.report.puts += 1
             try:
-                self.target.put_if_fresher(stale_record)
+                accepted += self.target.put(stale_record, "backfill") is PutResult.ACCEPTED
             except StoreUnavailable:
                 self._failed_sources.update(sources)
                 self.report.put_failures += 1
@@ -213,6 +220,8 @@ class BootstrapJob:
                 self.queue.enqueue(
                     record.key, Trigger.BOOTSTRAP, now, fix_source_time(sources)
                 )
+        if accepted == len(rule.target_types):
+            self.note_written(rule, gid, self.snapshot.taken_at)
 
     def _enqueue_group(self, rule, gid: str, sources, now: int) -> None:
         sut = fix_source_time(sources)

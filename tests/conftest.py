@@ -29,7 +29,7 @@ from migsim.healing import (
     SelfHealingQueue,
     repair_counts,
 )
-from migsim.metrics import EventLog
+from migsim.metrics import ConsistencyTracker, EventLog
 from migsim.rng import named_stream
 from migsim.stores import Clock, FaultProfile, LegacyStore, TargetStore
 
@@ -85,7 +85,10 @@ def split_schema() -> Schema:
 
 @dataclass
 class Pipeline:
-    """Hand-drivable store pair with queue, healer, and dual writer."""
+    """Hand-drivable store pair with queue, healer, and dual writer.
+
+    `tracker` sees every commit made through `commit` and every accepted
+    put, as the run's tracker does, and takes the dual writer's notes."""
 
     clock: Clock
     schema: Schema
@@ -95,6 +98,7 @@ class Pipeline:
     healer: Healer
     dualwriter: DualWriter
     log: EventLog
+    tracker: ConsistencyTracker
 
     @property
     def counts(self) -> RepairCounts:
@@ -104,6 +108,7 @@ class Pipeline:
     def commit(self, etype: str, gid: str, value=None, delete: bool = False):
         key = Key(etype, gid)
         event = self.legacy.commit(key, None if delete else (value or {"f": "v"}))
+        self.tracker.mark_source(key, event.new_version.commit_time)
         return event
 
     def commit_and_replicate(self, etype: str, gid: str, value=None, delete: bool = False):
@@ -129,8 +134,14 @@ def build_pipeline(
     healer = Healer(
         schema, legacy, target, queue, log, clock, policy or RetryPolicy()
     )
-    dualwriter = DualWriter(schema, legacy, target, queue)
-    return Pipeline(clock, schema, legacy, target, queue, healer, dualwriter, log)
+    tracker = ConsistencyTracker(schema, legacy.read, target.peek)
+    target.on_accept.append(lambda record, now: tracker.mark_target(record.key))
+    dualwriter = DualWriter(schema, legacy, target, queue, tracker.note_written)
+    return Pipeline(clock, schema, legacy, target, queue, healer, dualwriter, log, tracker)
+
+
+def ignore_note(rule, gid: str, as_of: int) -> None:
+    """A `note_written` for writers whose groups no tracker follows."""
 
 
 @pytest.fixture

@@ -326,7 +326,6 @@ _NO_COUNTS = dict.fromkeys(
 class TestRepairCounts:
     def test_fold_equals_the_attempts_the_healer_made(self):
         p = build_pipeline(availability=0.7, seed=17, policy=RetryPolicy(max_attempts=3))
-        p.target.writer_class = "repair"  # as the run sets it around `process`
         outcomes: Counter = Counter()
         validate_and_fix = p.healer.validate_and_fix
 

@@ -168,7 +168,7 @@ def test_direct_bootstrap_sends_a_group_that_fails_to_map_to_the_queue():
     p.commit("project", "2", {"n": "ok"})
     job = BootstrapJob(
         p.schema, p.legacy.take_snapshot(0), p.target, p.queue, p.log,
-        mode="direct",
+        p.tracker.note_written, mode="direct",
     )
     limiter = RateLimiter(100)
     limiter.begin_tick(0)

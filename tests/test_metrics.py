@@ -29,8 +29,11 @@ from migsim.metrics import (
 )
 
 from migsim.oracle import window_ttc_bruteforce
+from migsim.scenario import BugSpec
+from migsim.stores import PutResult, StoreUnavailable
+from migsim.verifiers import BootstrapJob, RateLimiter
 
-from conftest import build_pipeline
+from conftest import build_figure3_schema, build_pipeline, build_split_schema
 
 
 def affected(skey: Key) -> tuple[Key, ...]:
@@ -406,6 +409,137 @@ class TestConsistencyTracker:
         )
         tracker.mark_target(Key("not_a_type", "1"))
         assert tracker.rates(0, 10) == (1.0, 1.0, 0, 0)
+
+
+PROJECT = ("project_rule", "1")
+
+
+def bootstrap(p, now: int) -> BootstrapJob:
+    """A direct-mode load of a snapshot taken now, run to its end at tick
+    `now` or later."""
+    job = BootstrapJob(
+        p.schema, p.legacy.take_snapshot(p.clock.now), p.target, p.queue, p.log,
+        p.tracker.note_written,
+    )
+    p.clock.now = now
+    limiter = RateLimiter(100)
+    limiter.begin_tick(now)
+    job.step(now, limiter)
+    assert job.done
+    return job
+
+
+class TestWrittenGroupNotes:
+    """The writers' `note_written` calls: a group left consistent leaves the
+    dirty set; any other outcome leaves it dirty.  Either way the tracker's
+    rates are the full scan's."""
+
+    def assert_rates_are_the_full_scan(self, p, at=0, bound=10):
+        got = p.tracker.rates(at, bound)
+        overall, settled, counts = consistency_rate(
+            p.schema, p.legacy.records, p.target.records, at, bound
+        )
+        expected = sum(counts.values())
+        assert got == (overall, settled, expected, expected - counts[DiscrepancyClass.CONSISTENT])
+
+    def test_accepted_dual_write_and_bootstrap_leave_the_group_clean(self):
+        p = build_pipeline(schema=build_split_schema())
+        p.commit_and_replicate("project", "1", {"n": "p"})
+        assert PROJECT not in p.tracker._dirty
+        p.commit("candidate", "1", {"profile": "x", "note": "y", "parent_project": "1"})
+        bootstrap(p, 0)
+        assert p.tracker._dirty == set()
+        self.assert_rates_are_the_full_scan(p)
+
+    def test_a_note_clears_the_groups_inconsistent_keys(self, pipeline):
+        pipeline.commit("project", "1", {"n": "a"})
+        assert pipeline.tracker.rates(0, 10)[3] == 1  # missing
+        pipeline.commit_and_replicate("project", "1", {"n": "b"})
+        assert pipeline.tracker._dirty == set()
+        self.assert_rates_are_the_full_scan(pipeline)
+
+    def test_stale_rejected_put_leaves_the_group_dirty(self, pipeline):
+        pipeline.commit("project", "1", {"n": "x"})
+        fresher = TargetRecord(
+            Key("project_v2", "1"), {"n": "future"}, {Key("project", "1"): VersionStamp(5, 9)},
+            False,
+        )
+        pipeline.target.put_if_fresher(fresher)
+        pipeline.tracker.rates(0, 10)
+        pipeline.commit_and_replicate("project", "1", {"n": "y"})
+        assert pipeline.target.peek(fresher.key) == fresher
+        assert PROJECT in pipeline.tracker._dirty
+        self.assert_rates_are_the_full_scan(pipeline)
+
+    @pytest.mark.parametrize("writer", ["dual", "backfill"])
+    def test_unavailable_put_leaves_the_group_dirty(self, writer):
+        p = build_pipeline(schema=build_split_schema())
+        p.commit_and_replicate("project", "1", {"n": "p"})
+        notes_key = Key("candidate_notes_v2", "1")
+        put_if_fresher = p.target.put_if_fresher
+
+        def flaky_put(record):
+            if record.key == notes_key:
+                raise StoreUnavailable(str(record.key))
+            return put_if_fresher(record)
+
+        p.target.put_if_fresher = flaky_put
+        value = {"profile": "x", "note": "y", "parent_project": "1"}
+        if writer == "dual":
+            p.commit_and_replicate("candidate", "1", value)
+        else:
+            p.commit("candidate", "1", value)
+            bootstrap(p, 0)
+        # The group's other target key was accepted.
+        assert p.target.peek(Key("candidate_core_v2", "1")) is not None
+        assert p.tracker._dirty == {("candidate_rule", "1")}
+        self.assert_rates_are_the_full_scan(p)
+
+    def test_commit_between_snapshot_and_load_leaves_the_group_dirty(self, pipeline):
+        pipeline.commit("project", "1", {"n": "old"})
+        job = BootstrapJob(
+            pipeline.schema, pipeline.legacy.take_snapshot(0), pipeline.target,
+            pipeline.queue, pipeline.log, pipeline.tracker.note_written,
+        )
+        pipeline.clock.now = 1
+        pipeline.commit("project", "1", {"n": "new"})
+        limiter = RateLimiter(100)
+        limiter.begin_tick(1)
+        job.step(1, limiter)
+        # The load was accepted, but holds the snapshot's version.
+        assert pipeline.target.peek(Key("project_v2", "1")).value == {"n": "old"}
+        assert PROJECT in pipeline.tracker._dirty
+        self.assert_rates_are_the_full_scan(pipeline, at=1)
+        assert pipeline.tracker.class_counts()[DiscrepancyClass.STALE] == 1
+
+    @pytest.mark.parametrize("writer", ["dual", "backfill"])
+    def test_group_of_the_faults_rule_stays_dirty(self, writer):
+        base = build_figure3_schema()
+        fault = BugSpec("project_rule", "project", 1, 0, active_from=5, active_until=8)
+        p = build_pipeline(schema=Schema(list(base.types.values()), base.rules, fault))
+        if writer == "dual":
+            p.commit_and_replicate("project", "1", {"n": "p"})
+        else:
+            p.commit("project", "1", {"n": "p"})
+            bootstrap(p, 0)
+        assert p.target.peek(Key("project_v2", "1")) is not None
+        assert PROJECT in p.tracker._dirty
+        for at in (0, 5, 8):
+            self.assert_rates_are_the_full_scan(p, at=at)
+
+
+def test_each_writer_names_its_class_in_the_put_row(pipeline):
+    pipeline.commit_and_replicate("project", "1", {"n": "p"})
+    pipeline.commit("project", "2", {"n": "q"})
+    pipeline.healer.validate_and_fix(Key("project_v2", "2"))
+    pipeline.commit("project", "3", {"n": "r"})
+    bootstrap(pipeline, 0)
+    record = TargetRecord(Key("project_v2", "9"), {}, {Key("project", "9"): VersionStamp(1, 0)},
+                          True)
+    assert pipeline.target.put_if_fresher(record) is PutResult.ACCEPTED
+    classes = [(row.key.id, row.cls) for row in pipeline.log.rows if row.kind == "put"]
+    assert classes == [("1", "dual"), ("2", "repair"), ("1", "backfill"), ("2", "backfill"),
+                       ("3", "backfill"), ("9", "live")]
 
 
 def sample_data(qlen=0, phase="steady"):

@@ -17,7 +17,7 @@ from migsim.verifiers import (
     ShadowReader,
 )
 
-from conftest import SCENARIO_DIR, build_pipeline, scenario_path
+from conftest import SCENARIO_DIR, build_pipeline, ignore_note, scenario_path
 
 BENCH_SCENARIO_DIR = SCENARIO_DIR.parent / "bench" / "scenarios"
 
@@ -73,7 +73,7 @@ class TestBootstrap:
     def test_empty_snapshot_zero_events(self, pipeline):
         job = BootstrapJob(
             pipeline.schema, make_snapshot([]), pipeline.target, pipeline.queue,
-            pipeline.log,
+            pipeline.log, ignore_note,
         )
         limiter = RateLimiter(100)
         limiter.begin_tick(0)
@@ -94,7 +94,7 @@ class TestBootstrap:
         )
         job = BootstrapJob(
             pipeline.schema, snap, pipeline.target, pipeline.queue,
-            pipeline.log, mode="queue",
+            pipeline.log, ignore_note, mode="queue",
         )
         limiter = RateLimiter(100)
         limiter.begin_tick(0)
@@ -106,7 +106,7 @@ class TestBootstrap:
         snap = make_snapshot([srec("project", "1", {"n": "p"}, counter=4, t=3)], taken_at=5)
         job = BootstrapJob(
             pipeline.schema, snap, pipeline.target, pipeline.queue,
-            pipeline.log, mode="direct",
+            pipeline.log, ignore_note, mode="direct",
         )
         limiter = RateLimiter(100)
         limiter.begin_tick(0)
@@ -119,7 +119,7 @@ class TestBootstrap:
         records = [srec("project", str(i), {"n": "p"}) for i in range(1000)]
         job = BootstrapJob(
             pipeline.schema, make_snapshot(records), pipeline.target, pipeline.queue,
-            pipeline.log, mode="direct",
+            pipeline.log, ignore_note, mode="direct",
         )
         limiter = RateLimiter(159)
         now = 0
@@ -133,7 +133,7 @@ class TestBootstrap:
         records = [srec("project", str(i), {"n": "p"}) for i in range(10)]
         job = BootstrapJob(
             pipeline.schema, make_snapshot(records), pipeline.target, pipeline.queue,
-            pipeline.log, mode="direct",
+            pipeline.log, ignore_note, mode="direct",
         )
         limiter = RateLimiter(10)
         limiter.begin_tick(0)
@@ -154,7 +154,7 @@ class TestBootstrap:
             ]
         )
         job = BootstrapJob(
-            p.schema, snap, p.target, p.queue, p.log, mode="direct"
+            p.schema, snap, p.target, p.queue, p.log, ignore_note, mode="direct"
         )
         original_put = p.target.put_if_fresher
 
