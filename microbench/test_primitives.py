@@ -13,6 +13,8 @@ log, store or queue does not grow across rounds.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from migsim.domain import (
     DiscrepancyClass,
     EntityType,
@@ -29,11 +31,12 @@ from migsim.domain import (
 from migsim.healing import SelfHealingQueue, Trigger
 from migsim.metrics import EventLog
 from migsim.rng import named_stream
-from migsim.scenario import WorkloadSpec
+from migsim.scenario import WorkloadSpec, load_file
 from migsim.stores import Clock, FaultProfile, PutResult, TargetStore
 from migsim.workload import WorkloadGenerator
 
 BATCH = 1_000
+PAPER_DEFAULT = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / "paper_default.json"
 VALUE = {"name": "n-17", "owner": "o-3", "state": "open"}
 
 
@@ -172,3 +175,16 @@ def test_check_available_batch(benchmark):
         return sum(store._check_available() for _ in range(BATCH))
 
     assert 0 < benchmark(check_batch) < BATCH
+
+
+def test_seed_initial_paper_default(benchmark):
+    """The historical records of the `paper_default` workload, 10k records,
+    from a fresh generator per call."""
+    scenario = load_file(PAPER_DEFAULT)
+    schema = scenario.build_schema()
+
+    def seed() -> list:
+        gen = WorkloadGenerator(scenario.workload, schema, named_stream(scenario.seed, "workload"))
+        return gen.seed_initial()
+
+    assert len(benchmark(seed)) == scenario.workload.initial_records

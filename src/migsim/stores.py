@@ -108,16 +108,27 @@ class LegacyStore:
         # Time of the latest commit, -1 before the first.  Records are never
         # removed, so this is also their newest commit time.
         self.last_update_time = -1
+        self._first_stamp = VersionStamp(1, -1)  # see `commit`
 
     def commit(self, key: Key, value: Mapping[str, str] | None) -> ChangeEvent:
         """Store a new version (value=None deletes) and return its change event.
 
         The caller hands the event downstream only after the commit is fully
         recorded, so the legacy write path never observes replication outcomes.
+
+        Every first commit of a key at one tick shares one `VersionStamp(1,
+        now)` object.  Stamps are NamedTuples, which the cyclic GC tracks
+        for as long as they live, so a seed of n records would otherwise
+        keep n equal stamps for every full collection to scan.
         """
+        now = self.clock.now
         prev = self.records.get(key)
-        counter = (prev.version.counter if prev else 0) + 1
-        stamp = VersionStamp(counter, self.clock.now)
+        if prev is not None:
+            stamp = VersionStamp(prev.version.counter + 1, now)
+        else:
+            stamp = self._first_stamp
+            if stamp.commit_time != now:
+                stamp = self._first_stamp = VersionStamp(1, now)
         if value is None:
             rec = SourceRecord(key, {}, stamp, True)
             op = "delete"

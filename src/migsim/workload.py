@@ -5,6 +5,17 @@ store, mirroring how an application can only attach a candidate to a
 project that was created first.  All randomness comes from one named
 substream so the same seed replays the same operation sequence regardless
 of what the rest of the system does with it.
+
+Records are created in bulk, and the bulk path keeps the draws of one
+record at a time.  A create attempt takes a value number, then picks one
+live parent per parent type, in sorted type order, and makes no record if
+a parent pool is empty; it still keeps the picks drawn before that pool
+and the value number.  One call `_create(etype, n)` makes n attempts with
+one `rng.integers(bounds)` draw over the n attempts' pool sizes, in record
+order.  numpy draws an array of bounds element by element, as one scalar
+`rng.integers(bound)` call per element, and leaves the same generator
+state (`tests/test_workload.py` pins this).  The pools cannot change within
+a call, since a type is never its own parent.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ class WorkloadGenerator:
         self._live_pos: dict[Key, int] = {}
         self._all_keys: list[Key] = []
         self._value_counter = 0
+        self._parents = {t: sorted(schema.types[t].parents) for t in schema.source_order}
         weights = dict(spec.type_weights)
         order = [t for t in schema.source_order if weights.get(t, 0) > 0]
         total = sum(weights[t] for t in order) or 1.0
@@ -52,13 +64,6 @@ class WorkloadGenerator:
         self._type_cdf = (cdf / cdf[-1]).tolist() if order else []
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _register(self, key: Key) -> None:
-        if key in self._live_pos:
-            return
-        self._live_pos[key] = len(self._live[key.etype])
-        self._live[key.etype].append(key.id)
-        self._all_keys.append(key)
 
     def _forget_live(self, key: Key) -> None:
         pos = self._live_pos.pop(key, None)
@@ -77,17 +82,6 @@ class WorkloadGenerator:
             return None
         return Key(etype, ids[int(self.rng.integers(len(ids)))])
 
-    def _fresh_value(self, etype: str, gid: str) -> dict[str, str]:
-        self._value_counter += 1
-        n = self._value_counter
-        value = {"profile": f"{etype}-{gid}-p{n}", "note": f"{etype}-{gid}-n{n}"}
-        for ptype in sorted(self.schema.types[etype].parents):
-            parent = self._pick_live(ptype)
-            if parent is None:
-                return {}
-            value[PARENT_REF_PREFIX + ptype] = parent.id
-        return value
-
     def _updated_value(self, key: Key, current: dict[str, str]) -> dict[str, str]:
         # Payload changes, parent references stay put.
         self._value_counter += 1
@@ -97,15 +91,34 @@ class WorkloadGenerator:
         value["note"] = f"{key.etype}-{key.id}-n{n}"
         return value
 
-    def _create_op(self, etype: str) -> WorkloadOp | None:
-        gid = str(self._next_id[etype] + 1)
-        value = self._fresh_value(etype, gid)
-        if not value and self.schema.types[etype].parents:
-            return None  # no live parent to attach to yet
-        self._next_id[etype] += 1
-        key = Key(etype, gid)
-        self._register(key)
-        return WorkloadOp(OP_WRITE, key, value)
+    def _create(self, etype: str, n: int) -> list[WorkloadOp]:
+        """n create attempts of `etype`, with the draws of n single attempts:
+        all n records, or none while a parent pool is empty."""
+        parents = self._parents[etype]
+        sizes = [len(self._live[p]) for p in parents]
+        drawn = sizes[: sizes.index(0)] if 0 in sizes else sizes
+        picks = self.rng.integers(np.array(drawn * n)).tolist() if drawn and n > 0 else []
+        first = self._value_counter + 1
+        self._value_counter += n
+        if len(drawn) < len(parents):
+            return []  # no live parent to attach to yet
+        next_id = self._next_id[etype]
+        self._next_id[etype] = next_id + n
+        gids = [str(i) for i in range(next_id + 1, next_id + n + 1)]
+        keys = [Key(etype, gid) for gid in gids]
+        live = self._live[etype]
+        self._live_pos.update(zip(keys, range(len(live), len(live) + n)))
+        live.extend(gids)
+        self._all_keys.extend(keys)
+        values = [
+            {"profile": f"{etype}-{gid}-p{v}", "note": f"{etype}-{gid}-n{v}"}
+            for gid, v in zip(gids, range(first, first + n))
+        ]
+        for j, ptype in enumerate(parents):
+            field, pool = PARENT_REF_PREFIX + ptype, self._live[ptype]
+            for value, pick in zip(values, picks[j :: len(parents)]):
+                value[field] = pool[pick]
+        return [WorkloadOp(OP_WRITE, key, value) for key, value in zip(keys, values)]
 
     # -- generation --------------------------------------------------------
 
@@ -121,10 +134,7 @@ class WorkloadGenerator:
             for t in self._types
         }
         for etype in self._types:  # topo order: parents first
-            for _ in range(counts[etype]):
-                op = self._create_op(etype)
-                if op is not None:
-                    ops.append(op)
+            ops.extend(self._create(etype, counts[etype]))
         return ops
 
     def rate_factor(self, now: int) -> float:
@@ -153,10 +163,7 @@ class WorkloadGenerator:
         if not bulk_frozen and writing:
             for burst in self.spec.bursts:
                 if burst.at == now:
-                    for _ in range(burst.size):
-                        op = self._create_op(burst.etype)
-                        if op is not None:
-                            ops.append(op)
+                    ops.extend(self._create(burst.etype, burst.size))
         return ops
 
     def _pick_type(self) -> str:
@@ -183,5 +190,4 @@ class WorkloadGenerator:
                 current = read_current(key)
                 base = current.value if current is not None else {}
                 return [WorkloadOp(OP_WRITE, key, self._updated_value(key, base))]
-        op = self._create_op(etype)
-        return [op] if op is not None else []
+        return self._create(etype, 1)

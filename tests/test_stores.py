@@ -61,6 +61,19 @@ class TestLegacyStore:
         versions = [e.new_version.counter for e in events]
         assert versions == sorted(set(versions))
 
+    def test_first_commits_of_a_tick_share_one_stamp(self):
+        clock = Clock(0)
+        store = LegacyStore(clock)
+        a = store.commit(Key("p", "1"), {"n": "a"}).new_version
+        b = store.commit(Key("p", "2"), {"n": "b"}).new_version
+        assert a is b and a == VersionStamp(1, 0)
+        clock.now = 1
+        c = store.commit(Key("p", "3"), {"n": "c"}).new_version
+        again = store.commit(Key("p", "1"), {"n": "a2"}).new_version
+        assert c == VersionStamp(1, 1) and c is not a
+        assert again == VersionStamp(2, 1)
+        assert store.read(Key("p", "2")).version is a
+
 
 class TestSnapshot:
     def test_empty_store_snapshot(self):
