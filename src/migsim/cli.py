@@ -53,7 +53,7 @@ _SAMPLE_FIELDS = {
     "queue_length": int, "max_in_loop_age": int, "window_ttc": (int, _NULL),
 }
 _SWITCH_FIELDS = dict.fromkeys(
-    ("unavailability_window", "lost_updates", "post_switch_discrepancies"), int
+    ("unavailability_window", "lost_updates", "post_switch_discrepancies", "rejected_writes"), int
 ) | {"outcome": str}
 
 

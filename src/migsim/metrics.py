@@ -6,9 +6,9 @@ the event log alone after the fact, and any disagreement is a bug.  In the
 run, samples and the offline sweep read one `ConsistencyTracker`.  The
 tracker maps a rule group again only when something may have changed its
 verdict; a writer that has just left a group consistent says so with
-`note_written`, so the group is not mapped twice.  The report's repair
-counters have no online copy: `healing.repair_counts` folds them from the
-log once the run ends.
+`note_written`, so the group is not mapped twice.  The report keeps no
+online copy of a figure a log row states: `healing.repair_counts`,
+`BootstrapReport.as_dict` and `ramp.switch_section` fold them from the log.
 
 Definitions used throughout:
 
@@ -96,7 +96,7 @@ ROW_KINDS: dict[str, tuple[bool, dict, dict]] = {
     "dead_letter": (True, {"reason": str}, {}),
     "verify": (True, {"res": str, "src": str}, {"n": int}),
     "offline_done": (False, {"enqueued": int, "rate": float, "scanned": int}, {}),
-    "bootstrap": (False, {"groups": int, "phase": str}, {"failures": int, "puts": int}),
+    "bootstrap": (False, {"groups": int, "phase": str}, {}),  # groups to load, then loaded
     # Per act: "clearance" has cleared and reasons, "abort" why, and "flip"
     # discrepancies, lost, mode and window.
     "ramp": (False, {"act": str}, {"cleared": bool, "discrepancies": int, "lost": int,

@@ -9,7 +9,9 @@ updates at the flip.  It shares only the definitional primitives with the
 online path: the schema's rules and key relations, the injected bug's
 `broken_source`, `map_source`, freshness order and record compare.  Every
 aggregate is derived independently and any disagreement with the run report
-is flagged.
+is flagged.  That includes the validate-and-fix attempts and the downtime
+the switch-over claims: writes may be rejected only while they are frozen,
+and the report must state that window and those writes.
 """
 
 from __future__ import annotations
@@ -91,6 +93,12 @@ class LogReplay:
     ever did; and `ordering_violations`, each live child put whose parent
     target key no earlier put wrote, judged against the source as committed
     by then.  The flip ends a run, so the end state is the state at the flip.
+
+    Of the switch-over it keeps `write_freeze`, the tick of the write
+    freeze; `ramp_end`, the tick of the flip or abort; and `rejected_at`,
+    the tick of each rejected write.  `attempts` counts the validate-and-fix
+    attempts: each direct bootstrap load ends in one `backfill` put, and
+    each queued attempt in one `dequeue`, `retry` or `dead_letter` row.
     """
 
     def __init__(self, log: EventLog, schema: Schema):
@@ -102,6 +110,10 @@ class LogReplay:
         self.queue_below_zero: tuple[int, int] | None = None
         self.ordering_violations: list[dict] = []
         self.flip_time: int | None = None
+        self.write_freeze: int | None = None
+        self.ramp_end: int | None = None
+        self.rejected_at: list[int] = []
+        self.attempts = 0
         qlen = 0
         for row in log.rows:
             kind = row.kind
@@ -112,6 +124,7 @@ class LogReplay:
                     row.key, {} if tomb else row.val, row.ver, tomb
                 )
             elif kind == "put":
+                self.attempts += row.cls == "backfill"
                 if row.out == "accepted":
                     if not row.tomb:
                         self._check_parents(row, schema)
@@ -120,13 +133,24 @@ class LogReplay:
             elif kind == "enqueue":
                 qlen += 1
             elif kind == "dequeue" or kind == "dead_letter":
+                self.attempts += 1
                 qlen -= 1
                 if qlen < 0 and self.queue_below_zero is None:
                     self.queue_below_zero = (row.t, qlen)
+            elif kind == "retry":
+                self.attempts += 1
             elif kind == "sample":
                 self.queue_lengths.append((row.t, row.qlen, qlen))
-            elif kind == "ramp" and row.act == "flip":
-                self.flip_time = row.t
+            elif kind == "reject_write":
+                self.rejected_at.append(row.t)
+            elif kind == "ramp":
+                act = row.act
+                if act == "write_freeze":
+                    self.write_freeze = row.t
+                elif act == "flip" or act == "abort":
+                    self.ramp_end = row.t
+                    if act == "flip":
+                        self.flip_time = row.t
 
     def _check_parents(self, row, schema: Schema) -> None:
         tkey = row.key
@@ -345,7 +369,15 @@ def oracle_verify(
                 bad == claimed_disc,
                 f"oracle={bad} report={claimed_disc}",
             )
+    _check_downtime(result, replay, scenario, report)
+
     if report is not None:
+        claimed_attempts = report["attempts_total"]
+        result.add(
+            "attempts total matches report",
+            replay.attempts == claimed_attempts,
+            f"oracle={replay.attempts} report={claimed_attempts}",
+        )
         total = sum(run_counts.values())
         overall = (total - bad) / total if total else 1.0
         claimed_overall = report["final_overall"]
@@ -363,3 +395,33 @@ def oracle_verify(
         )
 
     return result
+
+
+def _check_downtime(
+    result: OracleReport, replay: LogReplay, scenario: Scenario, report: dict | None
+) -> None:
+    """Writes are rejected only in [write freeze, end), where `end` is the
+    flip or abort that lifted the freeze, or the tick after the scenario's
+    last; the report's switch states that window as `end - ramp.time`, 0
+    without a freeze, and counts every rejected write."""
+    start = replay.write_freeze
+    if start is None:
+        start = end = window = 0
+    else:
+        end = scenario.duration + 1 if replay.ramp_end is None else replay.ramp_end
+        window = end - scenario.ramp.time
+    outside = [t for t in replay.rejected_at if not start <= t < end]
+    ok = not outside
+    detail = f"{len(outside)} rejected writes outside the freeze" + (
+        f", first at t={outside[0]}" if outside else ""
+    )
+    switch = report.get("switch") if report is not None else None
+    if switch:
+        rejected = len(replay.rejected_at)
+        ok = ok and window == switch["unavailability_window"]
+        ok = ok and rejected == switch["rejected_writes"]
+        detail += (
+            f", window oracle={window} report={switch['unavailability_window']}"
+            f", rejected writes oracle={rejected} report={switch['rejected_writes']}"
+        )
+    result.add("no downtime outside the write freeze", ok, detail)

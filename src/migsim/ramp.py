@@ -3,13 +3,12 @@
 The flip trades a bounded write-unavailability window for consistency: the
 controller only moves the source of truth once nothing is left in flight,
 or aborts without flipping when the drain outlasts its timeout.  A forced
-mode flips with no drain and counts what that costs in lost updates, which
-is the other side of the same trade.
+mode flips with no drain and logs what that costs in lost updates, the
+other side of the same trade.  `switch_section` reads the log back.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 from .metrics import ConsistencyReport, EventLog
@@ -48,18 +47,35 @@ def check_clearance(
     return reasons
 
 
-@dataclass
-class SwitchReport:
-    outcome: str = "pending"  # "switched" | "aborted" | "pending"
-    unavailability_window: int = 0
-    lost_updates: int = 0
-    post_switch_discrepancies: int = 0
-    flip_time: int | None = None
-    rejected_writes: int = 0
-    blocked_reasons: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+def switch_section(rows: list[tuple], last: int) -> dict:
+    """`report.json`'s `switch` section, read from a run's `ramp` and
+    `reject_write` rows.  Writes stay frozen from the `write_freeze` row to
+    the flip or abort that ends the ramp, or through the run's `last` tick."""
+    section = dict(
+        outcome="pending", lost_updates=0, post_switch_discrepancies=0, flip_time=None,
+        rejected_writes=0, blocked_reasons=[],
+    )
+    frozen_at, end = None, last + 1
+    for row in rows:
+        if row.kind == "reject_write":
+            section["rejected_writes"] += 1
+        elif row.kind == "ramp":
+            if row.act == "write_freeze":
+                frozen_at = row.t
+            elif row.act == "clearance":
+                section["blocked_reasons"] = list(row.reasons)
+            elif row.act == "abort":
+                end = row.t
+                section["outcome"] = "aborted"
+                if row.why == "freeze_timeout":
+                    section["blocked_reasons"] = ["drain exceeded freeze_timeout"]
+            elif row.act == "flip":
+                end = row.t
+                section.update(
+                    outcome="switched", flip_time=row.t, lost_updates=row.lost,
+                    post_switch_discrepancies=row.discrepancies,
+                )
+    return {**section, "unavailability_window": 0 if frozen_at is None else end - frozen_at}
 
 
 class RampController:
@@ -74,7 +90,6 @@ class RampController:
     def __init__(self, spec: RampSpec, log: EventLog):
         self.spec = spec
         self.log = log
-        self.report = SwitchReport()
         self.bulk_frozen = False
         self.writes_frozen = False
         self.flipped = False
@@ -84,9 +99,6 @@ class RampController:
     @property
     def finished(self) -> bool:
         return self.flipped or self.aborted
-
-    def note_rejected_write(self) -> None:
-        self.report.rejected_writes += 1
 
     def step(self, now: int, sim) -> bool:
         """Advance the state machine; `sim` is the live run state.  True in
@@ -114,8 +126,6 @@ class RampController:
             )
             if reasons:
                 self.aborted = True
-                self.report.outcome = "aborted"
-                self.report.blocked_reasons = reasons
                 self.log.append(now, "ramp", act="abort", why="clearance_blocked")
                 return False
         if now < spec.time:
@@ -134,23 +144,14 @@ class RampController:
         if now - spec.time >= spec.freeze_timeout:
             self.writes_frozen = False
             self.aborted = True
-            self.report.outcome = "aborted"
-            self.report.unavailability_window = now - spec.time
-            self.report.blocked_reasons = ["drain exceeded freeze_timeout"]
             self.log.append(now, "ramp", act="abort", why="freeze_timeout")
         return False
 
     def _flip(self, now: int, sim) -> None:
         self.flipped = True
         self.writes_frozen = False
-        self.report.outcome = "switched"
-        self.report.flip_time = now
-        self.report.unavailability_window = now - self.spec.time
         lost, discrepancies = sim.flip_measurements(now)
-        self.report.lost_updates = lost
-        self.report.post_switch_discrepancies = discrepancies
         self.log.append(
-            now, "ramp", act="flip", mode=self.spec.mode,
-            window=self.report.unavailability_window, lost=lost,
-            discrepancies=discrepancies,
+            now, "ramp", act="flip", mode=self.spec.mode, window=now - self.spec.time,
+            lost=lost, discrepancies=discrepancies,
         )

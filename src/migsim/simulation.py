@@ -8,15 +8,15 @@ repair and backfill, which only get the tick's spare capacity.
 
 The flip ends the run.  The flip tick runs the ramp controller and a
 metrics sample and nothing else, so the run's end state is its state at the
-flip, where the switch report measures it.
+flip, where the flip's `ramp` row measures it.
 
 Equal scenarios produce byte-identical event logs; every random draw comes
 from a named substream of the scenario seed.  The run itself is one
 process.  Once the last tick has logged its rows, the log is frozen, and a
 helper process forked from the run exports and hashes it (`EventLog.digest`)
-while the run folds the repair counters, assembles the report and runs the
-oracle.  The run then waits for the helper and fills the report's
-`log_digest` before it checks expectations and writes the other artifacts.
+while the run folds the report from the log and runs the oracle.  The run
+then waits for the helper and fills the report's `log_digest` before it
+checks expectations and writes the other artifacts.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .metrics import (
     window_ttcs,
 )
 from .oracle import OracleReport, oracle_verify
-from .ramp import RampController
+from .ramp import RampController, switch_section
 from .rng import named_stream
 from .scenario import Scenario, serialize
 from .stores import ChangeStream, Clock, LegacyStore, TargetStore
@@ -69,7 +69,6 @@ class RunReport:
     final_overall: float = 1.0
     final_settled: float = 1.0
     final_counts: dict = field(default_factory=dict)
-    rejected_writes: int = 0
     log_digest: str = ""
     oracle: dict | None = None
     expect_failures: list[str] = field(default_factory=list)
@@ -189,7 +188,6 @@ class _SimState:
                     reads.append((op.key, rec))
                 continue
             if frozen_writes:
-                self.ramp.note_rejected_write()
                 self.log.append(now, "reject_write", op.key)
                 continue
             self._commit(op.key, None if op.kind == OP_DELETE else op.value, attach=True)
@@ -472,7 +470,7 @@ def _export_and_exit(log: EventLog, path: Path | None, read_fd: int, write_fd: i
 
 
 def _assemble_report(sim: _SimState, counts: RepairCounts) -> RunReport:
-    """Final rates, and the repair `counts` folded from the log.
+    """Final rates, and the repair `counts` and sections folded from the log.
 
     `log_digest` is left empty: the export helper computes it while the
     oracle runs, and the runner fills it in once the helper ends."""
@@ -491,8 +489,8 @@ def _assemble_report(sim: _SimState, counts: RepairCounts) -> RunReport:
         duration=last,
         initial_records=n_initial,
         samples=sim.samples,
-        bootstrap=sim.bootstrap_job.report.as_dict() if sim.bootstrap_job else None,
-        switch=sim.ramp.report.as_dict() if sim.ramp else None,
+        bootstrap=sim.bootstrap_job.report.as_dict(sim.log.rows) if sim.bootstrap_job else None,
+        switch=switch_section(sim.log.rows, last) if sim.ramp else None,
         counters=counts.as_dict(),
         attempts_total=counts.attempts_total,
         attempts_ratio=counts.attempts_total / n_initial if n_initial > 0 else None,
@@ -502,7 +500,6 @@ def _assemble_report(sim: _SimState, counts: RepairCounts) -> RunReport:
         final_overall=final_overall,
         final_settled=final_settled,
         final_counts=final_counts,
-        rejected_writes=sim.ramp.report.rejected_writes if sim.ramp else 0,
     )
 
 

@@ -10,9 +10,9 @@ the outcome.  All four feed the same validate-and-fix primitive, so the
 eventual repaired state never depends on which trigger noticed first.
 
 A trigger's outcome is recorded only in the event log (`verify`,
-`enqueue`/`coalesce`, `bootstrap`, `put` and `offline_done` rows).
-Bootstrap's `BootstrapReport` reaches `report.json`; the offline sweep
-returns the two counts its `offline_done` row carries.
+`enqueue`/`coalesce`, `bootstrap`, `put` and `offline_done` rows);
+`BootstrapReport.as_dict` reads the bootstrap's tallies back from it, and
+the offline sweep returns the two counts its `offline_done` row carries.
 """
 
 from __future__ import annotations
@@ -87,19 +87,26 @@ class BootstrapReport:
     started_at: int | None = None
     finished_at: int | None = None
     groups_total: int = 0
-    groups_processed: int = 0
-    puts: int = 0
-    put_failures: int = 0
-    events_enqueued: int = 0
+    groups_processed: int = 0  # the job's cursor
 
-    @property
-    def duration_ticks(self) -> int:
-        if self.started_at is None or self.finished_at is None:
-            return 0
-        return self.finished_at - self.started_at + 1
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "duration_ticks": self.duration_ticks}
+    def as_dict(self, rows: list[tuple]) -> dict:
+        """`report.json`'s `bootstrap` section: this progress, and the job's
+        puts (the `backfill` put rows), the failed ones and the events it
+        queued (the bootstrap trigger's `enqueue` and `coalesce` rows), read
+        from the log's `rows`."""
+        puts = failures = queued = 0
+        for row in rows:
+            if row.kind == "put":
+                if row.cls == "backfill":
+                    puts += 1
+                    failures += row.out == "unavailable"
+            elif row.kind in ("enqueue", "coalesce") and row.trig == Trigger.BOOTSTRAP:
+                queued += 1
+        duration = 0 if self.finished_at is None else self.finished_at - self.started_at + 1
+        return {
+            **asdict(self), "duration_ticks": duration, "puts": puts, "put_failures": failures,
+            "events_enqueued": queued,
+        }
 
 
 class BootstrapJob:
@@ -140,7 +147,6 @@ class BootstrapJob:
         # The snapshot and the group list are dropped once the job is done.
         self._groups: list[tuple] | None = self._ordered_groups()
         self.report.groups_total = len(self._groups)
-        self._cursor = 0
         # Every direct-mode put carries this one bulk-load stamp.
         self._default_stamp = VersionStamp(BOOTSTRAP_COUNTER, snapshot.taken_at)
         # Source keys whose target projection may be incomplete: their own
@@ -156,7 +162,7 @@ class BootstrapJob:
 
     @property
     def done(self) -> bool:
-        return self._cursor >= self.report.groups_total
+        return self.report.groups_processed >= self.report.groups_total
 
     def step(self, now: int, limiter: RateLimiter) -> int:
         """Process as many groups as spare capacity covers; returns ops used."""
@@ -167,11 +173,10 @@ class BootstrapJob:
             self.log.append(now, "bootstrap", phase="start", groups=len(self._groups))
         used = 0
         while not self.done:
-            rule, gid = self._groups[self._cursor]
+            rule, gid = self._groups[self.report.groups_processed]
             cost = len(rule.target_types) if self.mode == "direct" else 1
             if not limiter.try_backfill(cost):
                 break
-            self._cursor += 1
             self.report.groups_processed += 1
             used += cost
             sources = read_group(rule, gid, self.snapshot.records.get)
@@ -181,10 +186,7 @@ class BootstrapJob:
                 self._enqueue_group(rule, gid, sources, now)
         if self.done and self.report.finished_at is None:
             self.report.finished_at = now
-            self.log.append(
-                now, "bootstrap", phase="end", groups=self.report.groups_processed,
-                puts=self.report.puts, failures=self.report.put_failures,
-            )
+            self.log.append(now, "bootstrap", phase="end", groups=self.report.groups_processed)
             self.snapshot = None
             self._groups = None
         return used
@@ -210,13 +212,10 @@ class BootstrapJob:
         accepted = 0
         for record in expected.values():
             stale_record = TargetRecord(record.key, record.value, provenance, record.tombstone)
-            self.report.puts += 1
             try:
                 accepted += self.target.put(stale_record, "backfill") is PutResult.ACCEPTED
             except StoreUnavailable:
                 self._failed_sources.update(sources)
-                self.report.put_failures += 1
-                self.report.events_enqueued += 1
                 self.queue.enqueue(
                     record.key, Trigger.BOOTSTRAP, now, fix_source_time(sources)
                 )
@@ -226,7 +225,6 @@ class BootstrapJob:
     def _enqueue_group(self, rule, gid: str, sources, now: int) -> None:
         sut = fix_source_time(sources)
         for tkey in rule.target_keys(gid):
-            self.report.events_enqueued += 1
             self.queue.enqueue(tkey, Trigger.BOOTSTRAP, now, sut)
 
 

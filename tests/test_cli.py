@@ -225,6 +225,12 @@ BROKEN_REPORTS = {
         },
         "switch: 'lost_updates' is missing",
     ),
+    "switch_without_rejected_writes": (
+        lambda doc: {
+            **doc, "switch": {k: v for k, v in doc["switch"].items() if k != "rejected_writes"}
+        },
+        "switch: 'rejected_writes' is missing",
+    ),
     "samples_not_a_list": (lambda doc: {**doc, "samples": 3}, "'samples' is 3"),
     "without_final_counts": (
         lambda doc: {k: v for k, v in doc.items() if k != "final_counts"},

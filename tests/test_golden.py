@@ -5,6 +5,9 @@ scenario and seed.  A change that claims to keep runs byte-identical must
 pass this test unchanged; a change that alters an artifact on purpose
 re-pins the digests here and says why.  `scenarios/default.json` (100k
 records) is left out to keep the test fast.
+
+The same runs pin the bootstrap section's puts, failed puts and queued
+events of the benchmark inputs, which the report folds from the log.
 """
 
 from __future__ import annotations
@@ -25,59 +28,67 @@ ARTIFACTS = ("eventlog.jsonl", "report.json", "oracle.txt")
 GOLDEN = {
     "scenarios/catchall.json": (
         "13134051322042269fc8cdeaadec0928a31db261487d921b6fb58a796469c607",
-        "b183b12f1a66a4e0af2fcb89c70caae57a5fc2297e5df458fc828dbedfdb6533",
-        "1d753c39251d590f9b7e7ee01532fa562e69ad3759662eb1f9601da7023984bf",
+        "1b8bb5d47e4bdb8028be81a695fc4e9887aa4df41b0f767cc8c8b777f4b3e9db",
+        "c8f1eb60ed53a323f2056d1f2dec2ba81a3f238f7841b934b69853a0f08b4e90",
     ),
     "scenarios/mapping_bug.json": (
-        "a3b08e4f80fbe6841fc8afaf49aac3f46a18db2a324b27658b72b73157829517",
-        "804b4c83de5486da81061bebb191e3b4f6753982e7f3255d5df91ca03e3cdfa6",
-        "4ffa4e1dcf909ea5a5c7fc8439a17d069f34926c823d9e5616c4083dfb9ebe2c",
+        "19a0be8c0436bd6e065bdc3e7df9a7ad49f868b20f8db1c6d2d5ba938de55943",
+        "bed5b3df066f9b17e53ce5b7f7cb83be1f41a0186cce3d05ced70a36588087cd",
+        "b83ac87229aa4be4f23083480543f536d0ccc6f3b4f63a5b38821d9bc8b88879",
     ),
     "scenarios/queue_bootstrap.json": (
-        "a7aafe7730371ea5b7ef43873c5d656d77511acc524b3d375b923b67203b09f2",
-        "da89c10804c7f6fc18a39e860d8754073160f71cc4e4c864b33904607213ee4d",
-        "ccb787d1bce32ec9dbc4a4dc1df4bd029eb0ad5e09564ba707915ee8dd689ce4",
+        "aafe2eb25c76b7a054d5048333de4294467cc69b2069ec331436167ffe1b3d68",
+        "e54b4135059554792188896fc72f8167e20d445ac9879d61db3887b6af9a3f33",
+        "8d14d51bb8a47c64445e56df2b6fa2d55938cf0d3a74ea19a77417f90408a2e3",
     ),
     "scenarios/ramp_pair_drained.json": (
-        "3a02fbf713277d5d1fd5788a19c336fb3b78a5ab3875fb61a86f367db8e98bb8",
-        "e62d4bfac5916f76e0a25a06da0b5742f8af09185840f1a38a48bd04c8e06f5d",
-        "b9faef087055661c9da3a3b8de11e4ac059367f634f4461203e6d12210e14eaf",
+        "cea9487c25b6c22c213c914ad381932babdbf8bc67842ff776dfd5c189b01cb3",
+        "5bf7d3ef7e8e8f977dd9c6624e52ad37c9ee59cae4e4139e4092a43b6ee28cb8",
+        "fd39f9ad73d9992cbfb43b6e428812088aac35a0247a0ecaaca37dd84e74b6a2",
     ),
     "scenarios/ramp_pair_forced.json": (
-        "ae6b72090595ede293ea8b51ccf7985a344a16606f9f06ce034c4eba1930c546",
-        "fbb9b95b7d382f52cdbf9076348da833c5fe56e9779e63be66c9bfb7aa299516",
-        "af1976cc09680ae7fd0c139cdcd2a076e7b02b6006c9e529de7544c529254641",
+        "98657bcd0910a9a1fcb2e554acd0bcb205414f357b7429b2b2adce18379ff413",
+        "95fdbd11b399cebc916370a383144f7ffd829e0705612afe21026884bf61fbca",
+        "b1176ecb854f7edb4d77b74bc2e30469ad2de1381b451ab46449d9c28cc7a3ac",
     ),
     "scenarios/reshape.json": (
-        "5323ee87eec50826a0eb755d29f980072b95dbdf99fe1b3609de06e8874dfc78",
-        "63af2ede8c93ef5bc5f6cf945d327e68b8fa279427d6f66c7e9280592d0d86de",
-        "455e2e33ddd76d1a110e6ece7038db43b3dd43619e91e75082d2ff6d85ffaa0c",
+        "7e3aa092a67e2d4ff83957c27f5047fed7dfd80628e4e41256c90e905761b10c",
+        "6d236871b48e91dd0e958ccf5d53d475ae9dcefa4e09ade6728ca911128d858e",
+        "cf8d17fcbe8f6c2f7db82adb47a7845b3b15e4a66e94d271899b41a5417e52c5",
     ),
     "scenarios/resurrection.json": (
-        "f970db1d5f380b85abbb73a2728679dcba11e08ee0e6cb1000933c74cbf01091",
-        "f7f5ee3e5b0a4d091bd2723be6b755aaf7f2ef5f36a46c8faeace8cccfbb7a25",
-        "695327c5f55f6e9739e929908592674bd48a0cf5c0a3ca68fb9b1dc38c065f6c",
+        "25794ab4057c80ed96c80a2f79c6a09928e98347e85e65016639b0dc6c4401bd",
+        "ce4fbe71da8ce8879703bd65a5b1893fe3b6b1daf5c699b2385219c837005747",
+        "89845ffa4406351da356b54bb49b313fdede247122e048e4a9cd051240cd8ae2",
     ),
     "scenarios/small.json": (
-        "a81ae94cca8736b119a7a2e48214310098dd756e74b9d1b6f18b812cccd5836b",
-        "b4aac8a622c5624398d258b03777a06cd6df218238a67c0fa2b12dae6739fc70",
-        "233e0336c488a20bd1ac40604f4660091be9374c67a4e4e32767dd5de24735f2",
+        "dc052578b2270c13be106f48f12fd3583a7e0cd562fea4a86e90fc9e113faeba",
+        "9cc260f61a347e27d4685c65277891bb12babffcee7f7f5ccab416f3c7da7665",
+        "1590ca6bab49ca933e61128ef16846b0d5e1725e3a5146788fe147cb6c15aafe",
     ),
     "bench/scenarios/live_churn.json": (
-        "e249dc77dcc6d185414244b25428ea87c1618406c903543fa0540f960d722891",
-        "e5bdcd1113738fa580fe16d6378fadbd83580ffea2f002b534093199d0ae2750",
-        "d41b5eda3702cf99a699de6cf38479e5fa3877a1eb3459377381e832a8633a29",
+        "4de69ae9abc574bff9f4526df88039460b6b2fa49dfafec57d0c1eeae367b500",
+        "02b9f49d1313858d35cd6ee2cffd78fa965bbaf3cacd57f0cb8e8ae33e445418",
+        "78163bfa91517d5379e03b9252b968d3715222213954aab2d5c51542c556e7c8",
     ),
     "bench/scenarios/paper_default.json": (
-        "0571ec3cca1d1b225e36c817be88f70af48a7eda2f1901f4dc7860c05f1f66f5",
-        "d4a2c4ab85d36acca954ca20e0195f60662d8e8396261eefdd3400f9d2a2e817",
-        "0091f02d356123f5e8e739233110cd397af3a9cf466b0057b94bc69032e650cd",
+        "f336b4e7fc9b22ec92ffc2853a379106bc3eed522f52f94c553c3bcfb192769b",
+        "95e07fe3ba89172920b4a3f8a15a51c7349719dd819bee51f3ebfb9c7595cf86",
+        "da8555bb0354d823805d1b06ff51ecbd4c518be74a6bb8863137c5c6f233e8af",
     ),
     "bench/scenarios/reshape_queue.json": (
-        "c623bd395f28441c5d110a467ec4c14c7886b106f97b374df0fb6e61438592ed",
-        "16063b588f7098565f6a00545f555eeede7d0a02bd81254b81300e05ca515c6e",
-        "6fc1d373c610b838611bd6076db69b75745e4b825d0f4eea19c0bddfedf65b11",
+        "6dc6bf18ff90f553392a73de2dfb5049977fcb81b7b100a7de726b131eabf487",
+        "65b5aa7c7c368c7486113e5b1aba9808b6de7d122e37c30aa7f2b074a45add72",
+        "4356d551c5041cad380a43a4a74ce5a678ba3fc9d229165588b9461992102f3d",
     ),
+}
+
+
+# Input -> the bootstrap section's (puts, put_failures, events_enqueued).
+BOOTSTRAP_TALLIES = {
+    "bench/scenarios/paper_default.json": (9_779, 103, 324),
+    "bench/scenarios/live_churn.json": (2_379, 72, 197),
+    "bench/scenarios/reshape_queue.json": (0, 0, 3_000),
 }
 
 
@@ -89,9 +100,14 @@ def test_every_fast_shipped_input_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifacts_match_pinned_digests(name, tmp_path):
-    log = run_scenario(load_file(ROOT / name), seed=1, out_dir=tmp_path).log
+    result = run_scenario(load_file(ROOT / name), seed=1, out_dir=tmp_path)
+    log = result.log
     got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ARTIFACTS)
     assert dict(zip(ARTIFACTS, got)) == dict(zip(ARTIFACTS, GOLDEN[name]))
+    if name in BOOTSTRAP_TALLIES:
+        section = result.report.bootstrap
+        tallies = (section["puts"], section["put_failures"], section["events_enqueued"])
+        assert tallies == BOOTSTRAP_TALLIES[name]
     # The export parses back into equal rows of the same classes: every
     # kind and variant of row the run logs round-trips through the format.
     parsed = EventLog.parse_lines(log.export_lines())

@@ -177,8 +177,10 @@ def test_direct_bootstrap_sends_a_group_that_fails_to_map_to_the_queue():
     queued = sorted((e.target_key, e.trigger) for e in p.queue.pending())
     assert queued == [(PART_A, Trigger.BOOTSTRAP), (PART_B, Trigger.BOOTSTRAP)]
     assert sorted(p.target.records) == [Key("part_a", "2"), Key("part_b", "2")]
-    assert job.report.events_enqueued == 2
-    assert job.report.puts == 2
+    section = job.report.as_dict(p.log.rows)
+    assert section["events_enqueued"] == 2
+    assert section["puts"] == 2
+    assert section["put_failures"] == 0
 
 
 def test_direct_bootstrap_inside_the_bug_window_runs_to_the_end():

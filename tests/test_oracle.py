@@ -253,3 +253,96 @@ class TestOnePassReplay:
         lengths = {length for *_, length in expected}
         assert 0 in lengths and len(lengths) > 1
         assert replay.queue_lengths == expected
+
+
+
+# small.json ramps at tick 150 and lasts 200 ticks.
+FREEZE = (150, "ramp", None, {"act": "write_freeze"})
+
+
+def reject_at(t):
+    return t, "reject_write", Key("project", "1"), {}
+
+
+def flip_at(t):
+    return t, "ramp", None, {
+        "act": "flip", "mode": "drained", "window": t - 150, "lost": 0, "discrepancies": 0,
+    }
+
+
+def abort_at(t):
+    return t, "ramp", None, {"act": "abort", "why": "freeze_timeout"}
+
+
+class TestDowntimeAndAttempts:
+    def check(self, entries, window, rejected):
+        report = {
+            "samples": [], "final_overall": 1.0, "final_counts": {}, "attempts_total": 0,
+            "switch": {
+                "unavailability_window": window, "rejected_writes": rejected,
+                "lost_updates": 0, "post_switch_discrepancies": 0,
+            },
+        }
+        result = oracle_verify(build_log(entries), load_file(scenario_path("small")), report)
+        return {c.name: c for c in result.checks}["no downtime outside the write freeze"]
+
+    def test_rejects_inside_the_freeze_up_to_the_flip(self):
+        entries = [FREEZE, reject_at(150), reject_at(152), flip_at(153)]
+        check = self.check(entries, 3, 2)
+        assert check.ok
+        assert check.detail == (
+            "0 rejected writes outside the freeze, window oracle=3 report=3, "
+            "rejected writes oracle=2 report=2"
+        )
+
+    @pytest.mark.parametrize("entries, window, first", [
+        ([reject_at(100)], 0, 100),
+        ([reject_at(149), FREEZE, flip_at(153)], 3, 149),
+        ([FREEZE, flip_at(153), reject_at(153)], 3, 153),
+        ([FREEZE, abort_at(160), reject_at(160)], 10, 160),
+    ], ids=["without_a_freeze", "before_the_freeze", "at_the_flip", "at_the_abort"])
+    def test_a_reject_outside_the_freeze_is_flagged(self, entries, window, first):
+        check = self.check(entries, window, 1)
+        assert not check.ok
+        assert check.detail.startswith(f"1 rejected writes outside the freeze, first at t={first},")
+        assert f"window oracle={window} report={window}" in check.detail
+
+    def test_a_run_that_ends_frozen_counts_through_its_last_tick(self):
+        entries = [FREEZE, reject_at(150), reject_at(200)]
+        assert self.check(entries, 51, 2).ok
+        # What such a run reported while the controller kept the window.
+        assert not self.check(entries, 0, 2).ok
+
+    def test_an_abort_ends_the_window(self):
+        entries = [FREEZE, reject_at(159), abort_at(160)]
+        assert self.check(entries, 10, 1).ok
+        assert not self.check(entries, 11, 1).ok
+
+    def test_a_wrong_count_of_rejected_writes_is_flagged(self):
+        entries = [FREEZE, reject_at(150), flip_at(151)]
+        assert self.check(entries, 1, 1).ok
+        assert not self.check(entries, 1, 0).ok
+
+    def test_tampered_downtime_and_attempts_are_flagged(self):
+        scenario = load_file(scenario_path("ramp_pair_drained"))
+        result = run_scenario(scenario)
+        doc = result.report.as_dict()
+        assert result.oracle_report.ok
+        doc["attempts_total"] += 1
+        doc["switch"] = {**doc["switch"], "rejected_writes": doc["switch"]["rejected_writes"] + 1}
+        failed = {c.name for c in oracle_verify(result.log, scenario, doc).checks if not c.ok}
+        assert failed == {"no downtime outside the write freeze", "attempts total matches report"}
+
+    def test_attempts_count_backfill_puts_and_ended_queue_attempts(self):
+        key = Key("project_v2", "1")
+        entries = [
+            put_entry(0, "project_v2", "1", [], cls="backfill", out="unavailable"),
+            put_entry(0, "project_v2", "2", [["project", "2", 1, 0]], cls="backfill"),
+            put_entry(0, "project_v2", "3", [["project", "3", 1, 0]], cls="dual"),
+            (0, "enqueue", key, {"trig": "bootstrap", "sut": 0}),
+            (1, "retry", key, {"attempts": 1, "due": 2, "reason": "fix_unavailable"}),
+            (2, "dequeue", key, {"res": "fixed"}),
+            (3, "enqueue", key, {"trig": "nearline", "sut": 3}),
+            (4, "dead_letter", key, {"reason": "fix_unavailable"}),
+        ]
+        assert LogReplay(build_log(entries), build_figure3_schema()).attempts == 5

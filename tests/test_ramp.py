@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 from migsim.metrics import ConsistencyReport, EventLog
-from migsim.ramp import RampController, check_clearance
-from migsim.scenario import RampSpec
+from migsim.ramp import RampController, check_clearance, switch_section
+from migsim.scenario import RampSpec, load_file
+from migsim.simulation import run_scenario
+
+from conftest import scenario_path
 
 
 def report(
@@ -88,6 +93,12 @@ def drive(controller: RampController, status: _Status, until: int) -> list[int]:
     return flips
 
 
+def switch(controller: RampController, last: int) -> dict:
+    """The switch section folded from the controller's rows; `last` is the
+    last tick driven."""
+    return switch_section(controller.log.rows, last)
+
+
 class TestController:
     def test_bulk_freeze_engages_at_lead(self):
         spec = RampSpec(time=100, bulk_freeze_lead=30)
@@ -106,22 +117,29 @@ class TestController:
         spec = RampSpec(time=50, bulk_freeze_lead=10, freeze_timeout=20)
         controller = RampController(spec, EventLog())
         assert drive(controller, _Status(drained_at=0), 60) == [50]
-        assert controller.report.outcome == "switched"
-        assert controller.report.unavailability_window == 0
-        assert controller.report.flip_time == 50
+        section = switch(controller, 50)
+        assert section["outcome"] == "switched"
+        assert section["unavailability_window"] == 0
+        assert section["flip_time"] == 50
 
     def test_drained_flip_waits_for_drain(self):
         spec = RampSpec(time=50, bulk_freeze_lead=10, freeze_timeout=20)
         controller = RampController(spec, EventLog())
         assert drive(controller, _Status(drained_at=57), 80) == [57]
-        assert controller.report.outcome == "switched"
-        assert controller.report.unavailability_window == 7
+        section = switch(controller, 57)
+        assert section["outcome"] == "switched"
+        assert section["unavailability_window"] == 7
+        assert section["flip_time"] == 57
 
     def test_drain_timeout_aborts_without_flip(self):
         spec = RampSpec(time=50, bulk_freeze_lead=10, freeze_timeout=20)
         controller = RampController(spec, EventLog())
         assert drive(controller, _Status(drained_at=None), 200) == []
-        assert controller.report.outcome == "aborted"
+        section = switch(controller, 70)
+        assert section["outcome"] == "aborted"
+        assert section["unavailability_window"] == 20
+        assert section["blocked_reasons"] == ["drain exceeded freeze_timeout"]
+        assert section["flip_time"] is None
         assert not controller.flipped
         assert not controller.writes_frozen  # writes resumed on the old side
 
@@ -129,14 +147,62 @@ class TestController:
         spec = RampSpec(time=50, bulk_freeze_lead=10, clearance_lead=5)
         controller = RampController(spec, EventLog())
         assert drive(controller, _Status(drained_at=0, cleared=False), 60) == []
-        assert controller.report.outcome == "aborted"
-        assert controller.report.unavailability_window == 0
-        assert controller.report.blocked_reasons
+        section = switch(controller, 45)
+        assert section["outcome"] == "aborted"
+        assert section["unavailability_window"] == 0
+        assert section["blocked_reasons"] == ["queue_length 5 > 0"]
 
     def test_forced_mode_flips_instantly_and_counts_losses(self):
         spec = RampSpec(time=50, mode="forced", bulk_freeze_lead=10)
         controller = RampController(spec, EventLog())
-        assert drive(controller, _Status(drained_at=None, lost=7), 60) == [50]
-        assert controller.report.outcome == "switched"
-        assert controller.report.unavailability_window == 0
-        assert controller.report.lost_updates == 7
+        assert drive(controller, _Status(drained_at=None, lost=7, disc=3), 60) == [50]
+        section = switch(controller, 50)
+        assert section["outcome"] == "switched"
+        assert section["unavailability_window"] == 0
+        assert section["lost_updates"] == 7
+        assert section["post_switch_discrepancies"] == 3
+
+    def test_freeze_still_on_at_the_last_tick_counts_every_frozen_tick(self):
+        spec = RampSpec(time=50, bulk_freeze_lead=10, freeze_timeout=100)
+        controller = RampController(spec, EventLog())
+        assert drive(controller, _Status(drained_at=None), 60) == []
+        assert controller.writes_frozen
+        section = switch(controller, 60)
+        assert section["outcome"] == "pending"
+        # Ticks 50 through 60.
+        assert section["unavailability_window"] == 11
+        assert section["flip_time"] is None
+
+    def test_before_the_ramp_time_nothing_is_frozen(self):
+        spec = RampSpec(time=50, bulk_freeze_lead=10)
+        controller = RampController(spec, EventLog())
+        assert drive(controller, _Status(drained_at=0), 45) == []
+        assert switch(controller, 45) == {
+            "outcome": "pending", "unavailability_window": 0, "lost_updates": 0,
+            "post_switch_discrepancies": 0, "flip_time": None, "rejected_writes": 0,
+            "blocked_reasons": [],
+        }
+
+
+class TestSwitchSectionOfARun:
+    def test_run_that_ends_with_writes_frozen_reports_its_frozen_ticks(self):
+        # The write freeze at tick 190 meets an outage that outlasts the run
+        # (duration 200), so nothing drains, and the freeze timeout (30) is
+        # never reached: the run ends frozen and rejects writes to its end.
+        scenario = load_file(scenario_path("small"))
+        scenario = dataclasses.replace(
+            scenario,
+            ramp=dataclasses.replace(scenario.ramp, time=190, bulk_freeze_lead=50),
+            workload=dataclasses.replace(scenario.workload, write_rate=20.0),
+            fault=dataclasses.replace(scenario.fault, outage_windows=((186, 260),)),
+        )
+        result = run_scenario(scenario, seed=1)
+        rejected = [row.t for row in result.log.rows if row.kind == "reject_write"]
+        assert (min(rejected), max(rejected), result.report.duration) == (190, 200, 200)
+        switch = result.report.switch
+        assert switch["outcome"] == "pending"
+        assert switch["rejected_writes"] == len(rejected) == 206
+        # last tick + 1 - write_freeze tick: ticks 190 through 200.
+        assert switch["unavailability_window"] == 11
+        checks = {c.name: c.ok for c in result.oracle_report.checks}
+        assert checks["no downtime outside the write freeze"]

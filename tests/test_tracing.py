@@ -5,7 +5,8 @@ up: `oracle.compare_records`, `simulation.oracle_verify` and the re-exports
 marked `# noqa: F401`.  It also counts work from what some wrapped calls
 return: `OfflineVerifier.run(...).scanned_keys`, `Healer.process(...)
 .processed`, `DualWriter.run_due`'s count and the ops `generate_step`
-returns.  A simplification that drops one of those names or return values
+returns, and two figures from the report's `bootstrap` and `switch`
+sections.  A simplification that drops one of those names or return values
 breaks the traced benchmark run; this test breaks first.
 """
 
@@ -71,3 +72,11 @@ def test_traced_small_run_counts_the_hot_primitives(tmp_path):
         ("healing.dead_lettered", "dead_letter"),
     ):
         assert layers[name] == rows[kind], name
+    # The two figures the tracer reads of the bootstrap and switch sections
+    # are the ones the log's rows state.
+    (start,) = [
+        row for row in result.log.rows if row.kind == "bootstrap" and row.phase == "start"
+    ]
+    assert layers["verifiers.bootstrap_groups"] == start.groups
+    (flip,) = [row for row in result.log.rows if row.kind == "ramp" and row.act == "flip"]
+    assert layers["ramp.unavailability_ticks"] == flip.window

@@ -79,9 +79,10 @@ class TestBootstrap:
         limiter.begin_tick(0)
         job.step(0, limiter)
         assert job.done
-        assert job.report.groups_total == 0
-        assert job.report.events_enqueued == 0
-        assert job.report.duration_ticks == 0
+        section = job.report.as_dict(pipeline.log.rows)
+        assert section["groups_total"] == 0
+        assert section["events_enqueued"] == 0
+        assert section["duration_ticks"] == 0
 
     def test_queue_mode_enqueues_in_dependency_order(self, pipeline):
         snap = make_snapshot(
@@ -127,7 +128,7 @@ class TestBootstrap:
             limiter.begin_tick(now)
             job.step(now, limiter)
             now += 1
-        assert job.report.duration_ticks == 7  # ceil(1000 / 159)
+        assert job.report.as_dict(pipeline.log.rows)["duration_ticks"] == 7  # ceil(1000 / 159)
 
     def test_backfill_waits_for_live_traffic(self, pipeline):
         records = [srec("project", str(i), {"n": "p"}) for i in range(10)]
@@ -171,6 +172,33 @@ class TestBootstrap:
         assert p.target.peek(Key("stage_v2", "1")) is None
         queued = {e.target_key for e in p.queue.pending()}
         assert queued == {Key("project_v2", "1"), Key("stage_v2", "1")}
+
+    def test_section_counts_puts_failures_and_queued_events_from_the_log(self):
+        # Tick 0 lies in an outage: both project puts fail and queue their
+        # key, and the stage, whose parent failed, is queued unwritten.  A
+        # key already queued by another trigger coalesces and still counts;
+        # that other trigger's event does not.
+        p = build_pipeline(outages=((0, 10),))
+        snap = make_snapshot(
+            [
+                srec("project", "1", {"n": "p"}),
+                srec("project", "2", {"n": "p"}),
+                srec("stage", "1", {"n": "s", "parent_project": "1"}),
+            ]
+        )
+        job = BootstrapJob(
+            p.schema, snap, p.target, p.queue, p.log, ignore_note, mode="direct"
+        )
+        p.queue.enqueue(Key("project_v2", "2"), Trigger.NEARLINE, 0, 0)
+        limiter = RateLimiter(100)
+        limiter.begin_tick(0)
+        job.step(0, limiter)
+        section = job.report.as_dict(p.log.rows)
+        assert (section["puts"], section["put_failures"], section["events_enqueued"]) == (2, 2, 3)
+        assert section["groups_processed"] == section["groups_total"] == 3
+        assert section["duration_ticks"] == 1
+        ends = [row.groups for row in p.log.rows if row.kind == "bootstrap"]
+        assert ends == [3, 3]
 
 
 class TestNearline:
