@@ -32,6 +32,7 @@ from migsim.healing import SelfHealingQueue, Trigger
 from migsim.metrics import EventLog
 from migsim.rng import named_stream
 from migsim.scenario import WorkloadSpec, load_file
+from migsim.simulation import fold_log, run_scenario
 from migsim.stores import Clock, FaultProfile, PutResult, TargetStore
 from migsim.workload import WorkloadGenerator
 
@@ -188,3 +189,11 @@ def test_seed_initial_paper_default(benchmark):
         return gen.seed_initial()
 
     assert len(benchmark(seed)) == scenario.workload.initial_records
+
+
+def test_report_fold_paper_default(benchmark):
+    """The one pass that reads `report.json`'s log-derived sections, over the
+    seed-1 `paper_default` log, which is built once."""
+    result = run_scenario(load_file(PAPER_DEFAULT), seed=1)
+    fold = benchmark(fold_log, result.log.rows, result.report.duration)
+    assert fold.counts == result.registry

@@ -10,10 +10,9 @@ moves it strictly forward.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .domain import (
     DiscrepancyClass,
@@ -46,6 +45,7 @@ class FixStatus(str, Enum):
 # could not judge fails with "unavailable" or the bug's reason instead.
 FIX_UNAVAILABLE = "fix_unavailable"
 MISSING_PARENT = "missing_parent"
+FIX_FAILURES = (FIX_UNAVAILABLE, MISSING_PARENT)
 
 
 @dataclass
@@ -260,16 +260,11 @@ class Healer:
                 raise InvariantError(f"{key}: absent on both sides yet inconsistent")
             fix = TargetRecord(key, {}, actual.provenance, True)
 
-        if not fix.tombstone:
-            try:
-                missing = self._parents.missing(sources)
-            except StoreUnavailable:
-                return FixOutcome(FixStatus.FAILED, FIX_UNAVAILABLE)
+        try:
+            missing = None if fix.tombstone else self._parents.missing(sources)
             if missing is not None:
                 self.queue.enqueue(missing, Trigger.DUALWRITE, now, fix_source_time(sources))
                 return FixOutcome(FixStatus.FAILED, f"{MISSING_PARENT}: {missing}")
-
-        try:
             result = self.target.put(fix, "repair")
         except StoreUnavailable:
             return FixOutcome(FixStatus.FAILED, FIX_UNAVAILABLE)
@@ -325,7 +320,7 @@ class Latency(NamedTuple):
 
 @dataclass(frozen=True)
 class RepairCounts:
-    """The repair loop's counters, as `repair_counts` folds them from a log."""
+    """The repair loop's counters, as `simulation.fold_log` reads them from a log."""
 
     enqueued: int
     coalesced: int
@@ -348,48 +343,3 @@ class RepairCounts:
         for name in ("in_queue_latency", "pipeline_latency"):
             counters[name] = {**counters[name]._asdict(), "mean": round(counters[name].mean, 3)}
         return counters
-
-
-def repair_counts(rows: Sequence[tuple]) -> RepairCounts:
-    """The repair loop's counters, read from an event log's rows.
-
-    A key's event opens at its `enqueue` row, takes the largest `sut` of its
-    `coalesce` rows, stays open through `retry` rows and closes at its
-    `dequeue` or `dead_letter` row.  Its latencies run from its enqueue tick
-    and from that `sut` to its dequeue tick.  Each queued attempt ends in one
-    `dequeue`, `retry` or `dead_letter` row, and each direct bootstrap load
-    in one `backfill` put.  A check fails on every failed attempt, on every
-    fix, and on every repair put that a fresher record rejected.
-    """
-    kinds = Counter(row.kind for row in rows)
-    puts = Counter((row.cls, row.out) for row in rows if row.kind == "put")
-    events: dict[Key, list[int]] = {}  # [enqueue tick, largest sut] per open event
-    in_queue: list[int] = []
-    pipeline: list[int] = []
-    fixed = fix_failures = 0
-    for row in rows:
-        kind = row.kind
-        if kind == "enqueue":
-            events[row.key] = [row.t, row.sut]
-        elif kind == "coalesce":
-            event = events[row.key]
-            event[1] = max(event[1], row.sut)
-        elif kind == "dequeue":
-            enqueued_at, sut = events.pop(row.key)
-            in_queue.append(row.t - enqueued_at)
-            pipeline.append(row.t - sut)
-            fixed += row.res == "fixed"
-        elif kind == "retry" or kind == "dead_letter":
-            fix_failures += row.reason.partition(":")[0] in (FIX_UNAVAILABLE, MISSING_PARENT)
-            if kind == "dead_letter":
-                del events[row.key]
-    failed = kinds["retry"] + kinds["dead_letter"]
-    backfill = sum(n for (cls, _out), n in puts.items() if cls == "backfill")
-    return RepairCounts(
-        enqueued=kinds["enqueue"], coalesced=kinds["coalesce"], dequeued=kinds["dequeue"],
-        dead_lettered=kinds["dead_letter"], requeued=kinds["requeue"], retries=kinds["retry"],
-        validation_success=kinds["dequeue"] - fixed, fix_success=fixed,
-        validation_failure=failed + fixed + puts["repair", PutResult.STALE_REJECTED.value],
-        fix_failure=fix_failures, attempts_total=backfill + kinds["dequeue"] + failed,
-        in_queue_latency=Latency.of(in_queue), pipeline_latency=Latency.of(pipeline),
-    )

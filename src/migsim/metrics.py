@@ -6,9 +6,11 @@ the event log alone after the fact, and any disagreement is a bug.  In the
 run, samples and the offline sweep read one `ConsistencyTracker`.  The
 tracker maps a rule group again only when something may have changed its
 verdict; a writer that has just left a group consistent says so with
-`note_written`, so the group is not mapped twice.  The report keeps no
-online copy of a figure a log row states: `healing.repair_counts`,
-`BootstrapReport.as_dict` and `ramp.switch_section` fold them from the log.
+`note_written`, so the group is not mapped twice.  The report's repair
+counters and its `bootstrap`, `switch` and `dead_letters` figures come from
+one pass over the log, `simulation.fold_log`.  Its samples stay online: they
+keep full-precision rates and get their window TTC after the run, while a
+`sample` row rounds its rates to 9 places.
 
 Definitions used throughout:
 

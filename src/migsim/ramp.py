@@ -4,7 +4,9 @@ The flip trades a bounded write-unavailability window for consistency: the
 controller only moves the source of truth once nothing is left in flight,
 or aborts without flipping when the drain outlasts its timeout.  A forced
 mode flips with no drain and logs what that costs in lost updates, the
-other side of the same trade.  `switch_section` reads the log back.
+other side of the same trade.  The controller states each step in a `ramp`
+row, and `simulation.fold_log` reads the `switch` section of `report.json`
+back from those rows and the `reject_write` rows.
 """
 
 from __future__ import annotations
@@ -45,37 +47,6 @@ def check_clearance(
     if dead_letter_count > 0:
         reasons.append(f"dead_letters {dead_letter_count} > 0")
     return reasons
-
-
-def switch_section(rows: list[tuple], last: int) -> dict:
-    """`report.json`'s `switch` section, read from a run's `ramp` and
-    `reject_write` rows.  Writes stay frozen from the `write_freeze` row to
-    the flip or abort that ends the ramp, or through the run's `last` tick."""
-    section = dict(
-        outcome="pending", lost_updates=0, post_switch_discrepancies=0, flip_time=None,
-        rejected_writes=0, blocked_reasons=[],
-    )
-    frozen_at, end = None, last + 1
-    for row in rows:
-        if row.kind == "reject_write":
-            section["rejected_writes"] += 1
-        elif row.kind == "ramp":
-            if row.act == "write_freeze":
-                frozen_at = row.t
-            elif row.act == "clearance":
-                section["blocked_reasons"] = list(row.reasons)
-            elif row.act == "abort":
-                end = row.t
-                section["outcome"] = "aborted"
-                if row.why == "freeze_timeout":
-                    section["blocked_reasons"] = ["drain exceeded freeze_timeout"]
-            elif row.act == "flip":
-                end = row.t
-                section.update(
-                    outcome="switched", flip_time=row.t, lost_updates=row.lost,
-                    post_switch_discrepancies=row.discrepancies,
-                )
-    return {**section, "unavailability_window": 0 if frozen_at is None else end - frozen_at}
 
 
 class RampController:

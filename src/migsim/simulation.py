@@ -14,9 +14,10 @@ Equal scenarios produce byte-identical event logs; every random draw comes
 from a named substream of the scenario seed.  The run itself is one
 process.  Once the last tick has logged its rows, the log is frozen, and a
 helper process forked from the run exports and hashes it (`EventLog.digest`)
-while the run folds the report from the log and runs the oracle.  The run
-then waits for the helper and fills the report's `log_digest` before it
-checks expectations and writes the other artifacts.
+while the run reads the report's counters and sections from the log in one
+pass (`fold_log`) and runs the oracle, whose `LogReplay` is the only other
+pass.  The run then waits for the helper and fills the report's
+`log_digest` before it checks expectations and writes the other artifacts.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn
+from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .domain import Key, Schema, TargetRecord
 from .dualwrite import DualWriter
-from .healing import Healer, RepairCounts, SelfHealingQueue, repair_counts
+from .healing import FIX_FAILURES, Healer, Latency, RepairCounts, SelfHealingQueue
 from .metrics import (
+    ROW_KINDS,
     ConsistencyReport,
     ConsistencyTracker,
     EventLog,
@@ -43,7 +45,7 @@ from .metrics import (
     window_ttcs,
 )
 from .oracle import OracleReport, oracle_verify
-from .ramp import RampController, switch_section
+from .ramp import RampController
 from .rng import named_stream
 from .scenario import Scenario, serialize
 from .stores import ChangeStream, Clock, LegacyStore, TargetStore
@@ -366,15 +368,13 @@ def _run(scenario: Scenario, seed: int | None, out_dir: str | Path | None) -> Si
         for sample, ttc in zip(sim.samples, ttcs):
             sample.window_ttc = ttc
 
-        counts = repair_counts(sim.log.rows)
-        report = _assemble_report(sim, counts)
+        fold = fold_log(sim.log.rows, sim.clock.now)
+        report = _assemble_report(sim, fold)
+        sim_oracle = None
         if scn.toggles.run_oracle:
             # The oracle never reads `log_digest`, which is still empty here.
-            oracle_report = oracle_verify(sim.log, scn, report.as_dict())
-            report.oracle = oracle_report.as_dict()
-            sim_oracle = oracle_report
-        else:
-            sim_oracle = None
+            sim_oracle = oracle_verify(sim.log, scn, report.as_dict())
+            report.oracle = sim_oracle.as_dict()
         report.log_digest = log_digest()
     report.expect_failures = _check_expectations(scn, report)
 
@@ -385,7 +385,7 @@ def _run(scenario: Scenario, seed: int | None, out_dir: str | Path | None) -> Si
         legacy=sim.legacy,
         target=sim.target,
         queue=sim.queue,
-        registry=counts,
+        registry=fold.counts,
         settlement=sim.settlement,
         limiter=sim.limiter,
         oracle_report=sim_oracle,
@@ -469,8 +469,99 @@ def _export_and_exit(log: EventLog, path: Path | None, read_fd: int, write_fd: i
         os._exit(status)
 
 
-def _assemble_report(sim: _SimState, counts: RepairCounts) -> RunReport:
-    """Final rates, and the repair `counts` and sections folded from the log.
+class LogFold(NamedTuple):
+    """What `report.json` states of a run's event log, read by `fold_log`."""
+
+    counts: RepairCounts
+    bootstrap: dict  # the bootstrap job's puts, put_failures and events_enqueued
+    switch: dict
+    dead_letters: list  # [key, reason] of each stuck key, in the queue's order
+
+
+def fold_log(rows: Sequence[tuple], last: int) -> LogFold:
+    """The report's log-derived figures, from one pass over a log's `rows`;
+    `last` is the run's last tick.
+
+    A key's repair event opens at its `enqueue` row, takes the largest `sut`
+    of its `coalesce` rows and closes at its `dequeue` or `dead_letter` row;
+    its latencies run from its enqueue tick and from that `sut` to its
+    dequeue tick.  Each queued attempt ends in one `dequeue`, `retry` or
+    `dead_letter` row, and each direct bootstrap load in one `backfill` put.
+    A check fails on every failed attempt, on every fix, and on every repair
+    put that a fresher record rejected.  A `dead_letter` row files its key
+    (in place, if filed already) and a `requeue` row takes it out.  Each
+    ramp act is logged at most once; writes stay frozen from `write_freeze`
+    to the flip or abort that ends the ramp, or through `last`.
+    """
+    events: dict[Key, list[int]] = {}  # [enqueue tick, largest sut] per open event
+    in_queue, pipeline = [], []  # per closed event: ticks from enqueue and from sut
+    dead: dict[Key, str] = {}
+    ramp: dict[str, tuple] = {}  # the `ramp` row per act
+    n = dict.fromkeys(ROW_KINDS, 0)  # rows per kind, left at 0 for commit, verify and put
+    fixed = fix_failures = stale_repairs = puts = put_failures = bootstrap_events = 0
+    for row in rows:
+        kind = row.kind
+        if kind == "put":
+            if row.cls == "backfill":
+                puts += 1
+                put_failures += row.out == "unavailable"
+            elif row.cls == "repair":
+                stale_repairs += row.out == "stale_rejected"
+            continue
+        if kind == "commit" or kind == "verify":
+            continue
+        n[kind] += 1
+        if kind == "enqueue" or kind == "coalesce":
+            bootstrap_events += row.trig == "bootstrap"
+            if kind == "enqueue":
+                events[row.key] = [row.t, row.sut]
+            else:
+                event = events[row.key]
+                event[1] = max(event[1], row.sut)
+        elif kind == "dequeue":
+            enqueued_at, sut = events.pop(row.key)
+            in_queue.append(row.t - enqueued_at)
+            pipeline.append(row.t - sut)
+            fixed += row.res == "fixed"
+        elif kind == "retry" or kind == "dead_letter":
+            fix_failures += row.reason.partition(":")[0] in FIX_FAILURES
+            if kind == "dead_letter":
+                del events[row.key]
+                dead[row.key] = row.reason
+        elif kind == "requeue":
+            del dead[row.key]
+        elif kind == "ramp":
+            ramp[row.act] = row
+    dequeued, failed = n["dequeue"], n["retry"] + n["dead_letter"]
+    counts = RepairCounts(
+        enqueued=n["enqueue"], coalesced=n["coalesce"], dequeued=dequeued,
+        dead_lettered=n["dead_letter"], requeued=n["requeue"], retries=n["retry"],
+        validation_success=dequeued - fixed, fix_success=fixed,
+        validation_failure=failed + fixed + stale_repairs,
+        fix_failure=fix_failures, attempts_total=puts + dequeued + failed,
+        in_queue_latency=Latency.of(in_queue), pipeline_latency=Latency.of(pipeline),
+    )
+    freeze, clearance, abort, flip = map(ramp.get, ("write_freeze", "clearance", "abort", "flip"))
+    end = flip or abort
+    switch = dict(
+        outcome="switched" if flip else "aborted" if abort else "pending",
+        lost_updates=flip.lost if flip else 0,
+        post_switch_discrepancies=flip.discrepancies if flip else 0,
+        flip_time=flip.t if flip else None,
+        rejected_writes=n["reject_write"],
+        blocked_reasons=list(clearance.reasons) if clearance else [],
+        unavailability_window=0 if freeze is None else (end.t if end else last + 1) - freeze.t,
+    )
+    if abort and abort.why == "freeze_timeout":
+        switch["blocked_reasons"] = ["drain exceeded freeze_timeout"]
+    return LogFold(
+        counts, dict(puts=puts, put_failures=put_failures, events_enqueued=bootstrap_events),
+        switch, [[list(key), reason] for key, reason in dead.items()],
+    )
+
+
+def _assemble_report(sim: _SimState, fold: LogFold) -> RunReport:
+    """Final rates, and the sections `fold` read from the log.
 
     `log_digest` is left empty: the export helper computes it while the
     oracle runs, and the runner fills it in once the helper ends."""
@@ -483,20 +574,20 @@ def _assemble_report(sim: _SimState, counts: RepairCounts) -> RunReport:
     )
     final_counts = {cls.value: n for cls, n in sim.ctracker.class_counts().items() if n}
     n_initial = scn.workload.initial_records
+    counts = fold.counts
+    job = sim.bootstrap_job
     return RunReport(
         name=scn.name,
         seed=sim.seed,
         duration=last,
         initial_records=n_initial,
         samples=sim.samples,
-        bootstrap=sim.bootstrap_job.report.as_dict(sim.log.rows) if sim.bootstrap_job else None,
-        switch=switch_section(sim.log.rows, last) if sim.ramp else None,
+        bootstrap={**job.report.as_dict(), **fold.bootstrap} if job else None,
+        switch=fold.switch if sim.ramp else None,
         counters=counts.as_dict(),
         attempts_total=counts.attempts_total,
         attempts_ratio=counts.attempts_total / n_initial if n_initial > 0 else None,
-        dead_letters=[
-            [list(d.event.target_key), d.last_error] for d in sim.queue.dead_letters()
-        ],
+        dead_letters=fold.dead_letters,
         final_overall=final_overall,
         final_settled=final_settled,
         final_counts=final_counts,
@@ -506,31 +597,23 @@ def _assemble_report(sim: _SimState, counts: RepairCounts) -> RunReport:
 def _check_expectations(scn: Scenario, report: RunReport) -> list[str]:
     expect = scn.expect
     failures: list[str] = []
-    if expect.outcome is not None:
-        got = report.switch["outcome"] if report.switch else "none"
-        if got != expect.outcome:
-            failures.append(f"outcome {got!r} != expected {expect.outcome!r}")
-    if expect.max_attempts_ratio is not None and report.attempts_ratio is not None:
-        if report.attempts_ratio > expect.max_attempts_ratio:
-            failures.append(
-                f"attempts ratio {report.attempts_ratio:.4f} > {expect.max_attempts_ratio}"
-            )
-    if expect.min_attempts_ratio is not None and report.attempts_ratio is not None:
-        if report.attempts_ratio < expect.min_attempts_ratio:
-            failures.append(
-                f"attempts ratio {report.attempts_ratio:.4f} < {expect.min_attempts_ratio}"
-            )
-    if expect.final_settled_rate is not None:
-        if report.final_settled < expect.final_settled_rate:
-            failures.append(
-                f"final settled rate {report.final_settled:.6f} < {expect.final_settled_rate}"
-            )
+    switch = report.switch or {}
+    got = switch.get("outcome", "none")
+    if expect.outcome is not None and got != expect.outcome:
+        failures.append(f"outcome {got!r} != expected {expect.outcome!r}")
+    ratio = report.attempts_ratio
+    if ratio is not None:
+        if expect.max_attempts_ratio is not None and ratio > expect.max_attempts_ratio:
+            failures.append(f"attempts ratio {ratio:.4f} > {expect.max_attempts_ratio}")
+        if expect.min_attempts_ratio is not None and ratio < expect.min_attempts_ratio:
+            failures.append(f"attempts ratio {ratio:.4f} < {expect.min_attempts_ratio}")
+    settled, want = report.final_settled, expect.final_settled_rate
+    if want is not None and settled < want:
+        failures.append(f"final settled rate {settled:.6f} < {want}")
     if expect.zero_dead_letters and report.dead_letters:
         failures.append(f"{len(report.dead_letters)} dead letters, expected none")
-    if expect.lost_updates_positive:
-        lost = report.switch["lost_updates"] if report.switch else 0
-        if lost <= 0:
-            failures.append("expected lost updates > 0")
+    if expect.lost_updates_positive and switch.get("lost_updates", 0) <= 0:
+        failures.append("expected lost updates > 0")
     return failures
 
 

@@ -11,8 +11,9 @@ eventual repaired state never depends on which trigger noticed first.
 
 A trigger's outcome is recorded only in the event log (`verify`,
 `enqueue`/`coalesce`, `bootstrap`, `put` and `offline_done` rows);
-`BootstrapReport.as_dict` reads the bootstrap's tallies back from it, and
-the offline sweep returns the two counts its `offline_done` row carries.
+`simulation.fold_log`, the one pass that reads the log for the report,
+counts the bootstrap's puts and queued events from it, and the offline
+sweep returns the two counts its `offline_done` row carries.
 """
 
 from __future__ import annotations
@@ -89,24 +90,12 @@ class BootstrapReport:
     groups_total: int = 0
     groups_processed: int = 0  # the job's cursor
 
-    def as_dict(self, rows: list[tuple]) -> dict:
-        """`report.json`'s `bootstrap` section: this progress, and the job's
-        puts (the `backfill` put rows), the failed ones and the events it
-        queued (the bootstrap trigger's `enqueue` and `coalesce` rows), read
-        from the log's `rows`."""
-        puts = failures = queued = 0
-        for row in rows:
-            if row.kind == "put":
-                if row.cls == "backfill":
-                    puts += 1
-                    failures += row.out == "unavailable"
-            elif row.kind in ("enqueue", "coalesce") and row.trig == Trigger.BOOTSTRAP:
-                queued += 1
+    def as_dict(self) -> dict:
+        """This progress and its duration, the part of `report.json`'s
+        `bootstrap` section that no log row states; `simulation.fold_log`
+        reads the job's puts and queued events from the log."""
         duration = 0 if self.finished_at is None else self.finished_at - self.started_at + 1
-        return {
-            **asdict(self), "duration_ticks": duration, "puts": puts, "put_failures": failures,
-            "events_enqueued": queued,
-        }
+        return {**asdict(self), "duration_ticks": duration}
 
 
 class BootstrapJob:

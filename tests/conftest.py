@@ -22,15 +22,10 @@ from migsim.domain import (
     split_rule,
 )
 from migsim.dualwrite import DualWriter
-from migsim.healing import (
-    Healer,
-    RepairCounts,
-    RetryPolicy,
-    SelfHealingQueue,
-    repair_counts,
-)
+from migsim.healing import Healer, RepairCounts, RetryPolicy, SelfHealingQueue
 from migsim.metrics import ConsistencyTracker, EventLog
 from migsim.rng import named_stream
+from migsim.simulation import fold_log
 from migsim.stores import Clock, FaultProfile, LegacyStore, TargetStore
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -103,7 +98,7 @@ class Pipeline:
     @property
     def counts(self) -> RepairCounts:
         """The repair counters folded from the log so far."""
-        return repair_counts(self.log.rows)
+        return fold_log(self.log.rows, self.clock.now).counts
 
     def commit(self, etype: str, gid: str, value=None, delete: bool = False):
         key = Key(etype, gid)
@@ -114,6 +109,13 @@ class Pipeline:
     def commit_and_replicate(self, etype: str, gid: str, value=None, delete: bool = False):
         event = self.commit(etype, gid, value, delete)
         self.dualwriter.replicate(event, self.clock.now)
+
+
+def bootstrap_section(job, log: EventLog) -> dict:
+    """`report.json`'s `bootstrap` section of `job`: its progress, and its
+    tallies folded from `log`, as the runner assembles it.  The tallies do
+    not depend on the run's last tick, so any tick will do."""
+    return {**job.report.as_dict(), **fold_log(log.rows, 0).bootstrap}
 
 
 def build_pipeline(

@@ -15,9 +15,9 @@ from migsim.healing import (
     RetryPolicy,
     SelfHealingQueue,
     Trigger,
-    repair_counts,
 )
 from migsim.metrics import EventLog
+from migsim.simulation import fold_log
 from migsim.stores import StoreUnavailable
 
 from conftest import build_pipeline
@@ -403,7 +403,7 @@ class TestRepairCounts:
         log = EventLog()
         for t, kind, data in rows:
             log.append(t, kind, Key("project_v2", "1"), **data)
-        assert repair_counts(log.rows) == RepairCounts(**(_NO_COUNTS | want))
+        assert fold_log(log.rows, rows[-1][0]).counts == RepairCounts(**(_NO_COUNTS | want))
 
     def test_latency_of_values_and_its_rounded_summary(self):
         assert Latency.of([1, 1, 2]) == Latency(3, 4 / 3, 2)

@@ -35,7 +35,7 @@ from migsim.verifiers import (
     ShadowReader,
 )
 
-from conftest import build_pipeline, scenario_path
+from conftest import bootstrap_section, build_pipeline, scenario_path
 
 SOURCE = Key("project", "1")
 PART_A, PART_B = Key("part_a", "1"), Key("part_b", "1")
@@ -177,7 +177,7 @@ def test_direct_bootstrap_sends_a_group_that_fails_to_map_to_the_queue():
     queued = sorted((e.target_key, e.trigger) for e in p.queue.pending())
     assert queued == [(PART_A, Trigger.BOOTSTRAP), (PART_B, Trigger.BOOTSTRAP)]
     assert sorted(p.target.records) == [Key("part_a", "2"), Key("part_b", "2")]
-    section = job.report.as_dict(p.log.rows)
+    section = bootstrap_section(job, p.log)
     assert section["events_enqueued"] == 2
     assert section["puts"] == 2
     assert section["put_failures"] == 0

@@ -3,9 +3,9 @@ from __future__ import annotations
 import dataclasses
 
 from migsim.metrics import ConsistencyReport, EventLog
-from migsim.ramp import RampController, check_clearance, switch_section
+from migsim.ramp import RampController, check_clearance
 from migsim.scenario import RampSpec, load_file
-from migsim.simulation import run_scenario
+from migsim.simulation import fold_log, run_scenario
 
 from conftest import scenario_path
 
@@ -96,7 +96,7 @@ def drive(controller: RampController, status: _Status, until: int) -> list[int]:
 def switch(controller: RampController, last: int) -> dict:
     """The switch section folded from the controller's rows; `last` is the
     last tick driven."""
-    return switch_section(controller.log.rows, last)
+    return fold_log(controller.log.rows, last).switch
 
 
 class TestController:

@@ -10,11 +10,11 @@ import pytest
 
 from migsim import simulation
 from migsim.domain import DiscrepancyClass, Key
-from migsim.healing import Trigger
+from migsim.healing import Latency, RepairCounts, SelfHealingQueue, Trigger
 from migsim.metrics import EventLog, consistency_rate
 from migsim.oracle import oracle_verify
 from migsim.scenario import Scenario, load_file
-from migsim.simulation import _SimState, run_scenario
+from migsim.simulation import _SimState, fold_log, run_scenario
 
 from conftest import SCENARIO_DIR, build_pipeline, scenario_path
 
@@ -144,6 +144,73 @@ class TestOracleAgreement:
         failed = [c for c in report.oracle["checks"] if not c["ok"]]
         assert not failed, failed
         assert not report.expect_failures, report.expect_failures
+
+
+class TestFoldLog:
+    def test_one_call_fills_every_section(self):
+        p, c, x = Key("project_v2", "1"), Key("candidate_v2", "1"), Key("project", "9")
+        missing = f"missing_parent: {p}"
+        log = EventLog()
+        for t, kind, key, data in [
+            (0, "put", p, {"cls": "backfill", "out": "unavailable"}),
+            (0, "enqueue", p, {"trig": "bootstrap", "sut": 0}),
+            (1, "coalesce", p, {"trig": "bootstrap", "sut": 1}),
+            (3, "put", p, {"cls": "repair", "out": "stale_rejected"}),
+            (3, "dequeue", p, {"res": "consistent"}),
+            (4, "enqueue", c, {"trig": "nearline", "sut": 4}),
+            (4, "retry", c, {"attempts": 1, "due": 6, "reason": "fix_unavailable"}),
+            (6, "dead_letter", c, {"reason": missing}),
+            (7, "requeue", c, {}),
+            (7, "enqueue", c, {"trig": "nearline", "sut": 4}),
+            (8, "dead_letter", c, {"reason": "unavailable"}),
+            (9, "ramp", None, {"act": "write_freeze"}),
+            (10, "reject_write", x, {}),
+            (11, "ramp", None, {"act": "flip", "mode": "drained", "window": 2, "lost": 3,
+                                "discrepancies": 1}),
+        ]:
+            log.append(t, kind, key, **data)
+        fold = fold_log(log.rows, 11)
+        assert fold.counts == RepairCounts(
+            enqueued=3, coalesced=1, dequeued=1, dead_lettered=2, requeued=1,
+            validation_success=1, validation_failure=4, fix_success=0, fix_failure=2,
+            retries=1, attempts_total=5,
+            in_queue_latency=Latency(1, 3, 3), pipeline_latency=Latency(1, 2, 2),
+        )
+        assert fold.bootstrap == dict(puts=1, put_failures=1, events_enqueued=2)
+        assert fold.switch == dict(
+            outcome="switched", lost_updates=3, post_switch_discrepancies=1, flip_time=11,
+            rejected_writes=1, blocked_reasons=[], unavailability_window=2,
+        )
+        assert fold.dead_letters == [[["candidate_v2", "1"], "unavailable"]]
+
+    def test_a_key_dead_lettered_again_keeps_its_place(self):
+        log = EventLog()
+        queue = SelfHealingQueue(log)
+        a, b = Key("project_v2", "1"), Key("project_v2", "2")
+        for now, (key, reason) in enumerate([(a, "x"), (b, "y"), (a, "z")]):
+            queue.enqueue(key, Trigger.NEARLINE, now, now)
+            (event,) = queue.pop_due(now, 1)
+            queue.dead_letter(event, reason, now)
+        queued = [[list(d.event.target_key), d.last_error] for d in queue.dead_letters()]
+        assert queued == [[["project_v2", "1"], "z"], [["project_v2", "2"], "y"]]
+        assert fold_log(log.rows, 2).dead_letters == queued
+
+    @pytest.mark.parametrize(
+        "requeue_at, dead_letter_rows, stuck",
+        [(None, 40, 40), (200, 80, 40), ("shipped", 40, 0)],
+    )
+    def test_dead_letters_are_the_queues_in_its_order(self, requeue_at, dead_letter_rows, stuck):
+        scenario = load("mapping_bug")
+        if requeue_at != "shipped":
+            bug = dataclasses.replace(scenario.bug, requeue_at=requeue_at)
+            scenario = dataclasses.replace(scenario, bug=bug)
+        result = run_scenario(scenario, seed=1)
+        rows = result.log.rows
+        assert sum(row.kind == "dead_letter" for row in rows) == dead_letter_rows
+        queued = [[list(d.event.target_key), d.last_error] for d in result.queue.dead_letters()]
+        assert len(queued) == stuck
+        assert fold_log(rows, result.report.duration).dead_letters == queued
+        assert result.report.dead_letters == queued
 
 
 class TestRampIntegration:

@@ -17,7 +17,13 @@ from migsim.verifiers import (
     ShadowReader,
 )
 
-from conftest import SCENARIO_DIR, build_pipeline, ignore_note, scenario_path
+from conftest import (
+    SCENARIO_DIR,
+    bootstrap_section,
+    build_pipeline,
+    ignore_note,
+    scenario_path,
+)
 
 BENCH_SCENARIO_DIR = SCENARIO_DIR.parent / "bench" / "scenarios"
 
@@ -79,7 +85,7 @@ class TestBootstrap:
         limiter.begin_tick(0)
         job.step(0, limiter)
         assert job.done
-        section = job.report.as_dict(pipeline.log.rows)
+        section = bootstrap_section(job, pipeline.log)
         assert section["groups_total"] == 0
         assert section["events_enqueued"] == 0
         assert section["duration_ticks"] == 0
@@ -128,7 +134,7 @@ class TestBootstrap:
             limiter.begin_tick(now)
             job.step(now, limiter)
             now += 1
-        assert job.report.as_dict(pipeline.log.rows)["duration_ticks"] == 7  # ceil(1000 / 159)
+        assert bootstrap_section(job, pipeline.log)["duration_ticks"] == 7  # ceil(1000 / 159)
 
     def test_backfill_waits_for_live_traffic(self, pipeline):
         records = [srec("project", str(i), {"n": "p"}) for i in range(10)]
@@ -193,7 +199,7 @@ class TestBootstrap:
         limiter = RateLimiter(100)
         limiter.begin_tick(0)
         job.step(0, limiter)
-        section = job.report.as_dict(p.log.rows)
+        section = bootstrap_section(job, p.log)
         assert (section["puts"], section["put_failures"], section["events_enqueued"]) == (2, 2, 3)
         assert section["groups_processed"] == section["groups_total"] == 3
         assert section["duration_ticks"] == 1
