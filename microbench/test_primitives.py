@@ -13,6 +13,7 @@ log, store or queue does not grow across rounds.
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 from migsim.domain import (
@@ -30,9 +31,10 @@ from migsim.domain import (
 )
 from migsim.healing import SelfHealingQueue, Trigger
 from migsim.metrics import EventLog
+from migsim.oracle import oracle_verify
 from migsim.rng import named_stream
 from migsim.scenario import WorkloadSpec, load_file
-from migsim.simulation import fold_log, run_scenario
+from migsim.simulation import SimResult, fold_log, run_scenario
 from migsim.stores import Clock, FaultProfile, PutResult, TargetStore
 from migsim.workload import WorkloadGenerator
 
@@ -191,9 +193,34 @@ def test_seed_initial_paper_default(benchmark):
     assert len(benchmark(seed)) == scenario.workload.initial_records
 
 
+@functools.cache
+def _paper_default_run() -> SimResult:
+    """The seed-1 `paper_default` run, made once for the benches that read it."""
+    return run_scenario(load_file(PAPER_DEFAULT), seed=1)
+
+
 def test_report_fold_paper_default(benchmark):
     """The one pass that reads `report.json`'s log-derived sections, over the
-    seed-1 `paper_default` log, which is built once."""
-    result = run_scenario(load_file(PAPER_DEFAULT), seed=1)
+    seed-1 `paper_default` log."""
+    result = _paper_default_run()
     fold = benchmark(fold_log, result.log.rows, result.report.duration)
     assert fold.counts == result.registry
+
+
+def test_export_lines_paper_default(benchmark):
+    """Every line of the seed-1 `paper_default` export, built by the row
+    classes' line writers, unhashed and unwritten."""
+    log = _paper_default_run().log
+
+    def build_lines() -> list[str]:
+        return list(log.export_lines())
+
+    assert len(benchmark(build_lines)) == len(log)
+
+
+def test_oracle_verify_paper_default(benchmark):
+    """The oracle over the seed-1 `paper_default` log and report."""
+    result = _paper_default_run()
+    scenario, report = load_file(PAPER_DEFAULT), result.report.as_dict()
+    verdict = benchmark(oracle_verify, result.log, scenario, report)
+    assert verdict.as_dict() == result.oracle_report.as_dict()

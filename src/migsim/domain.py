@@ -68,7 +68,8 @@ class Key(NamedTuple):
 
 # Builds a `Key` from an (etype, id) pair without the Python-level
 # `NamedTuple.__new__`: 0.26 µs against 0.51 µs a key on a 2-vCPU VM under
-# CPython 3.11.  The hot key-level queries below call it.
+# CPython 3.11.  The hot key-level queries and `map_source` below call it
+# for keys and records alike.
 _tuple_new = tuple.__new__
 
 
@@ -210,7 +211,8 @@ def map_source(rule: MappingRule, sources: Mapping[Key, SourceRecord]) -> tuple[
         gid = next(iter(sources)).id
         return tuple([TargetRecord(tk, {}, provenance, True) for tk in rule.target_keys(gid)])
     return tuple(
-        [TargetRecord(tk, value, provenance, False) for tk, value in rule.transform(sources)]
+        [_tuple_new(TargetRecord, (tk, value, provenance, False))
+         for tk, value in rule.transform(sources)]
     )
 
 
@@ -219,7 +221,7 @@ def identity_rule(name: str, source: str, target: str) -> MappingRule:
         (rec,) = [r for r in sources.values() if not r.tombstone]
         if not isinstance(rec.value, Mapping):
             raise TransformError(f"{name}: value of {rec.key} is not a field map")
-        return [(Key(target, rec.key.id), rec.value)]
+        return [(_tuple_new(Key, (target, rec.key.id)), rec.value)]
 
     return MappingRule(name, (source,), (target,), transform)
 
@@ -324,6 +326,17 @@ class Schema:
             )
             for name, et in self.types.items()
         }
+        # Per target type, the parent rows of its rule's input types whose
+        # parent affects some target type, each led by the input type.
+        self._parent_refs: dict[str, tuple[tuple[str, str, tuple[str, ...]], ...]] = {
+            tt: tuple(
+                (st, field_name, ttypes)
+                for st in rule.source_types
+                for field_name, _ptype, ttypes in self._parent_rows[st]
+                if ttypes
+            )
+            for tt, rule in self._rule_by_target.items()
+        }
 
         self.target_order: tuple[str, ...] = _toposort(self._target_parents())
         self._target_rank = {tt: i for i, tt in enumerate(self.target_order)}
@@ -381,6 +394,18 @@ class Schema:
                     for tt in ttypes:
                         out.add(_tuple_new(Key, (tt, ref)))
         return tuple(sorted(out))
+
+    def parent_refs(self, ttype: str) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
+        """Where a group's live outputs of `ttype` find their parents: per
+        input type of the rule that produces it and per parent type of that
+        input, in sorted order, (input type, the record field that references
+        the parent, the target types that parent affects).  A live input
+        record whose field holds `ref` needs each `(tt, ref)`: the keys
+        `parent_target_keys` gives, unsorted and maybe repeated."""
+        try:
+            return self._parent_refs[ttype]
+        except KeyError:
+            raise UnknownTypeError(f"no rule produces target type {ttype!r}") from None
 
     def map_group(
         self, rule: MappingRule, sources: dict[Key, SourceRecord], now: int

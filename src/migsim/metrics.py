@@ -33,7 +33,7 @@ from collections import Counter, namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import count, islice
-from operator import itemgetter
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -55,14 +55,17 @@ from .domain import (
 NOT_SETTLED = None  # sentinel spelled out where a settlement is still open
 
 
-# One encoder for every exported line: compact, sorted keys, ASCII only, and
-# no circular-reference check (see `EventLog`).  `JSONEncoder.encode` builds
-# a new C encoder on every call, so the C encoder it would build is made
-# here once; where the C accelerator is missing, `encode` is the fallback
-# and gives the same bytes.
+# The export's JSON encoder: compact, sorted keys, ASCII only, and no
+# circular-reference check (see `EventLog`).  The line writers below use it
+# for what they do not spell themselves, and `_encode_line` spells a whole
+# entry dict with it, the reference the writers are held to.
+# `JSONEncoder.encode` builds a new C encoder on every call, so the C
+# encoder it would build is made here once; where the C accelerator is
+# missing, `iterencode` stands in for it and gives the same bytes.
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 if json.encoder.c_make_encoder is None:
-    _encode_line = _LINE_ENCODER.encode
+    def _c_encode(value, _level: int) -> Iterable[str]:
+        return _LINE_ENCODER.iterencode(value)
 else:
     _c_encode = json.encoder.c_make_encoder(
         None, _LINE_ENCODER.default, json.encoder.encode_basestring_ascii, None,
@@ -70,8 +73,10 @@ else:
         _LINE_ENCODER.sort_keys, _LINE_ENCODER.skipkeys, _LINE_ENCODER.allow_nan,
     )
 
-    def _encode_line(entry: dict) -> str:
-        return "".join(_c_encode(entry, 0))
+
+def _encode_line(entry: dict) -> str:
+    return "".join(_c_encode(entry, 0))
+
 
 # Lines the export hashes and writes at a time: few enough that the pass
 # holds only a small slice of the export, many enough to amortise the hash
@@ -136,7 +141,8 @@ _DECODE = {
 def _row_class(kind: str, keyed: bool, required: dict, optional: dict) -> type:
     """A kind's row class: a named tuple of "t", "key" if the kind has one,
     the required fields and the optional ones (None when absent), each sorted
-    by name; with the `kind`, `optional` names and field `decoders`."""
+    by name; with the `kind`, `optional` names, field `decoders` and its
+    `line` writer."""
     fields = {"t": int} | ({"key": Key} if keyed else {})
     fields |= dict(sorted(required.items())) | dict(sorted(optional.items()))
     cls = namedtuple(kind, fields, defaults=(None,) * len(optional))
@@ -145,16 +151,75 @@ def _row_class(kind: str, keyed: bool, required: dict, optional: dict) -> type:
     cls.decoders = {
         name: _DECODE.get(tp) or functools.partial(_exact, cls=tp) for name, tp in fields.items()
     }
+    cls.line = _line_writer(cls, fields)
     return cls
+
+
+# How a line writer spells a field of each declared type, as the export
+# encoder would: Python source for the items it joins, over the field's
+# variable `{v}`.  Keys, stamps, ints, bools and strings are spelled out;
+# value maps, provenance rows, string tuples and floats (whose NaN and
+# infinities JSON spells its own way) go through the C encoder.
+_SPELLING = {
+    int: "_int({v})",
+    bool: "_BOOL[{v}]",
+    str: "_esc({v})",
+    Key: "'[', _esc({v}[0]), ',', _esc({v}[1]), ']'",
+    VersionStamp: "'[', _int({v}[0]), ',', _int({v}[1]), ']'",
+    float: "_join(_c_encode({v}, 0))",
+    dict: "_join(_c_encode({v}, 0))",
+    _STRINGS: "_join(_c_encode({v}, 0))",
+    _PROV: "_join(_c_encode(sorted(map(_add, {v}, {v}.values())), 0))",
+}
+_WRITER_GLOBALS = {
+    "_BOOL": ("false", "true"), "_EMPTY": "", "_add": add, "_c_encode": _c_encode,
+    "_esc": json.encoder.encode_basestring_ascii, "_int": int.__repr__, "_join": "".join,
+}
+
+
+def _line_writer(cls: type, fields: dict) -> Callable[[tuple, int], str]:
+    """The row class's line writer: `row.line(seq)` is the row's exported
+    line, the same text as `_encode_line(_as_entry(seq, row))`.
+
+    It is generated once per kind as one join of the fields in sorted name
+    order, with "k" and "seq" in their places, each field's `"name":` label
+    a constant and an optional field left out while it is None.  An
+    optional field that sorts before every field a row always has carries
+    its comma after it, not before."""
+    types = fields | {"k": str, "seq": int}
+    items, opened = ["'{'"], False
+    for name in sorted(types):
+        label = _LINE_ENCODER.encode(name) + ":"
+        if name == "k":
+            value = repr(_LINE_ENCODER.encode(cls.kind))
+        else:
+            value = _SPELLING[types[name]].format(v=name)
+        if name not in cls.optional:
+            items += [repr("," + label if opened else label), value]
+            opened = True
+        elif opened:
+            items.append(f"(_EMPTY if {name} is None else _join(({',' + label!r}, {value})))")
+        else:
+            items.append(f"(_EMPTY if {name} is None else _join(({label!r}, {value}, ',')))")
+    items.append("'}'")
+    source = (
+        f"def line(row, seq):\n"
+        f"    {', '.join(cls._fields)}, = row\n"
+        f"    return _join(({', '.join(items)}))\n"
+    )
+    namespace: dict = {}
+    exec(source, dict(_WRITER_GLOBALS), namespace)
+    return namespace["line"]
 
 
 _ROW_CLASSES = {kind: _row_class(kind, *spec) for kind, spec in ROW_KINDS.items()}
 
 
 def _as_entry(seq: int, row) -> dict:
-    """One row as its exported entry: "seq", "t", "k", "key", the data, and
-    a put's provenance map as its wire rows; absent optional fields are left
-    out."""
+    """One row as its entry dict: "seq", "t", "k", "key", the data, and a
+    put's provenance map as its wire rows; absent optional fields are left
+    out.  `EventLog.entries` decodes with it; the export spells each row
+    with its class's `line` writer instead."""
     entry = dict(zip(row._fields, row), seq=seq, k=row.kind)
     for name in row.optional:
         if entry[name] is None:
@@ -179,10 +244,10 @@ def _missing_conditional(row) -> list[str]:
 class EventLog:
     """Append-only, totally ordered record of everything a run did.
 
-    `ROW_KINDS` declares the format, and `append`, the export and
-    `parse_lines` all read it.  Each entry is one row of its kind's named
-    tuple class: its tick, its key if the kind has one, then the kind's data
-    fields.  So an unknown kind, an undeclared field or a missing required
+    `ROW_KINDS` declares the format, and `append`, the export (each row
+    class's `line` writer) and `parse_lines` all read it.  Each entry is one
+    row of its kind's named tuple class: its tick, its key if the kind has
+    one, then the kind's data fields.  So an unknown kind, an undeclared field or a missing required
     one raises at the `append` that makes it.  An entry's "seq" is its row
     index + 1 and its "k" is its row class's `kind`, so neither is stored.
     The oracle reads `rows` in place; `entries` decodes them for tests and
@@ -201,19 +266,21 @@ class EventLog:
     `Key` under "key", a commit's `VersionStamp` under "ver", record value
     maps under "val", and a put's provenance under "prov" as the stored
     record's own `{Key: VersionStamp}` map.  Keys and stamps are tuples, so
-    they export as the same JSON arrays a copy would; `_as_entry` flattens a
-    provenance map to its wire rows, and this module is the only one that
-    knows that layout.  Value and provenance maps are never mutated after
-    creation, so a shared map exports the bytes it had when it was logged.
+    they export as the same JSON arrays a copy would; a put's `line` writer
+    spells a provenance map as its sorted wire rows, and this module is the
+    only one that knows that layout.  Value and provenance maps are never
+    mutated after creation, so a shared map exports the bytes it had when it
+    was logged.
     The guard is the copy `LegacyStore.commit` makes of the value it is
     given: every value the run maps or logs descends from such a copy, and
     transforms may pass one through but never change it.  Callers pass
     tuples, never lists, so no row holds a mutable sequence.
 
     Exported entries are acyclic by construction: they hold only strings,
-    numbers, tuples, provenance lists and flat value maps.  So the export
-    encoder skips the circular-reference check, which would otherwise keep
-    an identity dict of every container it enters.
+    numbers, tuples, provenance lists and flat value maps.  So the encoder
+    that spells value maps, provenance rows and string tuples skips the
+    circular-reference check, which would otherwise keep an identity dict of
+    every container it enters.
     """
 
     def __init__(self) -> None:
@@ -234,7 +301,7 @@ class EventLog:
         return len(self.rows)
 
     def export_lines(self) -> Iterable[str]:
-        return map(_encode_line, map(_as_entry, count(1), self.rows))
+        return (row.line(seq) for seq, row in enumerate(self.rows, 1))
 
     def digest(self, path: str | Path | None = None) -> str:
         """sha256 of the export; the exported bytes also go to `path` if given.

@@ -25,6 +25,7 @@ from . import domain
 from .domain import (
     DiscrepancyClass,
     Key,
+    MappingRule,
     Schema,
     SourceRecord,
     TargetRecord,
@@ -37,6 +38,9 @@ from .scenario import Scenario
 
 if TYPE_CHECKING:
     from .metrics import EventLog
+
+# Builds a named tuple from its fields without the Python-level `__new__`.
+_tuple_new = tuple.__new__
 
 
 @dataclass
@@ -113,32 +117,39 @@ class LogReplay:
         self.write_freeze: int | None = None
         self.ramp_end: int | None = None
         self.rejected_at: list[int] = []
-        self.attempts = 0
-        qlen = 0
+        commits, puts, source, target = self.commits, self.puts, self.source, self.target
+        check_parents = self._check_parents
+        attempts = qlen = 0
         for row in log.rows:
             kind = row.kind
             if kind == "commit":
-                self.commits.append(row)
-                tomb = row.op == "delete"
-                self.source[row.key] = SourceRecord(
-                    row.key, {} if tomb else row.val, row.ver, tomb
-                )
+                commits.append(row)
+                key = row.key
+                if row.op == "delete":
+                    source[key] = _tuple_new(SourceRecord, (key, {}, row.ver, True))
+                else:
+                    source[key] = _tuple_new(SourceRecord, (key, row.val, row.ver, False))
             elif kind == "put":
-                self.attempts += row.cls == "backfill"
+                attempts += row.cls == "backfill"
                 if row.out == "accepted":
+                    key = row.key
                     if not row.tomb:
-                        self._check_parents(row, schema)
-                    self.target[row.key] = row
-                    self.puts.setdefault(row.key, []).append(row)
+                        check_parents(row, schema)
+                    target[key] = row
+                    have = puts.get(key)
+                    if have is None:
+                        puts[key] = [row]
+                    else:
+                        have.append(row)
             elif kind == "enqueue":
                 qlen += 1
             elif kind == "dequeue" or kind == "dead_letter":
-                self.attempts += 1
+                attempts += 1
                 qlen -= 1
                 if qlen < 0 and self.queue_below_zero is None:
                     self.queue_below_zero = (row.t, qlen)
             elif kind == "retry":
-                self.attempts += 1
+                attempts += 1
             elif kind == "sample":
                 self.queue_lengths.append((row.t, row.qlen, qlen))
             elif kind == "reject_write":
@@ -151,8 +162,28 @@ class LogReplay:
                     self.ramp_end = row.t
                     if act == "flip":
                         self.flip_time = row.t
+        self.attempts = attempts
 
     def _check_parents(self, row, schema: Schema) -> None:
+        """Note the parent target keys of a live put that no earlier put
+        wrote.  Each parent is looked up straight from the input records'
+        references; only a put with one missing is derived again, as
+        `parent_target_keys` orders its parents."""
+        gid = row.key.id
+        source, target = self.source, self.target
+        # A plain (type, id) tuple finds the `Key` equal to it.
+        for stype, field_name, ttypes in schema.parent_refs(row.key.etype):
+            rec = source.get((stype, gid))
+            if rec is None or rec.tombstone:
+                continue
+            ref = rec.value.get(field_name)
+            if ref is not None:
+                for tt in ttypes:
+                    if (tt, ref) not in target:
+                        self._note_missing_parents(row, schema)
+                        return
+
+    def _note_missing_parents(self, row, schema: Schema) -> None:
         tkey = row.key
         source = self.source
         inputs = {
@@ -245,6 +276,25 @@ def window_ttc_bruteforce(
     return window_ttc_per_tick(*settlement_prefix(pairs), t0, t1)
 
 
+def _final_groups(
+    schema: Schema, source: Mapping[Key, SourceRecord]
+) -> Iterable[tuple[MappingRule, str, dict[Key, SourceRecord]]]:
+    """Each (rule, group id, present sources) group of the final source
+    state once: a group of a one-input rule straight from its one record,
+    any other through `read_group` once all its ids are known."""
+    several: dict[MappingRule, set[str]] = {}
+    for skey, rec in source.items():
+        for rule in schema.rules_for_source(skey.etype):
+            if len(rule.source_types) == 1:
+                yield rule, skey.id, {skey: rec}
+            else:
+                several.setdefault(rule, set()).add(skey.id)
+    read = source.get
+    for rule, gids in several.items():
+        for gid in gids:
+            yield rule, gid, read_group(rule, gid, read)
+
+
 def final_diff(
     schema: Schema,
     source: Mapping[Key, SourceRecord],
@@ -260,37 +310,33 @@ def final_diff(
     breaks at its last tick, so it counts every target key of that group
     corrupt, as `consistency_rate` does; its other groups it classifies as
     here.  Groups are walked in no particular order: the counts do not
-    depend on it.
+    depend on it.  A put row is judged as the record it wrote, by
+    `compare_records`.  Each expected key is its own target key, so the
+    extras are the live target rows less those under an expected key.
     """
-    gids: dict[str, set[str]] = {rule.name: set() for rule in schema.rules}
-    for skey in source:
-        for rule in schema.rules_for_source(skey.etype):
-            gids[rule.name].add(skey.id)
     counts: dict[str, int] = {}
     run_counts: dict[str, int] = {}
     corrupt = DiscrepancyClass.CORRUPT.value
-    expected_keys: set[Key] = set()
-    read = source.get
+    live_expected = 0
     fault = schema.fault
-    for rule in schema.rules:
-        for gid in gids[rule.name]:
-            sources = read_group(rule, gid, read)
-            broken = fault is not None and fault.broken_source(rule.name, sources, last) is not None
-            if broken:
-                run_counts[corrupt] = run_counts.get(corrupt, 0) + len(rule.target_keys(gid))
-            # Through the module, so that bench/tracing.py, which wraps
-            # `domain.map_source`, counts these calls too.
-            for exp in domain.map_source(rule, sources):
-                expected_keys.add(exp.key)
-                row = target.get(exp.key)
-                actual = None if row is None else TargetRecord(
-                    row.key, row.val, row.prov, row.tomb
-                )
-                verdict = compare_records(exp, actual).value
-                counts[verdict] = counts.get(verdict, 0) + 1
-                if not broken:
-                    run_counts[verdict] = run_counts.get(verdict, 0) + 1
-    extras = sum(1 for tkey in target.keys() - expected_keys if not target[tkey].tomb)
+    for rule, gid, sources in _final_groups(schema, source):
+        broken = fault is not None and fault.broken_source(rule.name, sources, last) is not None
+        if broken:
+            run_counts[corrupt] = run_counts.get(corrupt, 0) + len(rule.target_keys(gid))
+        # Through the module, so that bench/tracing.py, which wraps
+        # `domain.map_source`, counts these calls too.
+        for exp in domain.map_source(rule, sources):
+            row = target.get(exp.key)
+            if row is None:
+                actual = None
+            else:
+                actual = _tuple_new(TargetRecord, (row.key, row.val, row.prov, row.tomb))
+                live_expected += not row.tomb
+            verdict = compare_records(exp, actual).value
+            counts[verdict] = counts.get(verdict, 0) + 1
+            if not broken:
+                run_counts[verdict] = run_counts.get(verdict, 0) + 1
+    extras = sum(1 for row in target.values() if not row.tomb) - live_expected
     return counts, extras, run_counts
 
 

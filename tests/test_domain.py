@@ -423,6 +423,27 @@ def test_key_maps_match_definitions(case, gid):
 
 
 @given(schema_and_group())
+def test_parent_refs_reach_the_parent_target_keys(case):
+    schema, rule, sources = case
+    gid = next(iter(sources)).id if sources else "1"
+    for ttype in rule.target_types:
+        direct = set()
+        for stype, field_name, ttypes in schema.parent_refs(ttype):
+            rec = sources.get(Key(stype, gid))
+            if rec is not None and not rec.tombstone and field_name in rec.value:
+                direct.update(Key(tt, rec.value[field_name]) for tt in ttypes)
+        assert tuple(sorted(direct)) == schema.parent_target_keys(sources)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_parent_refs_of_a_type_no_rule_produces_raise(name):
+    schema = SCHEMAS[name]
+    for etype in [*schema.types, "not_a_type"]:
+        with pytest.raises(UnknownTypeError):
+            schema.parent_refs(etype)
+
+
+@given(schema_and_group())
 def test_map_source_provenance_is_the_consumed_stamps(case):
     schema, rule, sources = case
     out = map_source(rule, sources)

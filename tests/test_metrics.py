@@ -19,9 +19,13 @@ from migsim.domain import (
 )
 from migsim.healing import Trigger
 from migsim.metrics import (
+    ROW_KINDS,
     ConsistencyTracker,
     EventLog,
     SettlementTracker,
+    _as_entry,
+    _encode_line,
+    _row_class,
     consistency_rate,
     loop_gauges,
     time_to_converge,
@@ -29,11 +33,12 @@ from migsim.metrics import (
 )
 
 from migsim.oracle import window_ttc_bruteforce
-from migsim.scenario import BugSpec
+from migsim.scenario import BugSpec, load_file
+from migsim.simulation import run_scenario
 from migsim.stores import PutResult, StoreUnavailable
 from migsim.verifiers import BootstrapJob, RateLimiter
 
-from conftest import build_figure3_schema, build_pipeline, build_split_schema
+from conftest import SCENARIO_DIR, build_figure3_schema, build_pipeline, build_split_schema
 
 
 def affected(skey: Key) -> tuple[Key, ...]:
@@ -651,3 +656,112 @@ class TestEventLog:
         data = path.read_bytes()
         assert digest == log.digest() == hashlib.sha256(data).hexdigest()
         assert data.decode("utf-8").splitlines() == list(log.export_lines())
+
+
+# Strings that JSON must escape or spell in ASCII: quotes, backslashes,
+# control characters, non-ASCII up to the astral planes, and a lone
+# surrogate.
+TRICKY = ['a"b', "back\\slash", "\x00\x1f\x7f\n\t", "caf\u00e9", "\u4e2d\u2028",
+          "\U0001f600", "\ud800", ""]
+_texts = st.one_of(st.sampled_from(TRICKY), st.text(max_size=6))
+_ints = st.integers(-(2**70), 2**70)
+# A value of each declared field type; floats as the run rounds its rates.
+VALUES = {
+    int: _ints,
+    bool: st.booleans(),
+    str: _texts,
+    float: st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1).map(lambda x: round(x, 9))),
+    Key: st.builds(Key, _texts, _texts),
+    VersionStamp: st.builds(VersionStamp, _ints, _ints),
+    dict: st.dictionaries(_texts, _texts, max_size=4),
+    dict[Key, VersionStamp]: st.dictionaries(
+        st.builds(Key, _texts, _texts), st.builds(VersionStamp, _ints, _ints), max_size=4
+    ),
+    tuple[str, ...]: st.lists(_texts, max_size=3).map(tuple),
+}
+# One fixed value of each type, for the rows built by hand.
+SAMPLE = {
+    int: 7, bool: True, str: TRICKY[0], float: round(2 / 3, 9), Key: Key(TRICKY[1], TRICKY[5]),
+    VersionStamp: VersionStamp(3, 12), dict: {TRICKY[2]: TRICKY[3], "b": TRICKY[4]},
+    dict[Key, VersionStamp]: {
+        Key("p", TRICKY[3]): VersionStamp(2, 1), Key("a", "1"): VersionStamp(0, 3)
+    },
+    tuple[str, ...]: (TRICKY[0], TRICKY[6]),
+}
+
+
+def one_row(t: int, kind: str, key, data: dict):
+    log = EventLog()
+    log.append(t, kind, key, **data)
+    return log.rows[0]
+
+
+@st.composite
+def rows_of(draw, kind: str):
+    """A row of `kind`: every required field, each optional one or not."""
+    keyed, required, optional = ROW_KINDS[kind]
+    data = {name: draw(VALUES[tp]) for name, tp in required.items()}
+    data |= {name: draw(VALUES[tp]) for name, tp in optional.items() if draw(st.booleans())}
+    return one_row(draw(_ints), kind, draw(VALUES[Key]) if keyed else None, data)
+
+
+def hand_built_rows():
+    """Per kind: its rows with no optional field, with every one, and with
+    each one alone; then the rows a run's special cases log."""
+    rows = []
+    for kind, (keyed, required, optional) in ROW_KINDS.items():
+        base = {name: SAMPLE[tp] for name, tp in required.items()}
+        subsets = [(), tuple(optional), *((name,) for name in optional)]
+        for names in subsets:
+            data = base | {name: SAMPLE[optional[name]] for name in names}
+            rows.append(one_row(5, kind, SAMPLE[Key] if keyed else None, data))
+    key, prov = Key("p_v2", TRICKY[3]), SAMPLE[dict[Key, VersionStamp]]
+    rows += [
+        one_row(0, "put", key, dict(cls="repair", out="accepted", prov=prov, tomb=True, val={})),
+        one_row(0, "put", key, dict(cls="dual", out="unavailable")),
+        one_row(0, "commit", Key("p", "1"), dict(cseq=4, op="delete", ver=VersionStamp(2, 9))),
+        one_row(0, "ramp", None, dict(act="clearance", cleared=False, reasons=("a", TRICKY[0]))),
+        one_row(0, "sample", None, dict(age=0, bound=1, overall=1.0, phase="p", qlen=0, settled=0.0)),
+    ]
+    return rows
+
+
+class TestLineWriters:
+    """Each row class's `line` writer spells its row exactly as the encoder
+    spells the row's entry dict."""
+
+    @pytest.mark.parametrize("row", hand_built_rows(), ids=lambda row: row.kind)
+    def test_hand_built_rows(self, row):
+        for seq in (1, 10**12):
+            assert row.line(seq) == _encode_line(_as_entry(seq, row))
+
+    def test_every_kind_and_optional_field_is_covered(self):
+        rows = hand_built_rows()
+        assert {row.kind for row in rows} == set(ROW_KINDS)
+        for row in rows:
+            for name in row.optional:
+                assert any(r.kind == row.kind and getattr(r, name) is None for r in rows)
+                assert any(r.kind == row.kind and getattr(r, name) is not None for r in rows)
+
+    def test_an_optional_field_that_sorts_before_every_other(self):
+        # No declared kind has one yet; such a field carries its comma after it.
+        cls = _row_class("probe", False, {"z": int}, {"a": str, "m": bool})
+        for a, m in [(None, None), ("x", None), (None, False), ("x", True)]:
+            row = cls(3, 4, a, m)
+            assert row.line(9) == _encode_line(_as_entry(9, row))
+
+    @pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+    @given(data=st.data())
+    def test_generated_rows(self, kind, data):
+        row = data.draw(rows_of(kind))
+        seq = data.draw(st.integers(1, 2**40))
+        assert row.line(seq) == _encode_line(_as_entry(seq, row))
+
+    def test_the_seed_1_paper_default_export(self):
+        path = SCENARIO_DIR.parent / "bench" / "scenarios" / "paper_default.json"
+        log = run_scenario(load_file(path), seed=1).log
+        want = [_encode_line(_as_entry(seq, row)) for seq, row in enumerate(log.rows, 1)]
+        got = list(log.export_lines())
+        assert len(got) == len(want) == len(log.rows)
+        for seq, (line, expected) in enumerate(zip(got, want), 1):
+            assert line == expected, seq

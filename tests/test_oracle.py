@@ -1,8 +1,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
-from migsim.domain import Key, SourceRecord, TargetRecord, VersionStamp
+from migsim.domain import (
+    EntityType,
+    Key,
+    Schema,
+    SourceRecord,
+    TargetRecord,
+    VersionStamp,
+    identity_rule,
+    merge_rule,
+)
 from migsim.metrics import EventLog, time_to_converge
 from migsim.oracle import (
     LogReplay,
@@ -14,7 +24,7 @@ from migsim.oracle import (
 from migsim.scenario import load_file
 from migsim.simulation import run_scenario
 
-from conftest import build_figure3_schema, scenario_path
+from conftest import build_figure3_schema, build_split_schema, scenario_path
 
 
 def commit_entry(t, etype, gid, counter, op="write", val=None):
@@ -38,6 +48,42 @@ def put_entry(t, etype, gid, prov, tomb=False, val=None, cls="dual", out="accept
             val=({} if tomb else (val or {"n": "x"})),
         )
     return t, "put", Key(etype, gid), data
+
+
+def violations_by_derivation(log, schema):
+    """The ordering violations as the replay once derived them for every
+    live accepted put: the sorted parent target keys of its present inputs,
+    as committed by then, that no earlier accepted put wrote."""
+    source, written, out = {}, set(), []
+    for row in log.rows:
+        if row.kind == "commit":
+            tomb = row.op == "delete"
+            source[row.key] = SourceRecord(row.key, {} if tomb else row.val, row.ver, tomb)
+        elif row.kind == "put" and row.out == "accepted":
+            if not row.tomb:
+                rule = schema.rule_for_target(row.key.etype)
+                inputs = {k: source[k] for k in rule.input_keys(row.key.id) if k in source}
+                out += [
+                    {"t": row.t, "child": list(row.key), "missing_parent": list(pkey)}
+                    for pkey in schema.parent_target_keys(inputs)
+                    if pkey not in written
+                ]
+            written.add(row.key)
+    return out
+
+
+# A merge whose two inputs may both name the same parent.
+MERGE_SCHEMA = Schema(
+    [
+        EntityType("account"),
+        EntityType("profile", frozenset({"account"})),
+        EntityType("settings", frozenset({"account", "profile"})),
+    ],
+    [
+        identity_rule("account_rule", "account", "account_v2"),
+        merge_rule("user_rule", ("profile", "settings"), "user_v2"),
+    ],
+)
 
 
 def build_log(entries):
@@ -96,6 +142,52 @@ class TestHandBuiltCases:
         assert len(violations) == 1
         assert violations[0]["missing_parent"] == ["project_v2", "1"]
 
+    @pytest.mark.parametrize(
+        "written, missing",
+        [
+            ((), ["project_v2", "stage_v2"]),
+            (("project_v2",), ["stage_v2"]),
+            (("stage_v2",), ["project_v2"]),
+            (("project_v2", "stage_v2"), []),
+        ],
+    )
+    def test_ordering_violations_name_missing_parents_in_sorted_order(self, written, missing):
+        schema = build_figure3_schema()
+        refs = {"n": "c", "parent_stage": "1", "parent_project": "1"}
+        entries = [
+            commit_entry(0, "project", "1", 1),
+            commit_entry(0, "stage", "1", 1),  # no parent reference of its own
+            commit_entry(0, "candidate", "1", 1, val=refs),
+            *(put_entry(1, tt, "1", [[tt.removesuffix("_v2"), "1", 1, 0]]) for tt in written),
+            put_entry(2, "candidate_v2", "1", [["candidate", "1", 1, 0]], val=refs),
+        ]
+        log = build_log(entries)
+        violations = LogReplay(log, schema).ordering_violations
+        assert violations == [
+            {"t": 2, "child": ["candidate_v2", "1"], "missing_parent": [tt, "1"]}
+            for tt in missing
+        ]
+        assert violations == violations_by_derivation(log, schema)
+
+    def test_parents_that_several_inputs_name_are_sorted_and_named_once(self):
+        entries = [
+            commit_entry(0, "profile", "1", 1, val={"n": "p", "parent_account": "2"}),
+            commit_entry(
+                0, "settings", "1", 1,
+                val={"n": "s", "parent_account": "1", "parent_profile": "1"},
+            ),
+            commit_entry(0, "settings", "2", 1, val={"n": "s", "parent_account": "2"}),
+            put_entry(1, "user_v2", "1", [["profile", "1", 1, 0], ["settings", "1", 1, 0]]),
+            put_entry(2, "user_v2", "2", [["settings", "2", 1, 0]]),
+        ]
+        log = build_log(entries)
+        violations = LogReplay(log, MERGE_SCHEMA).ordering_violations
+        assert [(v["t"], v["missing_parent"]) for v in violations] == [
+            (1, ["account_v2", "1"]), (1, ["account_v2", "2"]), (1, ["user_v2", "1"]),
+            (2, ["account_v2", "2"]),
+        ]
+        assert violations == violations_by_derivation(log, MERGE_SCHEMA)
+
     def test_tombstone_write_is_not_an_ordering_violation(self):
         schema = build_figure3_schema()
         entries = [
@@ -133,6 +225,34 @@ class TestHandBuiltCases:
         assert counts == run_counts == {"consistent": 1}
         assert extras == 2
 
+    def test_extras_are_live_target_rows_under_no_expected_key(self):
+        schema = build_figure3_schema()
+        entries = [
+            commit_entry(0, "project", "1", 1),
+            put_entry(1, "project_v2", "1", [["project", "1", 1, 0]]),
+            # A deleted stage whose delete never reached the target: a
+            # resurrection, not an extra.
+            commit_entry(0, "stage", "1", 1),
+            put_entry(1, "stage_v2", "1", [["stage", "1", 1, 0]]),
+            commit_entry(2, "stage", "1", 2, op="delete"),
+            # A deleted stage that the target deleted too.
+            commit_entry(0, "stage", "2", 1, op="delete"),
+            put_entry(1, "stage_v2", "2", [["stage", "2", 1, 0]], tomb=True),
+        ]
+
+        def diff(*extra):
+            replay = LogReplay(build_log([*entries, *extra]), schema)
+            return final_diff(schema, replay.source, replay.target, 2)
+
+        counts, extras, run_counts = diff()
+        assert counts == run_counts == {"consistent": 2, "resurrection": 1}
+        assert extras == 0
+        live_only = put_entry(1, "project_v2", "7", [["project", "7", 1, 0]])
+        deleted_only = put_entry(1, "project_v2", "8", [["project", "8", 1, 0]], tomb=True)
+        assert diff(live_only) == (counts, 1, run_counts)
+        assert diff(deleted_only) == (counts, 0, run_counts)
+        assert diff(live_only, deleted_only) == (counts, 1, run_counts)
+
     def test_queue_replay_detects_mismatched_sample(self):
         entries = [
             (0, "enqueue", Key("project_v2", "1"), {"trig": "nearline", "sut": 0}),
@@ -164,6 +284,35 @@ class TestHandBuiltCases:
         check = checks["queue length matches log replay"]
         assert not check.ok
         assert check.detail == "0 mismatches, replayed length -1 at t=0"
+
+
+SCHEMAS = [build_figure3_schema(), build_split_schema(), MERGE_SCHEMA]
+_gids = st.sampled_from(["1", "2"])
+
+
+@st.composite
+def logs_with_parents(draw):
+    """A schema and a log of commits, with random parent references and
+    deletes, and of live and deleted puts, in random order."""
+    schema = draw(st.sampled_from(SCHEMAS))
+    entries = []
+    for t in range(draw(st.integers(1, 16))):
+        if draw(st.booleans()):
+            etype = draw(st.sampled_from(sorted(schema.types)))
+            parents = sorted(schema.types[etype].parents)
+            val = {"n": "x"} | {f"parent_{p}": draw(_gids) for p in parents if draw(st.booleans())}
+            op = draw(st.sampled_from(["write", "write", "delete"]))
+            entries.append(commit_entry(t, etype, draw(_gids), t + 1, op=op, val=val))
+        else:
+            ttype = draw(st.sampled_from(schema.target_order))
+            entries.append(put_entry(t, ttype, draw(_gids), [], tomb=draw(st.booleans())))
+    return schema, build_log(entries)
+
+
+@given(logs_with_parents())
+def test_ordering_violations_equal_the_derivation(case):
+    schema, log = case
+    assert LogReplay(log, schema).ordering_violations == violations_by_derivation(log, schema)
 
 
 class TestAgainstRuns:

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from migsim import simulation
+from migsim import metrics, simulation
 from migsim.domain import DiscrepancyClass, Key
 from migsim.healing import Latency, RepairCounts, SelfHealingQueue, Trigger
 from migsim.metrics import EventLog, consistency_rate
@@ -452,6 +452,17 @@ class TestCompactLog:
         result = run_scenario(load("small"), out_dir=tmp_path / "run")
         assert result.oracle_report is not None and result.oracle_report.ok
         assert (tmp_path / "run" / "eventlog.jsonl").exists()
+
+    def test_the_export_builds_no_entry_dicts(self, monkeypatch, tmp_path):
+        def build_entry(_seq, _row):
+            raise AssertionError("the export built an entry dict")
+
+        # Patched before the helper forks, so the helper sees it too.
+        monkeypatch.setattr(metrics, "_as_entry", build_entry)
+        result = run_scenario(load("small"), out_dir=tmp_path / "run")
+        data = (tmp_path / "run" / "eventlog.jsonl").read_bytes()
+        assert result.report.log_digest == hashlib.sha256(data).hexdigest()
+        assert len(data.splitlines()) == len(result.log.rows)
 
     @pytest.mark.parametrize("name", ["small", "ramp_pair_drained", "reshape"])
     def test_rows_are_tuples_that_hold_no_list(self, name):
