@@ -455,6 +455,25 @@ class Schema:
             verdicts[tkey] = compare_records(expected.get(tkey), actual)
         return expected, verdicts, bug
 
+    def judge_source(
+        self, skey: Key, read: SourceRead, get: TargetRead, now: int
+    ) -> list[tuple[Key, str]]:
+        """The live triggers' verdict on a source key: `check_group` on each
+        of its groups, read with `read`, and each target key found not
+        consistent, with the group's bug, "unavailable" when the key's read
+        failed (it cannot be confirmed), or else the key's class."""
+        bad: list[tuple[Key, str]] = []
+        gid = skey.id
+        for rule in self.rules_for_source(skey.etype):
+            _expected, verdicts, bug = self.check_group(
+                rule, read_group(rule, gid, read), get, rule.target_keys(gid), now
+            )
+            for tkey, verdict in verdicts.items():
+                if verdict is not DiscrepancyClass.CONSISTENT:
+                    reason = bug or ("unavailable" if verdict is None else verdict.value)
+                    bad.append((tkey, reason))
+        return bad
+
 
 def read_group(rule: MappingRule, gid: str, read: SourceRead) -> dict[Key, SourceRecord]:
     """The present source records of one rule group, in input-key order."""

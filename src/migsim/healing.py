@@ -35,25 +35,16 @@ class Trigger(str, Enum):
     BOOTSTRAP = "bootstrap"
 
 
-class FixStatus(str, Enum):
-    ALREADY_CONSISTENT = "already_consistent"
-    FIXED = "fixed"
-    FAILED = "failed"
-
-
+# A validate-and-fix outcome is the word its log row carries: one of the two
+# successes, a `dequeue` row's `res`, or else the failure's reason, a `retry`
+# or `dead_letter` row's `reason`.
+FIXED = "fixed"
+CONSISTENT = "consistent"
 # Why a fix failed after its check found the key inconsistent.  A check that
 # could not judge fails with "unavailable" or the bug's reason instead.
 FIX_UNAVAILABLE = "fix_unavailable"
 MISSING_PARENT = "missing_parent"
 FIX_FAILURES = (FIX_UNAVAILABLE, MISSING_PARENT)
-
-
-@dataclass
-class FixOutcome:
-    """A validate-and-fix result; a failure's `reason` goes into its log row."""
-
-    status: FixStatus
-    reason: str = ""
 
 
 @dataclass
@@ -84,12 +75,6 @@ class RetryPolicy:
 
 
 @dataclass
-class DeadLetter:
-    event: ValidationEvent
-    last_error: str
-
-
-@dataclass
 class ProcessReport:
     """How many events one `Healer.process` call took off the queue; each
     one's outcome is its `dequeue`, `retry` or `dead_letter` row."""
@@ -105,7 +90,7 @@ class SelfHealingQueue:
         self._by_key: dict[Key, ValidationEvent] = {}
         self._heap: list[tuple[int, int, Key]] = []
         self._seq = 0
-        self._dead: dict[Key, DeadLetter] = {}
+        self._dead: dict[Key, ValidationEvent] = {}
         self._in_flight: dict[Key, ValidationEvent] = {}
 
     def __len__(self) -> int:
@@ -159,22 +144,22 @@ class SelfHealingQueue:
         self._by_key[event.target_key] = event
         heapq.heappush(self._heap, (due, event.seq, event.target_key))
 
-    def dead_letter(self, event: ValidationEvent, error: str, now: int) -> None:
-        # Re-surfacing the same key replaces the earlier entry, so the list
-        # names each stuck key exactly once.
+    def dead_letter(self, event: ValidationEvent, reason: str, now: int) -> None:
+        """Give up on `event`; its `dead_letter` row states the reason.
+        Re-surfacing the same key replaces the earlier entry, so the list
+        names each stuck key exactly once."""
         self._in_flight.pop(event.target_key, None)
-        self._dead[event.target_key] = DeadLetter(event, error)
-        self.log.append(now, "dead_letter", event.target_key, reason=error)
+        self._dead[event.target_key] = event
+        self.log.append(now, "dead_letter", event.target_key, reason=reason)
 
-    def dead_letters(self) -> list[DeadLetter]:
+    def dead_letters(self) -> list[ValidationEvent]:
         return list(self._dead.values())
 
     def requeue_dead_letters(self, now: int) -> int:
         """Operator action after a bug fix: feed every dead letter back in."""
         letters = list(self._dead.values())
         self._dead.clear()
-        for letter in letters:
-            event = letter.event
+        for event in letters:
             self.log.append(now, "requeue", event.target_key)
             self.enqueue(event.target_key, event.trigger, now, event.source_update_time)
         return len(letters)
@@ -232,8 +217,9 @@ class Healer:
         self.policy = policy
         self._parents = ParentGate(schema, target)
 
-    def validate_and_fix(self, key: Key, now: int | None = None) -> FixOutcome:
-        """Reconcile one target key against the latest source state.
+    def validate_and_fix(self, key: Key, now: int | None = None) -> str:
+        """Reconcile one target key against the latest source state; the
+        outcome is FIXED, CONSISTENT or the reason the attempt failed.
 
         Never leaves the target older than it was: the only write path is
         the freshness-guarded conditional put, and a rejection there means
@@ -247,9 +233,9 @@ class Healer:
         )
         verdict = verdicts[key]
         if bug or verdict is None:
-            return FixOutcome(FixStatus.FAILED, bug or "unavailable")
+            return bug or "unavailable"
         if verdict is DiscrepancyClass.CONSISTENT:
-            return FixOutcome(FixStatus.ALREADY_CONSISTENT)
+            return CONSISTENT
 
         fix = expected.get(key)
         if fix is None:
@@ -264,37 +250,36 @@ class Healer:
             missing = None if fix.tombstone else self._parents.missing(sources)
             if missing is not None:
                 self.queue.enqueue(missing, Trigger.DUALWRITE, now, fix_source_time(sources))
-                return FixOutcome(FixStatus.FAILED, f"{MISSING_PARENT}: {missing}")
+                return f"{MISSING_PARENT}: {missing}"
             result = self.target.put(fix, "repair")
         except StoreUnavailable:
-            return FixOutcome(FixStatus.FAILED, FIX_UNAVAILABLE)
+            return FIX_UNAVAILABLE
         if not fix.tombstone:
             self._parents.note(key)
         if result is PutResult.STALE_REJECTED:
             # Freshness race resolved in the target's favor.
-            return FixOutcome(FixStatus.ALREADY_CONSISTENT)
-        return FixOutcome(FixStatus.FIXED)
+            return CONSISTENT
+        return FIXED
 
     def process(self, now: int) -> ProcessReport:
         """Drain due events up to the rate limit; retry or dead-letter failures."""
         events = self.queue.pop_due(now, self.policy.rate_limit)
         for event in events:
             outcome = self.validate_and_fix(event.target_key, now)
-            if outcome.status is FixStatus.FAILED:
-                event.attempts += 1
-                if event.attempts >= self.policy.max_attempts:
-                    self.queue.dead_letter(event, outcome.reason, now)
-                else:
-                    due = now + self.policy.backoff(event.attempts)
-                    self.queue.reschedule(event, due)
-                    self.log.append(
-                        now, "retry", event.target_key,
-                        attempts=event.attempts, due=due, reason=outcome.reason,
-                    )
+            if outcome in (FIXED, CONSISTENT):
+                self.queue.finish(event)
+                self.log.append(now, "dequeue", event.target_key, res=outcome)
                 continue
-            self.queue.finish(event)
-            res = "fixed" if outcome.status is FixStatus.FIXED else "consistent"
-            self.log.append(now, "dequeue", event.target_key, res=res)
+            event.attempts += 1
+            if event.attempts >= self.policy.max_attempts:
+                self.queue.dead_letter(event, outcome, now)
+            else:
+                due = now + self.policy.backoff(event.attempts)
+                self.queue.reschedule(event, due)
+                self.log.append(
+                    now, "retry", event.target_key,
+                    attempts=event.attempts, due=due, reason=outcome,
+                )
         return ProcessReport(len(events))
 
 

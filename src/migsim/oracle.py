@@ -165,12 +165,11 @@ class LogReplay:
         self.attempts = attempts
 
     def _check_parents(self, row, schema: Schema) -> None:
-        """Note the parent target keys of a live put that no earlier put
-        wrote.  Each parent is looked up straight from the input records'
-        references; only a put with one missing is derived again, as
-        `parent_target_keys` orders its parents."""
+        """Note each parent target key of a live put that no earlier put
+        wrote, once and in sorted order, from the input records' references."""
         gid = row.key.id
         source, target = self.source, self.target
+        missing = []
         # A plain (type, id) tuple finds the `Key` equal to it.
         for stype, field_name, ttypes in schema.parent_refs(row.key.etype):
             rec = source.get((stype, gid))
@@ -180,21 +179,11 @@ class LogReplay:
             if ref is not None:
                 for tt in ttypes:
                     if (tt, ref) not in target:
-                        self._note_missing_parents(row, schema)
-                        return
-
-    def _note_missing_parents(self, row, schema: Schema) -> None:
-        tkey = row.key
-        source = self.source
-        inputs = {
-            k: rec
-            for k in schema.rule_for_target(tkey.etype).input_keys(tkey.id)
-            if (rec := source.get(k)) is not None
-        }
-        for pkey in schema.parent_target_keys(inputs):
-            if pkey not in self.target:
+                        missing.append((tt, ref))
+        if missing:  # rare: most puts skip the set and the sort
+            for pkey in sorted(set(missing)):
                 self.ordering_violations.append(
-                    {"t": row.t, "child": list(tkey), "missing_parent": list(pkey)}
+                    {"t": row.t, "child": list(row.key), "missing_parent": list(pkey)}
                 )
 
 

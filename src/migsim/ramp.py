@@ -76,8 +76,8 @@ class RampController:
         the step that flips.
 
         The protocol `sim` meets: fresh_report() -> ConsistencyReport,
-        dead_letter_count() -> int, drained() -> bool, unsettled_count() ->
-        int, flip_measurements(now) -> (lost, discrepancies).
+        dead_letter_count() -> int, drained() -> bool (and every update
+        settled), flip_measurements(now) -> (lost, discrepancies).
         """
         spec = self.spec
         if self.finished:
@@ -109,7 +109,7 @@ class RampController:
         if not self.writes_frozen:
             self.writes_frozen = True
             self.log.append(now, "ramp", act="write_freeze")
-        if sim.drained() and sim.unsettled_count() == 0:
+        if sim.drained():
             self._flip(now, sim)
             return True
         if now - spec.time >= spec.freeze_timeout:

@@ -32,7 +32,7 @@ from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .domain import Key, Schema, TargetRecord
 from .dualwrite import DualWriter
-from .healing import FIX_FAILURES, Healer, Latency, RepairCounts, SelfHealingQueue
+from .healing import FIX_FAILURES, FIXED, Healer, Latency, RepairCounts, SelfHealingQueue
 from .metrics import (
     ROW_KINDS,
     ConsistencyReport,
@@ -204,15 +204,14 @@ class _SimState:
         return len(self.queue.dead_letters())
 
     def drained(self) -> bool:
+        """Nothing is in flight and every source update has settled."""
         return (
             len(self.queue) == 0
             and self.dualwriter.pending_count() == 0
             and self.stream.pending_count() == 0
             and self.nearline.pending_count() == 0
+            and self.settlement.unsettled_count() == 0
         )
-
-    def unsettled_count(self) -> int:
-        return self.settlement.unsettled_count()
 
     def flip_measurements(self, now: int) -> tuple[int, int]:
         """At the flip: unsettled source updates and the residual exact diff."""
@@ -522,7 +521,7 @@ def fold_log(rows: Sequence[tuple], last: int) -> LogFold:
             enqueued_at, sut = events.pop(row.key)
             in_queue.append(row.t - enqueued_at)
             pipeline.append(row.t - sut)
-            fixed += row.res == "fixed"
+            fixed += row.res == FIXED
         elif kind == "retry" or kind == "dead_letter":
             fix_failures += row.reason.partition(":")[0] in FIX_FAILURES
             if kind == "dead_letter":
@@ -566,12 +565,10 @@ def _assemble_report(sim: _SimState, fold: LogFold) -> RunReport:
     `log_digest` is left empty: the export helper computes it while the
     oracle runs, and the runner fills it in once the helper ends."""
     scn = sim.scenario
-    # The tracker stands in for a full scan: the last sample refreshed it at
-    # the run's last tick (the flip or `duration`) under this same bound.
+    # The tracker stands in for a full scan: the last sample read it at the
+    # run's last tick (the flip or `duration`), and nothing ran since.
     last = sim.clock.now
-    final_overall, final_settled, _expected, _bad = sim.ctracker.rates(
-        last, sim._staleness_bound(last)
-    )
+    final = sim.samples[-1]
     final_counts = {cls.value: n for cls, n in sim.ctracker.class_counts().items() if n}
     n_initial = scn.workload.initial_records
     counts = fold.counts
@@ -588,8 +585,8 @@ def _assemble_report(sim: _SimState, fold: LogFold) -> RunReport:
         attempts_total=counts.attempts_total,
         attempts_ratio=counts.attempts_total / n_initial if n_initial > 0 else None,
         dead_letters=fold.dead_letters,
-        final_overall=final_overall,
-        final_settled=final_settled,
+        final_overall=final.overall_rate,
+        final_settled=final.settled_rate,
         final_counts=final_counts,
     )
 

@@ -3,11 +3,13 @@
 Bootstrap replays a snapshot at a controlled rate; nearline checks every
 change-stream delivery; shadow reads piggyback on live reads; offline bulk
 verification sweeps every settled rule group and catches whatever the
-online paths missed.  Each judges a group with `Schema.check_group`, which
-also decides what a group that fails to map means (bootstrap maps only; the
-offline sweep reads the verdicts `ConsistencyTracker` keeps), and acts on
-the outcome.  All four feed the same validate-and-fix primitive, so the
-eventual repaired state never depends on which trigger noticed first.
+online paths missed.  Nearline and shadow reads judge a source key with
+`Schema.judge_source`, which runs `Schema.check_group` on each of its
+groups; `check_group` also decides what a group that fails to map means
+(bootstrap maps only; the offline sweep reads the verdicts
+`ConsistencyTracker` keeps).  Each trigger acts on the outcome.  All four
+feed the same validate-and-fix primitive, so the eventual repaired state
+never depends on which trigger noticed first.
 
 A trigger's outcome is recorded only in the event log (`verify`,
 `enqueue`/`coalesce`, `bootstrap`, `put` and `offline_done` rows);
@@ -23,7 +25,6 @@ from dataclasses import asdict, dataclass
 
 from .domain import (
     BOOTSTRAP_COUNTER,
-    DiscrepancyClass,
     Key,
     Schema,
     SourceRecord,
@@ -255,26 +256,17 @@ class NearlineVerifier:
         return len(self._due)
 
     def verify(self, event: ChangeEvent, now: int) -> None:
-        """Compare every affected target key against freshly mapped sources;
-        log a verify row and enqueue every key not found consistent."""
+        """Judge every affected target key against freshly mapped sources
+        (`Schema.judge_source`); log a verify row and enqueue every key not
+        found consistent."""
         skey = event.key
-        commit_time = event.new_version.commit_time
-        bad: list[Key] = []
-        for rule in self.schema.rules_for_source(skey.etype):
-            sources = read_group(rule, skey.id, self.legacy.read)
-            _expected, verdicts, _bug = self.schema.check_group(
-                rule, sources, self.target.get, rule.target_keys(skey.id), now
-            )
-            for tkey, verdict in verdicts.items():
-                # A key whose read failed is bad too: it cannot be confirmed,
-                # so the queue looks at it.
-                if verdict is not DiscrepancyClass.CONSISTENT:
-                    bad.append(tkey)
+        bad = self.schema.judge_source(skey, self.legacy.read, self.target.get, now)
         if not bad:
             self.log.append(now, "verify", skey, src="nearline", res="ok")
             return
         self.log.append(now, "verify", skey, src="nearline", res="enqueued", n=len(bad))
-        for tkey in sorted(set(bad)):
+        commit_time = event.new_version.commit_time
+        for tkey in sorted({tkey for tkey, _ in bad}):
             self.queue.enqueue(tkey, Trigger.NEARLINE, now, commit_time)
 
 
@@ -307,21 +299,12 @@ class ShadowReader:
 
     def on_read(self, skey: Key, observed: SourceRecord, now: int) -> None:
         """Compare the mapped view of an observed read against the target; a
-        mismatch logs a verify row naming its reasons and, at most once per
-        alarm interval and key, enqueues the bad keys."""
-        bad: list[tuple[Key, str]] = []
-        for rule in self.schema.rules_for_source(skey.etype):
-            def read(k: Key, _observed=observed) -> SourceRecord | None:
-                return _observed if k == _observed.key else self.legacy.read(k)
+        mismatch (`Schema.judge_source`) logs a verify row naming its reasons
+        and, at most once per alarm interval and key, enqueues the bad keys."""
+        def read(k: Key) -> SourceRecord | None:
+            return observed if k == observed.key else self.legacy.read(k)
 
-            _expected, verdicts, bug = self.schema.check_group(
-                rule, read_group(rule, skey.id, read), self.target.get,
-                rule.target_keys(skey.id), now,
-            )
-            for tkey, verdict in verdicts.items():
-                if verdict is not DiscrepancyClass.CONSISTENT:
-                    reason = bug or ("unavailable" if verdict is None else verdict.value)
-                    bad.append((tkey, reason))
+        bad = self.schema.judge_source(skey, read, self.target.get, now)
         if not bad:
             return
         detail = ",".join(sorted({reason for _, reason in bad}))

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from migsim.domain import Key, TargetRecord, VersionStamp
-from migsim.healing import FixStatus
+from migsim.healing import CONSISTENT, FIXED
 from migsim.metrics import time_to_converge
 from migsim.oracle import LogReplay, OracleReport, settlement_times, window_ttc_bruteforce
 from migsim.scenario import load_file
@@ -187,10 +187,10 @@ def test_c05_idempotency_property():
         state_once = dict(p.target.records)
         second = p.healer.validate_and_fix(tkey)
         assert p.target.records == state_once, f"case {cases}: state diverged"
-        if first.status in (FixStatus.FIXED, FixStatus.ALREADY_CONSISTENT):
-            assert second.status is FixStatus.ALREADY_CONSISTENT, f"case {cases}"
+        if first in (FIXED, CONSISTENT):
+            assert second == CONSISTENT, f"case {cases}"
         else:
-            assert second.status is FixStatus.FAILED, f"case {cases}"
+            assert second not in (FIXED, CONSISTENT), f"case {cases}"
         cases += 1
     _announce("ACCEPT-05 idempotency", "1000 cases, zero failures")
 

@@ -7,16 +7,21 @@ re-pins the digests here and says why.  `scenarios/default.json` (100k
 records) is left out to keep the test fast.
 
 The same runs pin the bootstrap section's puts, failed puts and queued
-events of the benchmark inputs, which the report folds from the log.
+events of the benchmark inputs, which the report folds from the log, and
+check the words the repair loop logs for each attempt.  Each input runs
+once for all the tests here.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
 
+from migsim.domain import DiscrepancyClass, compare_records, map_source, read_group
+from migsim.healing import CONSISTENT, FIXED
 from migsim.metrics import EventLog
 from migsim.scenario import load_file
 from migsim.simulation import run_scenario
@@ -98,11 +103,23 @@ def test_every_fast_shipped_input_is_pinned():
     assert names - {"scenarios/default.json"} == set(GOLDEN)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_artifacts_match_pinned_digests(name, tmp_path):
-    result = run_scenario(load_file(ROOT / name), seed=1, out_dir=tmp_path)
+# Every reason a failed validate-and-fix attempt logs: the check could not
+# read, the fix could not write, a parent target record is missing, or the
+# group does not map.
+FAILURE_REASON = re.compile(r"unavailable|fix_unavailable|missing_parent: \w+#\w+|mapping_bug: .+")
+
+
+@pytest.fixture(scope="module", params=sorted(GOLDEN))
+def golden(request, tmp_path_factory):
+    """(input, result, artifact directory) of one pinned input's seed-1 run."""
+    out = tmp_path_factory.mktemp("golden")
+    return request.param, run_scenario(load_file(ROOT / request.param), seed=1, out_dir=out), out
+
+
+def test_artifacts_match_pinned_digests(golden):
+    name, result, out = golden
     log = result.log
-    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ARTIFACTS)
+    got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ARTIFACTS)
     assert dict(zip(ARTIFACTS, got)) == dict(zip(ARTIFACTS, GOLDEN[name]))
     if name in BOOTSTRAP_TALLIES:
         section = result.report.bootstrap
@@ -112,3 +129,45 @@ def test_artifacts_match_pinned_digests(name, tmp_path):
     # kind and variant of row the run logs round-trips through the format.
     parsed = EventLog.parse_lines(log.export_lines())
     assert [(type(r), r) for r in parsed.rows] == [(type(r), r) for r in log.rows]
+
+
+def test_each_attempt_logs_its_outcome_word(golden):
+    """A `dequeue` row's `res` is one of the two success words, and a `retry`
+    or `dead_letter` row's `reason` is a failure reason, never a success
+    word."""
+    _name, result, _out = golden
+    for word in (FIXED, CONSISTENT):
+        assert not FAILURE_REASON.fullmatch(word)
+    words = set()
+    for row in result.log.rows:
+        if row.kind == "dequeue":
+            assert row.res in (FIXED, CONSISTENT), row
+            words.add(row.res)
+        elif row.kind == "retry" or row.kind == "dead_letter":
+            assert FAILURE_REASON.fullmatch(row.reason), row
+            assert row.reason not in (FIXED, CONSISTENT), row
+            words.add(row.reason.partition(":")[0])
+    # Every input repairs something, and some attempt of each fails.
+    assert FIXED in words and words - {FIXED, CONSISTENT}
+
+
+@pytest.mark.parametrize("golden", ["scenarios/ramp_pair_forced.json"], indirect=True)
+def test_forced_flip_fails_only_on_resurrections_still_in_the_queue(golden):
+    """The forced ramp's pinned `oracle: FAIL`: "no final resurrections" is
+    the one failing check, and each resurrected key still waits in the
+    queue at the flip, which ends the run.  A forced flip ends with a live
+    queue by design, so this states the check's excess over the promise;
+    mending the check flips this test on purpose."""
+    _name, result, _out = golden
+    failing = [(c.name, c.detail) for c in result.oracle_report.checks if not c.ok]
+    assert failing == [("no final resurrections", "resurrections=2")]
+    schema, legacy = result.schema, result.legacy
+    resurrected = []
+    for key, actual in result.target.records.items():
+        rule = schema.rule_for_target(key.etype)
+        outputs = {r.key: r for r in map_source(rule, read_group(rule, key.id, legacy.read))}
+        if compare_records(outputs.get(key), actual) is DiscrepancyClass.RESURRECTION:
+            resurrected.append(str(key))
+    assert sorted(resurrected) == ["candidate_v2#672", "candidate_v2#832"]
+    pending = {str(event.target_key) for event in result.queue.pending()}
+    assert set(resurrected) <= pending

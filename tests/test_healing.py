@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from migsim.domain import Key, TargetRecord, VersionStamp
 from migsim.healing import (
-    FixOutcome,
-    FixStatus,
+    CONSISTENT,
+    FIXED,
     Latency,
     RepairCounts,
     RetryPolicy,
@@ -61,14 +61,14 @@ class TestValidateAndFix:
         pipeline.commit_and_replicate("project", "1", {"n": "x"})
         writes_before = puts()
         outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
-        assert outcome.status is FixStatus.ALREADY_CONSISTENT
+        assert outcome == CONSISTENT
         # one read, zero writes
         assert puts() == writes_before
 
     def test_missing_record_fixed(self, pipeline):
         pipeline.commit("project", "1", {"n": "x"})
         outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
-        assert outcome.status is FixStatus.FIXED
+        assert outcome == FIXED
         stored = pipeline.target.peek(Key("project_v2", "1"))
         assert stored.value == {"n": "x"}
 
@@ -76,7 +76,7 @@ class TestValidateAndFix:
         pipeline.commit_and_replicate("project", "1", {"n": "x"})
         pipeline.commit("project", "1", delete=True)  # delete never replicated
         outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
-        assert outcome.status is FixStatus.FIXED
+        assert outcome == FIXED
         assert pipeline.target.peek(Key("project_v2", "1")).tombstone
 
     def test_unexpected_extra_buried_in_place(self, pipeline):
@@ -85,7 +85,7 @@ class TestValidateAndFix:
         )
         pipeline.target.put_if_fresher(orphan)
         outcome = pipeline.healer.validate_and_fix(Key("project_v2", "9"))
-        assert outcome.status is FixStatus.FIXED
+        assert outcome == FIXED
         stored = pipeline.target.peek(Key("project_v2", "9"))
         assert stored.tombstone and stored.provenance == orphan.provenance
 
@@ -94,7 +94,7 @@ class TestValidateAndFix:
         p.commit("project", "1", {"n": "x"})
         outcome = p.healer.validate_and_fix(Key("project_v2", "1"))
         # The check's own read failed: it could not judge the key.
-        assert outcome == FixOutcome(FixStatus.FAILED, "unavailable")
+        assert outcome == "unavailable"
         assert p.target.records == {}
 
     def test_failed_put_is_a_fix_stage_failure(self, pipeline, monkeypatch):
@@ -105,14 +105,13 @@ class TestValidateAndFix:
 
         monkeypatch.setattr(pipeline.target, "put_if_fresher", unavailable)
         outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
-        assert outcome == FixOutcome(FixStatus.FAILED, "fix_unavailable")
+        assert outcome == "fix_unavailable"
 
     def test_missing_parent_enqueues_parent_and_fails(self, pipeline):
         pipeline.commit("project", "1", {"n": "p"})
         pipeline.commit("stage", "1", {"n": "s", "parent_project": "1"})
         outcome = pipeline.healer.validate_and_fix(Key("stage_v2", "1"))
-        assert outcome.status is FixStatus.FAILED
-        assert "missing_parent" in outcome.reason
+        assert outcome == "missing_parent: project_v2#1"
         queued = {e.target_key for e in pipeline.queue.pending()}
         assert queued == {Key("project_v2", "1")}
 
@@ -125,7 +124,7 @@ class TestValidateAndFix:
         )
         pipeline.target.put_if_fresher(fresher)
         outcome = pipeline.healer.validate_and_fix(key)
-        assert outcome.status is FixStatus.ALREADY_CONSISTENT
+        assert outcome == CONSISTENT
         assert pipeline.target.peek(key) == fresher
 
 
@@ -135,8 +134,8 @@ class TestIdempotency:
         first = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
         state_once = dict(pipeline.target.records)
         second = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
-        assert first.status is FixStatus.FIXED
-        assert second.status is FixStatus.ALREADY_CONSISTENT
+        assert first == FIXED
+        assert second == CONSISTENT
         assert pipeline.target.records == state_once
 
     def test_randomized_states_idempotent(self):
@@ -176,8 +175,8 @@ class TestIdempotency:
             state_once = dict(p.target.records)
             second = p.healer.validate_and_fix(key)
             assert p.target.records == state_once, f"case {case}"
-            if first.status in (FixStatus.FIXED, FixStatus.ALREADY_CONSISTENT):
-                assert second.status is FixStatus.ALREADY_CONSISTENT, f"case {case}"
+            if first in (FIXED, CONSISTENT):
+                assert second == CONSISTENT, f"case {case}"
 
     def test_provenance_never_regresses(self, pipeline):
         key = Key("project_v2", "1")
@@ -240,9 +239,8 @@ class TestProcess:
             now += 1
         # Exactly max_attempts failing rounds before the event surfaces.
         assert rounds == 10
-        letters = p.queue.dead_letters()
-        assert [d.event.target_key for d in letters] == [Key("project_v2", "1")]
-        assert letters[0].last_error == "unavailable"
+        assert [e.target_key for e in p.queue.dead_letters()] == [Key("project_v2", "1")]
+        assert [row.reason for row in p.log.rows if row.kind == "dead_letter"] == ["unavailable"]
 
     def test_dead_letters_never_auto_cleared_and_requeue_drains(self):
         policy = RetryPolicy(max_attempts=2, backoff_base=1, backoff_cap=2)
@@ -331,7 +329,7 @@ class TestRepairCounts:
 
         def tallied(key, now=None):
             outcome = validate_and_fix(key, now)
-            outcomes[outcome.status, outcome.reason.partition(":")[0]] += 1
+            outcomes[outcome.partition(":")[0]] += 1
             return outcome
 
         p.healer.validate_and_fix = tallied
@@ -341,17 +339,14 @@ class TestRepairCounts:
         for now in range(0, 40):
             p.clock.now = now
             p.healer.process(now)
-        failed = FixStatus.FAILED
         # Not vacuous: both stages failed at least once.
-        assert outcomes[failed, "unavailable"] and outcomes[failed, "fix_unavailable"]
+        assert outcomes["unavailable"] and outcomes["fix_unavailable"]
         c = p.counts
         assert c.attempts_total == sum(outcomes.values())
-        assert c.fix_success == outcomes[FixStatus.FIXED, ""]
-        assert c.validation_success == outcomes[FixStatus.ALREADY_CONSISTENT, ""]
-        assert c.fix_failure == (
-            outcomes[failed, "fix_unavailable"] + outcomes[failed, "missing_parent"]
-        )
-        failures = sum(n for (status, _), n in outcomes.items() if status is failed)
+        assert c.fix_success == outcomes[FIXED]
+        assert c.validation_success == outcomes[CONSISTENT]
+        assert c.fix_failure == outcomes["fix_unavailable"] + outcomes["missing_parent"]
+        failures = sum(n for word, n in outcomes.items() if word not in (FIXED, CONSISTENT))
         assert c.retries + c.dead_lettered == failures
         assert c.as_dict()["queue_length"] == len(p.queue)
         assert c.dequeued + c.dead_lettered <= c.enqueued

@@ -22,7 +22,7 @@ from migsim.domain import (
     Schema,
     TransformError,
 )
-from migsim.healing import FixOutcome, FixStatus, RetryPolicy, Trigger
+from migsim.healing import RetryPolicy, Trigger
 from migsim.metrics import ConsistencyTracker, consistency_rate
 from migsim.oracle import oracle_verify
 from migsim.scenario import load_file
@@ -124,7 +124,7 @@ CASES = {
     "healer": (
         _healer,
         (
-            FixOutcome(FixStatus.FAILED, REASON),
+            REASON,
             {"processed": 1},
         ),
         {"enqueued": 1, "dead_lettered": 1, "validation_failure": 1, "attempts_total": 1},

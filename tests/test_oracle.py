@@ -315,6 +315,48 @@ def test_ordering_violations_equal_the_derivation(case):
     assert LogReplay(log, schema).ordering_violations == violations_by_derivation(log, schema)
 
 
+_STATES = ("live", "tombstoned", "absent")
+_PARENT_GIDS = ("1", "2", "3")
+
+
+@st.composite
+def logs_of_parent_states(draw):
+    """A figure-3 or split schema and a log in which every source and target
+    key of three groups is live, tombstoned or absent, each live source
+    naming random parents; its commits and puts come in random order."""
+    schema = draw(st.sampled_from(SCHEMAS[:2]))
+    events = []
+    for etype in sorted(schema.types):
+        parents = sorted(schema.types[etype].parents)
+        for gid in _PARENT_GIDS:
+            state = draw(st.sampled_from(_STATES))
+            if state == "live":
+                refs = {f"parent_{p}": draw(st.sampled_from(_PARENT_GIDS)) for p in parents}
+                events.append(("commit", etype, gid, "write", {"n": "x"} | refs))
+            elif state == "tombstoned":
+                events.append(("commit", etype, gid, "delete", None))
+    for ttype in schema.target_order:
+        for gid in _PARENT_GIDS:
+            state = draw(st.sampled_from(_STATES))
+            if state != "absent":
+                events.append(("put", ttype, gid, state == "tombstoned", None))
+    entries = []
+    for t, (kind, etype, gid, how, val) in enumerate(draw(st.permutations(events))):
+        if kind == "commit":
+            entries.append(commit_entry(t, etype, gid, t + 1, op=how, val=val))
+        else:
+            entries.append(put_entry(t, etype, gid, [], tomb=how))
+    return schema, build_log(entries)
+
+
+@given(logs_of_parent_states())
+def test_ordering_violations_equal_the_parent_target_keys_reference(case):
+    """`parent_target_keys` is the reference for the replay's parent check:
+    the same entries, in the same order, whatever state each parent is in."""
+    schema, log = case
+    assert LogReplay(log, schema).ordering_violations == violations_by_derivation(log, schema)
+
+
 class TestAgainstRuns:
     def test_forced_flip_lost_updates_recounted(self):
         result = run_scenario(load_file(scenario_path("ramp_pair_forced")))

@@ -57,10 +57,9 @@ class TestClearance:
 class _Status:
     """Scriptable stand-in for the run state the controller polls."""
 
-    def __init__(self, drained_at=None, cleared=True, unsettled=0, lost=0, disc=0):
+    def __init__(self, drained_at=None, cleared=True, lost=0, disc=0):
         self.drained_at = drained_at
         self.cleared = cleared
-        self.unsettled = unsettled
         self.lost = lost
         self.disc = disc
         self.now = 0
@@ -72,10 +71,8 @@ class _Status:
         return 0
 
     def drained(self):
+        """Nothing in flight and every update settled, from `drained_at` on."""
         return self.drained_at is not None and self.now >= self.drained_at
-
-    def unsettled_count(self):
-        return self.unsettled if not self.drained() else 0
 
     def flip_measurements(self, now):
         return (self.lost, self.disc)

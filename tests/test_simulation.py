@@ -146,6 +146,13 @@ class TestOracleAgreement:
         assert not report.expect_failures, report.expect_failures
 
 
+def queued_dead_letters(queue: SelfHealingQueue, rows) -> list:
+    """The queue's dead letters in its order, each [key, reason] with the
+    reason of the key's last `dead_letter` row."""
+    reasons = {row.key: row.reason for row in rows if row.kind == "dead_letter"}
+    return [[list(e.target_key), reasons[e.target_key]] for e in queue.dead_letters()]
+
+
 class TestFoldLog:
     def test_one_call_fills_every_section(self):
         p, c, x = Key("project_v2", "1"), Key("candidate_v2", "1"), Key("project", "9")
@@ -191,7 +198,7 @@ class TestFoldLog:
             queue.enqueue(key, Trigger.NEARLINE, now, now)
             (event,) = queue.pop_due(now, 1)
             queue.dead_letter(event, reason, now)
-        queued = [[list(d.event.target_key), d.last_error] for d in queue.dead_letters()]
+        queued = queued_dead_letters(queue, log.rows)
         assert queued == [[["project_v2", "1"], "z"], [["project_v2", "2"], "y"]]
         assert fold_log(log.rows, 2).dead_letters == queued
 
@@ -207,7 +214,7 @@ class TestFoldLog:
         result = run_scenario(scenario, seed=1)
         rows = result.log.rows
         assert sum(row.kind == "dead_letter" for row in rows) == dead_letter_rows
-        queued = [[list(d.event.target_key), d.last_error] for d in result.queue.dead_letters()]
+        queued = queued_dead_letters(result.queue, rows)
         assert len(queued) == stuck
         assert fold_log(rows, result.report.duration).dead_letters == queued
         assert result.report.dead_letters == queued
