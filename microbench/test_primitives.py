@@ -90,12 +90,12 @@ def test_eventlog_digest(benchmark):
 
 
 def test_put_if_fresher_batch(benchmark):
-    store = TargetStore(Clock(0), FaultProfile(), named_stream(1, "target_ops"))
+    store = TargetStore(Clock(0), FaultProfile(), named_stream(1, "target_ops"), EventLog())
     records = [_put_record(i) for i in range(BATCH)]
 
     def put_batch() -> int:
         store.records = {}
-        store.event_log = EventLog()
+        store.log = EventLog()
         accepted = 0
         for rec in records:
             accepted += store.put_if_fresher(rec) is PutResult.ACCEPTED
@@ -172,7 +172,7 @@ def test_type_pick_batch(benchmark):
 def test_check_available_batch(benchmark):
     """BATCH availability draws of the target store, one per store operation."""
     fault = FaultProfile(availability_p=0.9, outage_windows=((100, 200),))
-    store = TargetStore(Clock(0), fault, named_stream(1, "target_ops"))
+    store = TargetStore(Clock(0), fault, named_stream(1, "target_ops"), EventLog())
 
     def check_batch() -> int:
         return sum(store._check_available() for _ in range(BATCH))

@@ -261,11 +261,11 @@ def merge_rule(name: str, sources: Iterable[str], target: str) -> MappingRule:
 
 
 class Schema:
-    """Registered entity types and rules with frozen topological orders.
+    """Registered entity types and rules with a frozen topological order.
 
-    `source_order` lists the source types and `target_order` the target
-    types, every parent before any of its children.  Construction validates
-    the schema and raises CycleError, UnknownTypeError or SchemaError.
+    `source_order` lists the source types, every parent before any of its
+    children.  Construction validates the schema and raises CycleError,
+    UnknownTypeError or SchemaError.
     `fault` is the run's injected mapping bug, if any; `map_group` and so
     `check_group` consult it.
     """
@@ -293,6 +293,8 @@ class Schema:
         )
 
         self.rules: tuple[MappingRule, ...] = tuple(rules)
+        if len({rule.name for rule in self.rules}) != len(self.rules):
+            raise SchemaError("rule names must be unique")  # they tag rule groups
         rules_by_source: dict[str, list[MappingRule]] = {}
         self._rule_by_target: dict[str, MappingRule] = {}
         for rule in self.rules:
@@ -316,43 +318,27 @@ class Schema:
             st: tuple(sorted({tt for rule in rules for tt in rule.target_types}))
             for st, rules in rules_by_source.items()
         }
-        # Per source type, one row per parent type in sorted order: the
-        # record field that references the parent, the parent type, and the
-        # target types that parent affects.
-        self._parent_rows: dict[str, tuple[tuple[str, str, tuple[str, ...]], ...]] = {
+        # Per source type, one row per parent type that affects some target
+        # type, in sorted order: the record field that references the parent
+        # and the target types that parent affects.
+        self._parent_rows: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {
             name: tuple(
-                (PARENT_REF_PREFIX + ptype, ptype, self._affected_types.get(ptype, ()))
+                (PARENT_REF_PREFIX + ptype, self._affected_types[ptype])
                 for ptype in sorted(et.parents)
+                if self._affected_types.get(ptype)
             )
             for name, et in self.types.items()
         }
-        # Per target type, the parent rows of its rule's input types whose
-        # parent affects some target type, each led by the input type.
+        # Per target type, the parent rows of its rule's input types, each
+        # led by the input type.
         self._parent_refs: dict[str, tuple[tuple[str, str, tuple[str, ...]], ...]] = {
             tt: tuple(
                 (st, field_name, ttypes)
                 for st in rule.source_types
-                for field_name, _ptype, ttypes in self._parent_rows[st]
-                if ttypes
+                for field_name, ttypes in self._parent_rows[st]
             )
             for tt, rule in self._rule_by_target.items()
         }
-
-        self.target_order: tuple[str, ...] = _toposort(self._target_parents())
-        self._target_rank = {tt: i for i, tt in enumerate(self.target_order)}
-
-    def _target_parents(self) -> dict[str, set[str]]:
-        """Dependency relation induced on target types via the rules."""
-        parents: dict[str, set[str]] = {tt: set() for tt in self._rule_by_target}
-        for tt, rule in self._rule_by_target.items():
-            for st in rule.source_types:
-                for parent_source in self.types[st].parents:
-                    for prule in self._rules_by_source.get(parent_source, ()):
-                        parents[tt].update(t for t in prule.target_types if t != tt)
-        return parents
-
-    def target_rank(self, ttype: str) -> int:
-        return self._target_rank[ttype]
 
     def rules_for_source(self, etype: str) -> tuple[MappingRule, ...]:
         return self._rules_by_source.get(etype, ())
@@ -370,16 +356,6 @@ class Schema:
             [_tuple_new(Key, (tt, gid)) for tt in self._affected_types.get(skey.etype, ())]
         )
 
-    def parent_source_keys(self, record: SourceRecord) -> tuple[Key, ...]:
-        """Parent instances referenced by a record via its parent_* fields."""
-        value = record.value
-        keys = []
-        for field_name, ptype, _ttypes in self._parent_rows[record.key.etype]:
-            ref = value.get(field_name)
-            if ref is not None:
-                keys.append(_tuple_new(Key, (ptype, ref)))
-        return tuple(keys)
-
     def parent_target_keys(self, sources: Mapping[Key, SourceRecord]) -> tuple[Key, ...]:
         """Target records that must exist before this group's live outputs,
         sorted: callers read them in this order."""
@@ -388,7 +364,7 @@ class Schema:
             if rec.tombstone:
                 continue
             value = rec.value
-            for field_name, _ptype, ttypes in self._parent_rows[rec.key.etype]:
+            for field_name, ttypes in self._parent_rows[rec.key.etype]:
                 ref = value.get(field_name)
                 if ref is not None:
                     for tt in ttypes:

@@ -62,7 +62,7 @@ class DualWriter:
         return len(self._pending)
 
     def replicate(self, change: ChangeEvent, now: int) -> None:
-        """Map the latest source state and write outputs parents-first.
+        """Map the latest source state and write outputs in transform order.
 
         The first unavailable write or absent parent aborts the rest; every
         target key not yet written gets a validation event, and the queue
@@ -77,9 +77,9 @@ class DualWriter:
             if bug:
                 failed.extend(rule.target_keys(skey.id))
                 continue
-            outputs = sorted(
-                expected.values(), key=lambda r: self.schema.target_rank(r.key.etype)
-            )
+            # Transform order: no output of a group is a parent of another
+            # (a type is never its own parent, and a merge has one output).
+            outputs = list(expected.values())
             accepted = 0
             for idx, record in enumerate(outputs):
                 if not record.tombstone:

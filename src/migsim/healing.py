@@ -24,7 +24,7 @@ from .domain import (
     read_group,
 )
 from .metrics import EventLog
-from .stores import Clock, LegacyStore, PutResult, StoreUnavailable, TargetStore, Ticks
+from .stores import LegacyStore, PutResult, StoreUnavailable, TargetStore, Ticks
 
 
 class Trigger(str, Enum):
@@ -205,7 +205,6 @@ class Healer:
         target: TargetStore,
         queue: SelfHealingQueue,
         log: EventLog,
-        clock: Clock,
         policy: RetryPolicy,
     ):
         self.schema = schema
@@ -213,11 +212,10 @@ class Healer:
         self.target = target
         self.queue = queue
         self.log = log
-        self.clock = clock
         self.policy = policy
         self._parents = ParentGate(schema, target)
 
-    def validate_and_fix(self, key: Key, now: int | None = None) -> str:
+    def validate_and_fix(self, key: Key, now: int) -> str:
         """Reconcile one target key against the latest source state; the
         outcome is FIXED, CONSISTENT or the reason the attempt failed.
 
@@ -225,7 +223,6 @@ class Healer:
         the freshness-guarded conditional put, and a rejection there means
         somebody fresher already won.
         """
-        now = self.clock.now if now is None else now
         rule = self.schema.rule_for_target(key.etype)
         sources = read_group(rule, key.id, self.legacy.read)
         expected, verdicts, bug = self.schema.check_group(

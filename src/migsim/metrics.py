@@ -583,8 +583,8 @@ class ConsistencyTracker:
         self.schema = schema
         self._read = read_source
         self._peek = peek_target
+        self._rules = {rule.name: rule for rule in schema.rules}
         self._dirty: set[tuple[str, str]] = set()
-        self._group_rule: dict[tuple[str, str], object] = {}
         # (inconsistent (target key, class) pairs in `target_keys` order, bug)
         # per group with any; a group that fails to map has all keys corrupt.
         self._bad: dict[tuple[str, str], tuple[list, str]] = {}
@@ -601,7 +601,6 @@ class ConsistencyTracker:
     def mark_source(self, skey: Key, commit_time: int) -> None:
         for rule in self.schema.rules_for_source(skey.etype):
             tag = (rule.name, skey.id)
-            self._group_rule[tag] = rule
             self._dirty.add(tag)
             if self._last_update.pop(tag, None) is None:
                 # The group's first commit: it expects every target key of
@@ -614,9 +613,7 @@ class ConsistencyTracker:
             rule = self.schema.rule_for_target(tkey.etype)
         except UnknownTypeError:
             return
-        tag = (rule.name, tkey.id)
-        self._group_rule[tag] = rule
-        self._dirty.add(tag)
+        self._dirty.add((rule.name, tkey.id))
 
     def note_written(self, rule: MappingRule, gid: str, as_of: int) -> None:
         """Take a writer's word that group `gid` of `rule` is consistent.
@@ -645,10 +642,11 @@ class ConsistencyTracker:
         fault = self.schema.fault
         if fault is not None and fault.active_at(at) != self._fault_active:
             self._fault_active = not self._fault_active
-            self._dirty.update(tag for tag in self._group_rule if tag[0] == fault.rule)
+            # A group with no commit has no source, so no verdict to redo.
+            self._dirty.update(tag for tag in self._last_update if tag[0] == fault.rule)
         consistent = DiscrepancyClass.CONSISTENT
         for tag in sorted(self._dirty):
-            rule = self._group_rule[tag]
+            rule = self._rules[tag[0]]
             gid = tag[1]
             sources = read_group(rule, gid, self._read)
             if sources:
@@ -667,12 +665,12 @@ class ConsistencyTracker:
     def _recent(self, since: int) -> tuple[list[tuple[str, str]], int]:
         """Groups updated at or after `since`, and their expected keys in all."""
         recent, expected = [], 0
-        group_rule = self._group_rule
+        rules = self._rules
         for tag, last_update in reversed(self._last_update.items()):
             if last_update < since:
                 break
             recent.append(tag)
-            expected += len(group_rule[tag].target_types)
+            expected += len(rules[tag[0]].target_types)
         return recent, expected
 
     def rates(self, at: int, staleness_bound: int) -> tuple[float, float, int, int]:

@@ -12,7 +12,7 @@ back, walking the dataclass fields in declaration order:
   ends in `...`), and a nested spec is a nested object.  `int`, `float` and
   `bool` values are coerced; `str` values are kept as given.
 - A key missing from the document takes the field's default; a field without
-  one is required.
+  one is required.  A key that names no field is an error.
 - Field metadata covers the irregular spots: `key` names the document key
   when it is not the field name (a dotted key nests it in an object),
   `sorted` sorts the value both ways, and `omit_default` leaves the key out
@@ -314,6 +314,7 @@ def _decode(tp, value, path: str):
 def _decode_spec(cls, doc, path: str):
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
+    _reject_unknown(doc, [f.metadata.get("key", f.name) for f, _ in _fields(cls)], path)
     kwargs = {}
     for f, tp in _fields(cls):
         src, label, key = doc, path, f.metadata.get("key", f.name)
@@ -331,6 +332,16 @@ def _decode_spec(cls, doc, path: str):
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _reject_unknown(doc: dict, keys: list[str], path: str) -> None:
+    """Raise ConfigError naming the first key of `doc` that no dotted key in `keys` covers."""
+    for name, value in doc.items():
+        inner = [key[len(name) + 1:] for key in keys if key.startswith(name + ".")]
+        if inner and isinstance(value, dict):
+            _reject_unknown(value, inner, _join(path, name))
+        elif not inner and name not in keys:
+            raise ConfigError(f"{_join(path, name)}: unknown key")
 
 
 def _join(path: str, key: str) -> str:

@@ -109,13 +109,11 @@ class _SimState:
         self.schema = scenario.build_schema()
         self.legacy = LegacyStore(self.clock)
         self.target = TargetStore(
-            self.clock, scenario.fault, named_stream(seed, "target_ops")
+            self.clock, scenario.fault, named_stream(seed, "target_ops"), self.log
         )
-        self.target.event_log = self.log
         self.queue = SelfHealingQueue(self.log)
         self.healer = Healer(
-            self.schema, self.legacy, self.target, self.queue,
-            self.log, self.clock, scenario.retry,
+            self.schema, self.legacy, self.target, self.queue, self.log, scenario.retry
         )
         self.ctracker = ConsistencyTracker(self.schema, self.legacy.read, self.target.peek)
         self.dualwriter = DualWriter(

@@ -163,14 +163,14 @@ class TargetStore:
     them in blocks.  Tombstones are never compacted away within a run.
     """
 
-    def __init__(self, clock: Clock, fault: FaultProfile, rng: np.random.Generator):
+    def __init__(self, clock: Clock, fault: FaultProfile, rng: np.random.Generator, log: EventLog):
         self.clock = clock
         self.fault = fault
         self._draws = uniforms(rng)
+        self.log = log
         self.records: dict[Key, TargetRecord] = {}
         self.op_count = 0
         self.on_accept: list[Callable[[TargetRecord, int], None]] = []
-        self.event_log: EventLog | None = None
         self._cls = "live"  # the class of the put in progress; see `put`
 
     def _check_available(self) -> bool:
@@ -182,10 +182,7 @@ class TargetStore:
 
     def _log_put(self, record: TargetRecord, outcome: str, **stored) -> None:
         """Log a put; an accepted one also passes what was `stored`."""
-        if self.event_log is not None:
-            self.event_log.append(
-                self.clock.now, "put", record.key, cls=self._cls, out=outcome, **stored
-            )
+        self.log.append(self.clock.now, "put", record.key, cls=self._cls, out=outcome, **stored)
 
     def put(self, record: TargetRecord, cls: str) -> PutResult:
         """A writer's put: `put_if_fresher`, with `cls` naming the writer in

@@ -139,10 +139,10 @@ class BootstrapJob:
         self.report.groups_total = len(self._groups)
         # Every direct-mode put carries this one bulk-load stamp.
         self._default_stamp = VersionStamp(BOOTSTRAP_COUNTER, snapshot.taken_at)
-        # Source keys whose target projection may be incomplete: their own
-        # put failed or they descend from one that did.  Their dependants
-        # are routed through the queue, which gates writes on parents.
-        self._failed_sources: set[Key] = set()
+        # Target keys not loaded here: their put failed, or their group failed
+        # to map or descends from such a key.  A group with one among its
+        # parents goes through the queue, which gates writes on parents.
+        self._failed_targets: set[Key] = set()
 
     def _ordered_groups(self) -> list[tuple]:
         rank = {st: i for i, st in enumerate(self.schema.source_order)}
@@ -182,19 +182,16 @@ class BootstrapJob:
         return used
 
     def _direct_load(self, rule, gid: str, sources, now: int) -> None:
-        parent_refs = set()
-        for rec in sources.values():
-            if not rec.tombstone:
-                parent_refs.update(self.schema.parent_source_keys(rec))
         # A parent whose load is incomplete could let a live child land
         # ahead of it, and a group that fails to map has nothing to write:
         # either way the group goes through the queue.
-        blocked = bool(parent_refs & self._failed_sources)
+        failed = self._failed_targets
+        blocked = not failed.isdisjoint(self.schema.parent_target_keys(sources))
         if not blocked:
             expected, bug = self.schema.map_group(rule, sources, now)
             blocked = bool(bug)
         if blocked:
-            self._failed_sources.update(sources)
+            failed.update(rule.target_keys(gid))
             self._enqueue_group(rule, gid, sources, now)
             return
         default_stamp = self._default_stamp
@@ -205,7 +202,7 @@ class BootstrapJob:
             try:
                 accepted += self.target.put(stale_record, "backfill") is PutResult.ACCEPTED
             except StoreUnavailable:
-                self._failed_sources.update(sources)
+                failed.add(record.key)
                 self.queue.enqueue(
                     record.key, Trigger.BOOTSTRAP, now, fix_source_time(sources)
                 )

@@ -129,13 +129,10 @@ def build_pipeline(
     schema = schema or build_figure3_schema()
     fault = FaultProfile(availability_p=availability, outage_windows=outages)
     legacy = LegacyStore(clock)
-    target = TargetStore(clock, fault, named_stream(seed, "target_ops"))
     log = EventLog()
-    target.event_log = log
+    target = TargetStore(clock, fault, named_stream(seed, "target_ops"), log)
     queue = SelfHealingQueue(log)
-    healer = Healer(
-        schema, legacy, target, queue, log, clock, policy or RetryPolicy()
-    )
+    healer = Healer(schema, legacy, target, queue, log, policy or RetryPolicy())
     tracker = ConsistencyTracker(schema, legacy.read, target.peek)
     target.on_accept.append(lambda record, now: tracker.mark_target(record.key))
     dualwriter = DualWriter(schema, legacy, target, queue, tracker.note_written)

@@ -183,9 +183,9 @@ def test_c05_idempotency_property():
             p.target.put_if_fresher(
                 TargetRecord(tkey, {}, {Key(etype, gid): VersionStamp(2, 0)}, True)
             )
-        first = p.healer.validate_and_fix(tkey)
+        first = p.healer.validate_and_fix(tkey, 0)
         state_once = dict(p.target.records)
-        second = p.healer.validate_and_fix(tkey)
+        second = p.healer.validate_and_fix(tkey, 0)
         assert p.target.records == state_once, f"case {cases}: state diverged"
         if first in (FIXED, CONSISTENT):
             assert second == CONSISTENT, f"case {cases}"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from migsim.domain import Key, VersionStamp
+import pytest
+
+from migsim.domain import Key, Schema, VersionStamp, split_rule
 from migsim.healing import Trigger
 
 from conftest import build_pipeline, build_split_schema
@@ -59,6 +61,24 @@ class TestReplicate:
         assert p.target.peek(Key("candidate_core_v2", "1")) is not None
         queued = {e.target_key for e in p.queue.pending()}
         assert queued == {notes_key}
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["declared", "reversed"])
+    def test_puts_follow_the_transform_order(self, reverse):
+        # The split schema, and a copy that declares its parts the other way.
+        parts = [
+            ("candidate_core_v2", ("profile", "parent_project")),
+            ("candidate_notes_v2", ("note",)),
+        ]
+        parts = parts[::-1] if reverse else parts
+        split = build_split_schema()
+        rules = [split.rules[0], split_rule("candidate_rule", "candidate", parts)]
+        p = build_pipeline(schema=Schema(split.types.values(), rules))
+        p.commit_and_replicate("project", "1", {"n": "p"})
+        p.commit_and_replicate(
+            "candidate", "1", {"profile": "x", "note": "y", "parent_project": "1"}
+        )
+        puts = [row.key.etype for row in p.log.rows if row.kind == "put"]
+        assert puts == ["project_v2", *(tt for tt, _ in parts)]
 
     def test_replicate_reads_latest_source_state(self, pipeline):
         event = pipeline.commit("project", "1", {"n": "old"})

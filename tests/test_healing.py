@@ -60,14 +60,14 @@ class TestValidateAndFix:
 
         pipeline.commit_and_replicate("project", "1", {"n": "x"})
         writes_before = puts()
-        outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
+        outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"), 0)
         assert outcome == CONSISTENT
         # one read, zero writes
         assert puts() == writes_before
 
     def test_missing_record_fixed(self, pipeline):
         pipeline.commit("project", "1", {"n": "x"})
-        outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
+        outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"), 0)
         assert outcome == FIXED
         stored = pipeline.target.peek(Key("project_v2", "1"))
         assert stored.value == {"n": "x"}
@@ -75,7 +75,7 @@ class TestValidateAndFix:
     def test_tombstoned_source_buries_live_target(self, pipeline):
         pipeline.commit_and_replicate("project", "1", {"n": "x"})
         pipeline.commit("project", "1", delete=True)  # delete never replicated
-        outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
+        outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"), 0)
         assert outcome == FIXED
         assert pipeline.target.peek(Key("project_v2", "1")).tombstone
 
@@ -84,7 +84,7 @@ class TestValidateAndFix:
             Key("project_v2", "9"), {"n": "ghost"}, {Key("project", "9"): VersionStamp(1, 0)}, False
         )
         pipeline.target.put_if_fresher(orphan)
-        outcome = pipeline.healer.validate_and_fix(Key("project_v2", "9"))
+        outcome = pipeline.healer.validate_and_fix(Key("project_v2", "9"), 0)
         assert outcome == FIXED
         stored = pipeline.target.peek(Key("project_v2", "9"))
         assert stored.tombstone and stored.provenance == orphan.provenance
@@ -92,7 +92,7 @@ class TestValidateAndFix:
     def test_unavailable_store_fails_without_regression(self):
         p = build_pipeline(outages=((0, 100),))
         p.commit("project", "1", {"n": "x"})
-        outcome = p.healer.validate_and_fix(Key("project_v2", "1"))
+        outcome = p.healer.validate_and_fix(Key("project_v2", "1"), 0)
         # The check's own read failed: it could not judge the key.
         assert outcome == "unavailable"
         assert p.target.records == {}
@@ -104,13 +104,13 @@ class TestValidateAndFix:
             raise StoreUnavailable(f"put {record.key}")
 
         monkeypatch.setattr(pipeline.target, "put_if_fresher", unavailable)
-        outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
+        outcome = pipeline.healer.validate_and_fix(Key("project_v2", "1"), 0)
         assert outcome == "fix_unavailable"
 
     def test_missing_parent_enqueues_parent_and_fails(self, pipeline):
         pipeline.commit("project", "1", {"n": "p"})
         pipeline.commit("stage", "1", {"n": "s", "parent_project": "1"})
-        outcome = pipeline.healer.validate_and_fix(Key("stage_v2", "1"))
+        outcome = pipeline.healer.validate_and_fix(Key("stage_v2", "1"), 0)
         assert outcome == "missing_parent: project_v2#1"
         queued = {e.target_key for e in pipeline.queue.pending()}
         assert queued == {Key("project_v2", "1")}
@@ -123,7 +123,7 @@ class TestValidateAndFix:
             key, {"n": "future"}, {Key("project", "1"): VersionStamp(5, 9)}, False
         )
         pipeline.target.put_if_fresher(fresher)
-        outcome = pipeline.healer.validate_and_fix(key)
+        outcome = pipeline.healer.validate_and_fix(key, 0)
         assert outcome == CONSISTENT
         assert pipeline.target.peek(key) == fresher
 
@@ -131,9 +131,9 @@ class TestValidateAndFix:
 class TestIdempotency:
     def test_fix_twice_equals_once_and_reports_consistent(self, pipeline):
         pipeline.commit("project", "1", {"n": "x"})
-        first = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
+        first = pipeline.healer.validate_and_fix(Key("project_v2", "1"), 0)
         state_once = dict(pipeline.target.records)
-        second = pipeline.healer.validate_and_fix(Key("project_v2", "1"))
+        second = pipeline.healer.validate_and_fix(Key("project_v2", "1"), 0)
         assert first == FIXED
         assert second == CONSISTENT
         assert pipeline.target.records == state_once
@@ -171,9 +171,9 @@ class TestIdempotency:
                     )
                 )
             key = Key("project_v2", gid)
-            first = p.healer.validate_and_fix(key)
+            first = p.healer.validate_and_fix(key, 0)
             state_once = dict(p.target.records)
-            second = p.healer.validate_and_fix(key)
+            second = p.healer.validate_and_fix(key, 0)
             assert p.target.records == state_once, f"case {case}"
             if first in (FIXED, CONSISTENT):
                 assert second == CONSISTENT, f"case {case}"
@@ -182,10 +182,10 @@ class TestIdempotency:
         key = Key("project_v2", "1")
         pipeline.commit("project", "1", {"n": "a"})
         pipeline.commit("project", "1", {"n": "b"})
-        pipeline.healer.validate_and_fix(key)
+        pipeline.healer.validate_and_fix(key, 0)
         best = pipeline.target.peek(key).provenance[Key("project", "1")]
         for _ in range(3):
-            pipeline.healer.validate_and_fix(key)
+            pipeline.healer.validate_and_fix(key, 0)
             now = pipeline.target.peek(key).provenance[Key("project", "1")]
             assert now.counter >= best.counter
             best = now

@@ -1,5 +1,6 @@
-"""Static checks on the package source: no import goes unused, and no
-`assert` statement stands in for a check (`python -O` strips them).
+"""Static checks on the package source: no import goes unused, no
+private function, method or class goes unused, and no `assert` statement
+stands in for a check (`python -O` strips them).
 
 An import counts as used when its bound name appears anywhere else in the
 module as a name or as the root of an attribute chain.  `__init__.py`
@@ -12,6 +13,8 @@ tracer patches on that module.
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,6 +41,22 @@ def unused_imports(source: str) -> list[str]:
                 imported[name] = line
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def unused_private_defs(sources: list[str]) -> list[str]:
+    """Each `_private` (not dunder) function, method or class defined in
+    `sources` whose name appears in them only where it is defined.  Any
+    other mention counts, a docstring's too: a reference implementation
+    that the code's own documentation names is kept."""
+    defined = Counter(
+        node.name
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    )
+    text = "\n".join(sources)
+    return sorted(name for name, n in defined.items() if len(re.findall(rf"\b{name}\b", text)) <= n)
 
 
 def assert_lines(source: str) -> list[int]:
@@ -79,6 +98,22 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     source = "import os\nfrom json import dumps, loads  # noqa: F401\nfrom re import match\nmatch\n"
     assert unused_imports(source) == ["os (line 1)"]
+
+
+def test_no_unused_private_definitions():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert unused_private_defs(sources) == []
+
+
+def test_checker_flags_an_unused_private_definition():
+    source = (
+        "def _used(): pass\n_used()\nclass _Dead:\n    def _gone(self): pass\n"
+        "    def __init__(self): pass\n"
+    )
+    other = "x._other()\ndef _other(): pass\ndef _twice(): pass\n"
+    assert unused_private_defs([source, other, "def _twice(): pass\n"]) == [
+        "_Dead", "_gone", "_twice"
+    ]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -536,7 +536,7 @@ class TestWrittenGroupNotes:
 def test_each_writer_names_its_class_in_the_put_row(pipeline):
     pipeline.commit_and_replicate("project", "1", {"n": "p"})
     pipeline.commit("project", "2", {"n": "q"})
-    pipeline.healer.validate_and_fix(Key("project_v2", "2"))
+    pipeline.healer.validate_and_fix(Key("project_v2", "2"), 0)
     pipeline.commit("project", "3", {"n": "r"})
     bootstrap(pipeline, 0)
     record = TargetRecord(Key("project_v2", "9"), {}, {Key("project", "9"): VersionStamp(1, 0)},

@@ -290,6 +290,10 @@ SCHEMAS = [build_figure3_schema(), build_split_schema(), MERGE_SCHEMA]
 _gids = st.sampled_from(["1", "2"])
 
 
+def _target_types(schema) -> list[str]:
+    return [tt for rule in schema.rules for tt in rule.target_types]
+
+
 @st.composite
 def logs_with_parents(draw):
     """A schema and a log of commits, with random parent references and
@@ -304,7 +308,7 @@ def logs_with_parents(draw):
             op = draw(st.sampled_from(["write", "write", "delete"]))
             entries.append(commit_entry(t, etype, draw(_gids), t + 1, op=op, val=val))
         else:
-            ttype = draw(st.sampled_from(schema.target_order))
+            ttype = draw(st.sampled_from(_target_types(schema)))
             entries.append(put_entry(t, ttype, draw(_gids), [], tomb=draw(st.booleans())))
     return schema, build_log(entries)
 
@@ -335,7 +339,7 @@ def logs_of_parent_states(draw):
                 events.append(("commit", etype, gid, "write", {"n": "x"} | refs))
             elif state == "tombstoned":
                 events.append(("commit", etype, gid, "delete", None))
-    for ttype in schema.target_order:
+    for ttype in _target_types(schema):
         for gid in _PARENT_GIDS:
             state = draw(st.sampled_from(_STATES))
             if state != "absent":

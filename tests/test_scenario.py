@@ -304,6 +304,12 @@ class TestCodecContract:
             ("bug", {"etype": "candidate"}, "invalid scenario: 'rule'"),
             ("workload.bursts", [{"at": 5, "size": 10}], "invalid scenario: 'type'"),
             ("schema.types", [{"parents": []}], "invalid scenario: 'name'"),
+            ("schema.rules.name", "stage_rule", "schema: rule names must be unique"),
+            ("ramp.mdoe", "forced", "ramp.mdoe: unknown key"),
+            ("extra", 1, "extra: unknown key"),
+            ("schema.typez", [], "schema.typez: unknown key"),
+            ("schema.types.parnets", [], "schema.types.parnets: unknown key"),
+            ("workload.bursts.sz", 2, "workload.bursts.sz: unknown key"),
         ],
     )
     def test_config_error_messages(self, path, value, message):

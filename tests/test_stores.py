@@ -22,7 +22,7 @@ from migsim.stores import (
 def make_target(availability: float = 1.0, outages=(), seed: int = 3, clock=None) -> TargetStore:
     clock = clock or Clock(0)
     fault = FaultProfile(availability_p=availability, outage_windows=tuple(outages))
-    return TargetStore(clock, fault, named_stream(seed, "target_ops"))
+    return TargetStore(clock, fault, named_stream(seed, "target_ops"), EventLog())
 
 
 def rec(gid: str, counter: int, t: int = 0, value=None, tomb=False) -> TargetRecord:
@@ -190,7 +190,6 @@ class TestTargetStore:
 
     def test_write_log_replay_reproduces_final_state(self):
         store = make_target(availability=0.8, seed=9)
-        store.event_log = EventLog()
         for i in range(50):
             for counter in (1, 2):
                 try:
@@ -198,7 +197,7 @@ class TestTargetStore:
                 except StoreUnavailable:
                     pass
         folded = {}
-        for row in store.event_log.rows:
+        for row in store.log.rows:
             if row.out == "accepted":
                 folded[row.key] = TargetRecord(row.key, row.val, row.prov, row.tomb)
         assert folded == store.records
