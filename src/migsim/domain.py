@@ -13,6 +13,7 @@ judged.
 
 from __future__ import annotations
 
+import graphlib
 import heapq
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
@@ -264,7 +265,10 @@ class Schema:
     """Registered entity types and rules with a frozen topological order.
 
     `source_order` lists the source types, every parent before any of its
-    children.  Construction validates the schema and raises CycleError,
+    children, and of the types ready at once the smallest name first.
+    `parent_rows` is the one parent index: per source type, where its
+    records reference their parents and which target types each parent
+    affects.  Construction validates the schema and raises CycleError,
     UnknownTypeError or SchemaError.
     `fault` is the run's injected mapping bug, if any; `map_group` and so
     `check_group` consult it.
@@ -321,23 +325,13 @@ class Schema:
         # Per source type, one row per parent type that affects some target
         # type, in sorted order: the record field that references the parent
         # and the target types that parent affects.
-        self._parent_rows: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {
+        self.parent_rows: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {
             name: tuple(
                 (PARENT_REF_PREFIX + ptype, self._affected_types[ptype])
                 for ptype in sorted(et.parents)
                 if self._affected_types.get(ptype)
             )
             for name, et in self.types.items()
-        }
-        # Per target type, the parent rows of its rule's input types, each
-        # led by the input type.
-        self._parent_refs: dict[str, tuple[tuple[str, str, tuple[str, ...]], ...]] = {
-            tt: tuple(
-                (st, field_name, ttypes)
-                for st in rule.source_types
-                for field_name, ttypes in self._parent_rows[st]
-            )
-            for tt, rule in self._rule_by_target.items()
         }
 
     def rules_for_source(self, etype: str) -> tuple[MappingRule, ...]:
@@ -364,24 +358,12 @@ class Schema:
             if rec.tombstone:
                 continue
             value = rec.value
-            for field_name, ttypes in self._parent_rows[rec.key.etype]:
+            for field_name, ttypes in self.parent_rows[rec.key.etype]:
                 ref = value.get(field_name)
                 if ref is not None:
                     for tt in ttypes:
                         out.add(_tuple_new(Key, (tt, ref)))
         return tuple(sorted(out))
-
-    def parent_refs(self, ttype: str) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
-        """Where a group's live outputs of `ttype` find their parents: per
-        input type of the rule that produces it and per parent type of that
-        input, in sorted order, (input type, the record field that references
-        the parent, the target types that parent affects).  A live input
-        record whose field holds `ref` needs each `(tt, ref)`: the keys
-        `parent_target_keys` gives, unsorted and maybe repeated."""
-        try:
-            return self._parent_refs[ttype]
-        except KeyError:
-            raise UnknownTypeError(f"no rule produces target type {ttype!r}") from None
 
     def map_group(
         self, rule: MappingRule, sources: dict[Key, SourceRecord], now: int
@@ -467,50 +449,19 @@ def _toposort(parents: dict[str, set[str]]) -> tuple[str, ...]:
     `parents[n]` is the set of nodes n depends on; every parent precedes all
     of its children in the result.  Raises CycleError naming one cycle.
     """
-    remaining = {n: set(p) for n, p in parents.items()}
-    ready = [n for n, p in sorted(remaining.items()) if not p]
+    sorter = graphlib.TopologicalSorter(parents)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:
+        # graphlib lists each parent before its child and repeats the first.
+        raise CycleError(tuple(exc.args[1][:0:-1])) from None
+    ready = list(sorter.get_ready())
     heapq.heapify(ready)
-    dependants: dict[str, list[str]] = {n: [] for n in remaining}
-    for n, p in remaining.items():
-        for parent in p:
-            dependants[parent].append(n)
     order: list[str] = []
     while ready:
         node = heapq.heappop(ready)
         order.append(node)
-        for child in sorted(dependants[node]):
-            remaining[child].discard(node)
-            if not remaining[child]:
-                heapq.heappush(ready, child)
-    if len(order) != len(parents):
-        raise CycleError(_find_cycle(parents))
+        sorter.done(node)
+        for child in sorter.get_ready():
+            heapq.heappush(ready, child)
     return tuple(order)
-
-
-def _find_cycle(parents: dict[str, set[str]]) -> tuple[str, ...]:
-    seen: set[str] = set()
-    for start in sorted(parents):
-        path: list[str] = []
-        on_path: set[str] = set()
-
-        def walk(node: str) -> tuple[str, ...] | None:
-            if node in on_path:
-                idx = path.index(node)
-                return tuple(path[idx:])
-            if node in seen:
-                return None
-            seen.add(node)
-            path.append(node)
-            on_path.add(node)
-            for parent in sorted(parents.get(node, ())):
-                found = walk(parent)
-                if found:
-                    return found
-            path.pop()
-            on_path.discard(node)
-            return None
-
-        cycle = walk(start)
-        if cycle:
-            return cycle
-    return tuple(sorted(parents))

@@ -32,21 +32,18 @@ class DualWriter:
         target: TargetStore,
         queue: SelfHealingQueue,
         note_written: NoteWritten,
-        enabled: bool = True,
     ):
         self.schema = schema
         self.legacy = legacy
         self.target = target
         self.queue = queue
         self.note_written = note_written
-        self.enabled = enabled
         self._pending: deque[ChangeEvent] = deque()
         self._parents = ParentGate(schema, target)
 
     def on_commit(self, change: ChangeEvent) -> None:
         """Schedule replication; scheduling itself cannot fail."""
-        if self.enabled:
-            self._pending.append(change)
+        self._pending.append(change)
 
     def run_due(self, now: int) -> int:
         """Replicate every change committed by `now`, in commit order; returns
@@ -79,17 +76,18 @@ class DualWriter:
                 continue
             # Transform order: no output of a group is a parent of another
             # (a type is never its own parent, and a merge has one output).
+            # So the outputs, all live or all tombstones, share one parent check.
             outputs = list(expected.values())
+            if outputs and not outputs[0].tombstone:
+                try:
+                    ready = self._parents.missing(sources) is None
+                except StoreUnavailable:
+                    ready = False
+                if not ready:
+                    failed.extend(expected)
+                    continue
             accepted = 0
             for idx, record in enumerate(outputs):
-                if not record.tombstone:
-                    try:
-                        ok = self._parents.missing(sources) is None
-                    except StoreUnavailable:
-                        ok = False
-                    if not ok:
-                        failed.extend(r.key for r in outputs[idx:])
-                        break
                 try:
                     accepted += self.target.put(record, "dual") is PutResult.ACCEPTED
                 except StoreUnavailable:

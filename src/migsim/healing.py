@@ -49,14 +49,13 @@ FIX_FAILURES = (FIX_UNAVAILABLE, MISSING_PARENT)
 
 @dataclass
 class ValidationEvent:
-    """One pending unit of repair work, keyed by target record."""
+    """One pending unit of repair work, keyed by target record.  When it is
+    due lives only in its `SelfHealingQueue` heap entry."""
 
     target_key: Key
     trigger: Trigger
     source_update_time: int
     attempts: int = 0
-    due: int = 0
-    seq: int = 0
 
 
 @dataclass(frozen=True)
@@ -110,9 +109,8 @@ class SelfHealingQueue:
             self.log.append(now, "coalesce", key, trig=trigger.value, sut=source_update_time)
             return
         self._seq += 1
-        event = ValidationEvent(key, trigger, source_update_time, due=now, seq=self._seq)
-        self._by_key[key] = event
-        heapq.heappush(self._heap, (event.due, event.seq, key))
+        self._by_key[key] = ValidationEvent(key, trigger, source_update_time)
+        heapq.heappush(self._heap, (now, self._seq, key))
         self.log.append(now, "enqueue", key, trig=trigger.value, sut=source_update_time)
 
     def pop_due(self, now: int, limit: int) -> list[ValidationEvent]:
@@ -138,11 +136,9 @@ class SelfHealingQueue:
 
     def reschedule(self, event: ValidationEvent, due: int) -> None:
         self._in_flight.pop(event.target_key, None)
-        event.due = due
         self._seq += 1
-        event.seq = self._seq
         self._by_key[event.target_key] = event
-        heapq.heappush(self._heap, (due, event.seq, event.target_key))
+        heapq.heappush(self._heap, (due, self._seq, event.target_key))
 
     def dead_letter(self, event: ValidationEvent, reason: str, now: int) -> None:
         """Give up on `event`; its `dead_letter` row states the reason.

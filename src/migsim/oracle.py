@@ -64,6 +64,10 @@ class OracleReport:
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(OracleCheck(name, ok, detail))
 
+    def agree(self, name: str, mine, claimed) -> None:
+        """Check that the oracle's figure equals the report's."""
+        self.add(name, mine == claimed, f"oracle={mine} report={claimed}")
+
     def as_dict(self) -> dict:
         return {
             "ok": self.ok,
@@ -166,20 +170,24 @@ class LogReplay:
 
     def _check_parents(self, row, schema: Schema) -> None:
         """Note each parent target key of a live put that no earlier put
-        wrote, once and in sorted order, from the input records' references."""
+        wrote, once and in sorted order, from the references of the put's
+        rule's input records (`Schema.parent_rows`)."""
         gid = row.key.id
         source, target = self.source, self.target
         missing = []
+        parent_rows = schema.parent_rows
         # A plain (type, id) tuple finds the `Key` equal to it.
-        for stype, field_name, ttypes in schema.parent_refs(row.key.etype):
+        for stype in schema.rule_for_target(row.key.etype).source_types:
             rec = source.get((stype, gid))
             if rec is None or rec.tombstone:
                 continue
-            ref = rec.value.get(field_name)
-            if ref is not None:
-                for tt in ttypes:
-                    if (tt, ref) not in target:
-                        missing.append((tt, ref))
+            value = rec.value
+            for field_name, ttypes in parent_rows[stype]:
+                ref = value.get(field_name)
+                if ref is not None:
+                    for tt in ttypes:
+                        if (tt, ref) not in target:
+                            missing.append((tt, ref))
         if missing:  # rare: most puts skip the set and the sort
             for pkey in sorted(set(missing)):
                 self.ordering_violations.append(
@@ -394,25 +402,15 @@ def oracle_verify(
         lost = sum(1 for s in settles if s is None or s > replay.flip_time)
         result.lost_updates = lost
         if report is not None and report.get("switch"):
-            claimed = report["switch"]["lost_updates"]
-            result.add(
-                "lost updates match report", lost == claimed, f"oracle={lost} report={claimed}"
-            )
-            claimed_disc = report["switch"]["post_switch_discrepancies"]
-            result.add(
-                "post-switch diff matches report",
-                bad == claimed_disc,
-                f"oracle={bad} report={claimed_disc}",
+            switch = report["switch"]
+            result.agree("lost updates match report", lost, switch["lost_updates"])
+            result.agree(
+                "post-switch diff matches report", bad, switch["post_switch_discrepancies"]
             )
     _check_downtime(result, replay, scenario, report)
 
     if report is not None:
-        claimed_attempts = report["attempts_total"]
-        result.add(
-            "attempts total matches report",
-            replay.attempts == claimed_attempts,
-            f"oracle={replay.attempts} report={claimed_attempts}",
-        )
+        result.agree("attempts total matches report", replay.attempts, report["attempts_total"])
         total = sum(run_counts.values())
         overall = (total - bad) / total if total else 1.0
         claimed_overall = report["final_overall"]
@@ -421,12 +419,10 @@ def oracle_verify(
             abs(overall - claimed_overall) < 1e-12,
             f"oracle={overall:.9f} report={claimed_overall:.9f}",
         )
-        claimed_counts = report["final_counts"]
-        result.add(
+        result.agree(
             "final counts match report",
-            run_counts == claimed_counts,
-            f"oracle={dict(sorted(run_counts.items()))} "
-            f"report={dict(sorted(claimed_counts.items()))}",
+            dict(sorted(run_counts.items())),
+            dict(sorted(report["final_counts"].items())),
         )
 
     return result

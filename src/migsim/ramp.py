@@ -63,13 +63,9 @@ class RampController:
         self.log = log
         self.bulk_frozen = False
         self.writes_frozen = False
-        self.flipped = False
-        self.aborted = False
+        # Set by the flip or abort; the `ramp` rows say which.
+        self.finished = False
         self._clearance_done = False
-
-    @property
-    def finished(self) -> bool:
-        return self.flipped or self.aborted
 
     def step(self, now: int, sim) -> bool:
         """Advance the state machine; `sim` is the live run state.  True in
@@ -96,7 +92,7 @@ class RampController:
                 now, "ramp", act="clearance", cleared=not reasons, reasons=tuple(reasons)
             )
             if reasons:
-                self.aborted = True
+                self.finished = True
                 self.log.append(now, "ramp", act="abort", why="clearance_blocked")
                 return False
         if now < spec.time:
@@ -114,12 +110,12 @@ class RampController:
             return True
         if now - spec.time >= spec.freeze_timeout:
             self.writes_frozen = False
-            self.aborted = True
+            self.finished = True
             self.log.append(now, "ramp", act="abort", why="freeze_timeout")
         return False
 
     def _flip(self, now: int, sim) -> None:
-        self.flipped = True
+        self.finished = True
         self.writes_frozen = False
         lost, discrepancies = sim.flip_measurements(now)
         self.log.append(

@@ -117,8 +117,7 @@ class _SimState:
         )
         self.ctracker = ConsistencyTracker(self.schema, self.legacy.read, self.target.peek)
         self.dualwriter = DualWriter(
-            self.schema, self.legacy, self.target, self.queue, self.ctracker.note_written,
-            enabled=scenario.toggles.enable_dualwrite,
+            self.schema, self.legacy, self.target, self.queue, self.ctracker.note_written
         )
         self.nearline = NearlineVerifier(
             self.schema, self.legacy, self.target, self.queue,
@@ -165,7 +164,8 @@ class _SimState:
         self.settlement.on_commit(key, event.new_version)
         self.ctracker.mark_source(key, event.new_version.commit_time)
         if attach:
-            self.dualwriter.on_commit(event)
+            if self.scenario.toggles.enable_dualwrite:
+                self.dualwriter.on_commit(event)
             self.stream.feed(event, self.clock.now)
 
     def log_snapshot(self, now: int) -> None:

@@ -186,7 +186,7 @@ class BootstrapJob:
         # ahead of it, and a group that fails to map has nothing to write:
         # either way the group goes through the queue.
         failed = self._failed_targets
-        blocked = not failed.isdisjoint(self.schema.parent_target_keys(sources))
+        blocked = bool(failed) and not failed.isdisjoint(self.schema.parent_target_keys(sources))
         if not blocked:
             expected, bug = self.schema.map_group(rule, sources, now)
             blocked = bool(bug)

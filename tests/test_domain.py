@@ -49,16 +49,21 @@ class TestSchemaRegistration:
         )
         assert schema.source_order == ("project", "stage", "candidate")
 
-    def test_two_cycle_rejected(self):
+    @pytest.mark.parametrize(
+        "parents",
+        [
+            {"a": {"b"}, "b": {"a"}},
+            {"a": {"a"}},
+            {"a": {"c"}, "b": {"a"}, "c": {"b"}},
+            # The cycle is not reachable from "a", the smallest name.
+            {"a": set(), "b": {"a"}, "c": {"e"}, "d": {"c"}, "e": {"d"}, "f": {"c", "a"}},
+        ],
+        ids=["two", "self", "three", "unreachable_from_smallest"],
+    )
+    def test_cycle_rejected_naming_parent_links(self, parents):
         with pytest.raises(CycleError) as err:
-            Schema(
-                [
-                    EntityType("a", frozenset({"b"})),
-                    EntityType("b", frozenset({"a"})),
-                ],
-                [],
-            )
-        assert set(err.value.cycle) == {"a", "b"}
+            Schema([EntityType(n, frozenset(p)) for n, p in parents.items()], [])
+        _assert_names_a_cycle(err.value.cycle, parents)
 
     def test_unknown_parent_rejected(self):
         with pytest.raises(UnknownTypeError):
@@ -90,6 +95,56 @@ class TestSchemaRegistration:
         for et in types:
             for parent in et.parents:
                 assert pos[parent] < pos[et.name]
+
+
+def _assert_names_a_cycle(cycle: tuple[str, ...], parents: dict[str, set[str]]) -> None:
+    """Distinct names, each followed by one of its parents, the last by the
+    first."""
+    assert len(set(cycle)) == len(cycle) > 0
+    for child, parent in zip(cycle, cycle[1:] + cycle[:1]):
+        assert parent in parents[child], (child, cycle)
+
+
+def _source_order_by_definition(parents: dict[str, set[str]]) -> tuple[str, ...] | None:
+    """Repeatedly place the smallest name whose parents are all placed;
+    None when some names never become placeable (a cycle)."""
+    order: list[str] = []
+    left = set(parents)
+    while left:
+        ready = [n for n in left if parents[n] <= set(order)]
+        if not ready:
+            return None
+        order.append(min(ready))
+        left.remove(order[-1])
+    return tuple(order)
+
+
+@st.composite
+def type_graphs(draw):
+    """1-9 types with random parent sets, about half of them acyclic."""
+    names = draw(st.lists(st.text("abcd", min_size=1, max_size=2), min_size=1, max_size=9,
+                          unique=True))
+    rank = {n: i for i, n in enumerate(draw(st.permutations(names)))}
+    acyclic = draw(st.booleans())
+    parents = {}
+    for name in names:
+        chosen = draw(st.sets(st.sampled_from(names), max_size=3))
+        if acyclic:
+            chosen = {p for p in chosen if rank[p] < rank[name]}
+        parents[name] = chosen
+    return parents
+
+
+@given(type_graphs())
+def test_source_order_is_the_smallest_ready_name_first(parents):
+    want = _source_order_by_definition(parents)
+    types = [EntityType(n, frozenset(p)) for n, p in parents.items()]
+    if want is not None:
+        assert Schema(types, []).source_order == want
+        return
+    with pytest.raises(CycleError) as err:
+        Schema(types, [])
+    _assert_names_a_cycle(err.value.cycle, parents)
 
 
 class TestFreshness:
@@ -411,15 +466,20 @@ def test_key_maps_match_definitions(case, gid):
 
 
 @given(schema_and_group())
-def test_parent_refs_reach_the_parent_target_keys(case):
+def test_parent_rows_reach_the_parent_target_keys(case):
+    # The oracle's walk: from a target type to its rule's input types, and
+    # from each live input record through its type's parent rows.
     schema, rule, sources = case
     gid = next(iter(sources)).id if sources else "1"
     for ttype in rule.target_types:
         direct = set()
-        for stype, field_name, ttypes in schema.parent_refs(ttype):
+        for stype in schema.rule_for_target(ttype).source_types:
             rec = sources.get(Key(stype, gid))
-            if rec is not None and not rec.tombstone and field_name in rec.value:
-                direct.update(Key(tt, rec.value[field_name]) for tt in ttypes)
+            if rec is None or rec.tombstone:
+                continue
+            for field_name, ttypes in schema.parent_rows[stype]:
+                if field_name in rec.value:
+                    direct.update(Key(tt, rec.value[field_name]) for tt in ttypes)
         assert tuple(sorted(direct)) == schema.parent_target_keys(sources)
 
 
@@ -444,11 +504,18 @@ def test_no_target_type_is_a_parent_of_another_of_its_rule(name):
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
-def test_parent_refs_of_a_type_no_rule_produces_raise(name):
+def test_rule_for_a_type_no_rule_produces_raises(name):
     schema = SCHEMAS[name]
     for etype in [*schema.types, "not_a_type"]:
         with pytest.raises(UnknownTypeError):
-            schema.parent_refs(etype)
+            schema.rule_for_target(etype)
+
+
+@given(schema_and_group())
+def test_map_source_outputs_share_one_tombstone_flag(case):
+    # The dual writer checks a live group's parents once for all its outputs.
+    _schema, rule, sources = case
+    assert len({out.tombstone for out in map_source(rule, sources)}) <= 1
 
 
 @given(schema_and_group())

@@ -4,8 +4,10 @@ import pytest
 
 from migsim.domain import Key, Schema, VersionStamp, split_rule
 from migsim.healing import Trigger
+from migsim.scenario import load_file
+from migsim.simulation import run_scenario
 
-from conftest import build_pipeline, build_split_schema
+from conftest import build_pipeline, build_split_schema, scenario_path
 
 
 class TestOnCommit:
@@ -104,22 +106,23 @@ class TestReplicate:
         assert pipeline.counts.enqueued == 0
         assert pipeline.target.peek(Key("stage_v2", "1")).tombstone
 
-    def test_disabled_dualwriter_schedules_nothing(self):
-        p = build_pipeline()
-        p.dualwriter.enabled = False
-        event = p.commit("project", "1", {"n": "x"})
-        p.dualwriter.on_commit(event)
-        assert p.dualwriter.pending_count() == 0
+    def test_run_with_dual_writes_off_logs_no_dual_put(self):
+        scenario = load_file(scenario_path("catchall"))
+        assert not scenario.toggles.enable_dualwrite
+        rows = run_scenario(scenario).log.rows
+        assert any(row.kind == "commit" and row.t > 0 for row in rows)  # live writes happen
+        assert any(row.kind == "put" for row in rows)
+        assert not [row for row in rows if row.kind == "put" and row.cls == "dual"]
 
     def test_legacy_state_identical_with_and_without_dualwrite(self):
         def run(enabled: bool):
             p = build_pipeline(availability=0.5, seed=11)
-            p.dualwriter.enabled = enabled
             events = []
             for i in range(20):
                 event = p.commit("project", str(i), {"n": f"v{i}"})
                 events.append((event.seq, event.key, event.new_version))
-                p.dualwriter.on_commit(event)
+                if enabled:
+                    p.dualwriter.on_commit(event)
                 p.dualwriter.run_due(p.clock.now)
             return events, p.legacy.records
 

@@ -214,16 +214,13 @@ class TestProcess:
         p = build_pipeline(outages=((0, 1000),), policy=RetryPolicy(max_attempts=5, backoff_base=1, backoff_cap=8))
         p.commit("project", "1", {"n": "x"})
         p.queue.enqueue(Key("project_v2", "1"), Trigger.NEARLINE, 0, 0)
-        dues = []
         now = 0
         for _ in range(4):
             p.clock.now = now
-            report = p.healer.process(now)
-            if report.processed:
-                (event,) = p.queue.pending()
-                dues.append(event.due - now)
-                now = event.due
-        assert dues == [2, 4, 8, 8]  # min(1 * 2^attempts, 8)
+            p.healer.process(now)
+            now = [row.due for row in p.log.rows if row.kind == "retry"][-1]
+        retries = [row for row in p.log.rows if row.kind == "retry"]
+        assert [row.due - row.t for row in retries] == [2, 4, 8, 8]  # min(1 * 2^attempts, 8)
 
     def test_permanent_failure_dead_letters_after_max_attempts(self):
         policy = RetryPolicy(max_attempts=10, backoff_base=1, backoff_cap=8)
@@ -285,32 +282,46 @@ class TestProcess:
     )
     def test_each_pending_event_has_exactly_one_heap_entry(self, steps):
         # `pop_due` relies on this: every heap entry it pops names the
-        # pending event of its key, with that event's due time and seq.
+        # pending event of its key, with that event's due tick.
         queue = SelfHealingQueue(EventLog())
+        due: dict = {}  # the due tick of each pending key
         in_flight: list = []
         now = 0
+
+        def idle(key):
+            return key not in due and all(e.target_key != key for e in in_flight)
+
         for step, n, dt in steps:
             key = Key("project_v2", str(n))
             if step == "enqueue":
+                if idle(key):
+                    due[key] = now
                 queue.enqueue(key, Trigger.NEARLINE, now, now)
             elif step == "pop":
                 popped = queue.pop_due(now, n)
-                assert len(popped) <= n and all(e.due <= now for e in popped)
+                assert len(popped) <= n
+                for event in popped:
+                    assert due.pop(event.target_key) <= now
                 in_flight += popped
             elif step == "requeue":
+                for event in queue.dead_letters():
+                    if idle(event.target_key):
+                        due[event.target_key] = now
                 queue.requeue_dead_letters(now)
             elif in_flight:
                 event = in_flight.pop(n % len(in_flight))
                 if step == "reschedule":
+                    due[event.target_key] = now + dt
                     queue.reschedule(event, now + dt)
                 elif step == "finish":
                     queue.finish(event)
                 else:
                     queue.dead_letter(event, "gave up", now)
             now += dt
-            assert sorted(queue._heap) == sorted(
-                (e.due, e.seq, e.target_key) for e in queue.pending()
+            assert sorted((t, k) for t, _seq, k in queue._heap) == sorted(
+                (t, k) for k, t in due.items()
             )
+            assert {e.target_key for e in queue.pending()} == set(due)
             assert len(queue._heap) == len(queue)
 
 

@@ -137,7 +137,8 @@ class TestController:
         assert section["unavailability_window"] == 20
         assert section["blocked_reasons"] == ["drain exceeded freeze_timeout"]
         assert section["flip_time"] is None
-        assert not controller.flipped
+        assert controller.finished
+        assert not any(row.kind == "ramp" and row.act == "flip" for row in controller.log.rows)
         assert not controller.writes_frozen  # writes resumed on the old side
 
     def test_blocked_clearance_aborts_before_freeze(self):
