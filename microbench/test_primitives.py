@@ -30,12 +30,12 @@ from migsim.domain import (
     split_rule,
 )
 from migsim.healing import SelfHealingQueue, Trigger
-from migsim.metrics import EventLog
+from migsim.metrics import EventLog, iter_groups
 from migsim.oracle import oracle_verify
 from migsim.rng import named_stream
 from migsim.scenario import WorkloadSpec, load_file
 from migsim.simulation import SimResult, fold_log, run_scenario
-from migsim.stores import Clock, FaultProfile, PutResult, TargetStore
+from migsim.stores import Clock, FaultProfile, LegacyStore, PutResult, TargetStore
 from migsim.workload import WorkloadGenerator
 
 BATCH = 1_000
@@ -191,6 +191,20 @@ def test_seed_initial_paper_default(benchmark):
         return gen.seed_initial()
 
     assert len(benchmark(seed)) == scenario.workload.initial_records
+
+
+def test_bootstrap_groups_paper_default(benchmark):
+    """The bootstrap's group list of the `paper_default` workload: its
+    10k seeded records' (rule, group id) pairs in load order."""
+    scenario = load_file(PAPER_DEFAULT)
+    schema = scenario.build_schema()
+    legacy = LegacyStore(Clock(0))
+    gen = WorkloadGenerator(scenario.workload, schema, named_stream(scenario.seed, "workload"))
+    for op in gen.seed_initial():
+        legacy.commit(op.key, op.value)
+    snapshot = legacy.take_snapshot(0)
+    groups = benchmark(iter_groups, schema, snapshot.records)
+    assert len(groups) == len(snapshot)  # one identity rule per type
 
 
 @functools.cache

@@ -11,7 +11,7 @@ from pathlib import Path
 from .domain import UnknownTypeError
 from .metrics import EventLog
 from .oracle import oracle_verify
-from .scenario import ConfigError, load_file
+from .scenario import ConfigError, Scenario, load_file
 from .simulation import run_scenario
 
 
@@ -57,22 +57,26 @@ _SWITCH_FIELDS = dict.fromkeys(
 ) | {"outcome": str}
 
 
+class _UsageError(Exception):
+    """A bad input file: `main` prints it as `error: ...` and returns 2."""
+
+
 def _check_fields(doc, fields: dict, where: str) -> None:
     if type(doc) is not dict:
-        raise ValueError(f"{where}not a JSON object")
+        raise _UsageError(f"{where}not a JSON object")
     for name, kind in fields.items():
         if name not in doc or not isinstance(doc[name], kind):
             got = repr(doc[name]) if name in doc else "missing"
-            raise ValueError(f"{where}{name!r} is {got}")
+            raise _UsageError(f"{where}{name!r} is {got}")
 
 
 def _read_report(path: Path) -> dict:
     """A run's `report.json`, with the fields both commands read checked;
-    raises ValueError naming `path` otherwise."""
+    raises _UsageError naming `path` otherwise."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise _UsageError(f"{path}: {exc}") from exc
     _check_fields(doc, _REPORT_FIELDS, f"{path}: ")
     for i, sample in enumerate(doc["samples"]):
         _check_fields(sample, _SAMPLE_FIELDS, f"{path}: samples[{i}]: ")
@@ -81,13 +85,15 @@ def _read_report(path: Path) -> dict:
     return doc
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _load_scenario(path: str) -> Scenario:
     try:
-        scenario = load_file(args.scenario)
+        return load_file(path)
     except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = run_scenario(scenario, seed=args.seed, out_dir=args.out)
+        raise _UsageError(exc) from exc
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    result = run_scenario(_load_scenario(args.scenario), seed=args.seed, out_dir=args.out)
     report = result.report
     print(_headline(report.as_dict()))
     if result.oracle_report is not None:
@@ -102,36 +108,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_file(args.scenario)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = _load_scenario(args.scenario)
     log_path = Path(args.eventlog)
     try:
         data = log_path.read_bytes()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         log = EventLog.parse_lines(data.decode("utf-8").splitlines())
+    except OSError as exc:
+        raise _UsageError(exc) from exc
     except ValueError as exc:
-        print(f"error: {log_path}: {exc}", file=sys.stderr)
-        return 2
-    report_doc = None
+        raise _UsageError(f"{log_path}: {exc}") from exc
     digest_ok = True
     sibling = log_path.parent / "report.json"
-    if sibling.exists():
-        try:
-            report_doc = _read_report(sibling)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    report_doc = _read_report(sibling) if sibling.exists() else None
     try:
         oracle = oracle_verify(log, scenario, report_doc)
     except UnknownTypeError as exc:
-        print(f"error: {log_path}: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{log_path}: {exc}") from exc
     print(oracle.to_text())
     if report_doc is not None:
         # The report's digest covers the exact bytes of the exported log.
@@ -149,13 +141,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     report_path = run_dir / "report.json"
     if not report_path.exists():
-        print(f"error: no report.json under {run_dir}", file=sys.stderr)
-        return 2
-    try:
-        doc = _read_report(report_path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"no report.json under {run_dir}")
+    doc = _read_report(report_path)
     print(_headline(doc))
     samples = doc.get("samples")
     if samples:
@@ -195,7 +182,11 @@ def main(argv: list[str] | None = None) -> int:
     p_report.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -350,9 +350,9 @@ class Schema:
             [_tuple_new(Key, (tt, gid)) for tt in self._affected_types.get(skey.etype, ())]
         )
 
-    def parent_target_keys(self, sources: Mapping[Key, SourceRecord]) -> tuple[Key, ...]:
-        """Target records that must exist before this group's live outputs,
-        sorted: callers read them in this order."""
+    def parent_target_keys(self, sources: Mapping[Key, SourceRecord]) -> set[Key]:
+        """Target records that must exist before this group's live outputs.
+        A caller whose reads draw faults sorts them first."""
         out: set[Key] = set()
         for rec in sources.values():
             if rec.tombstone:
@@ -363,7 +363,7 @@ class Schema:
                 if ref is not None:
                     for tt in ttypes:
                         out.add(_tuple_new(Key, (tt, ref)))
-        return tuple(sorted(out))
+        return out
 
     def map_group(
         self, rule: MappingRule, sources: dict[Key, SourceRecord], now: int

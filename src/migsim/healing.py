@@ -177,8 +177,9 @@ class ParentGate:
 
     def missing(self, sources) -> Key | None:
         """First parent target record the group needs that is absent, if
-        any; raises StoreUnavailable when a read fails."""
-        for pkey in self.schema.parent_target_keys(sources):
+        any, read in key order, which fixes the reads' fault draws; raises
+        StoreUnavailable when a read fails."""
+        for pkey in sorted(self.schema.parent_target_keys(sources)):
             if pkey in self._present:
                 continue
             if self.target.get(pkey) is None:

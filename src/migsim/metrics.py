@@ -541,12 +541,14 @@ def consistency_rate(
     return overall, settled_only, counts
 
 
-def iter_groups(
-    schema: Schema, source_view: Mapping[Key, SourceRecord]
-) -> Iterable[tuple]:
-    """Distinct (rule, group id) pairs present in a source view, in (rule
-    name, group id) order."""
-    by_tag = {(r.name, k.id): r for k in source_view for r in schema.rules_for_source(k.etype)}
+def iter_groups(schema: Schema, source_view: Mapping[Key, SourceRecord]) -> list[tuple]:
+    """Distinct (rule, group id) pairs present in a source view, in the
+    bootstrap's parents-first order: by the rule's first source type in
+    `schema.source_order`, then by group id, then by rule name."""
+    rank = {st: i for i, st in enumerate(schema.source_order)}
+    first = {r.name: min(rank[st] for st in r.source_types) for r in schema.rules}
+    rules_for = schema.rules_for_source
+    by_tag = {(first[r.name], k.id, r.name): r for k in source_view for r in rules_for(k.etype)}
     return [(by_tag[tag], tag[1]) for tag in sorted(by_tag)]
 
 
@@ -638,6 +640,7 @@ class ConsistencyTracker:
             self._total_bad -= len(old[0])
 
     def _refresh(self, at: int) -> None:
+        """Re-judge every dirty group as of `at`, in no fixed order."""
         self._at = at
         fault = self.schema.fault
         if fault is not None and fault.active_at(at) != self._fault_active:
@@ -645,7 +648,9 @@ class ConsistencyTracker:
             # A group with no commit has no source, so no verdict to redo.
             self._dirty.update(tag for tag in self._last_update if tag[0] == fault.rule)
         consistent = DiscrepancyClass.CONSISTENT
-        for tag in sorted(self._dirty):
+        # Any order gives the same state: peeks draw no fault, verdicts are
+        # pure, and every reader of `_bad` sums, counts or sorts it.
+        for tag in self._dirty:
             rule = self._rules[tag[0]]
             gid = tag[1]
             sources = read_group(rule, gid, self._read)

@@ -135,7 +135,7 @@ class BootstrapJob:
         self.mode = mode
         self.report = BootstrapReport(mode=mode)
         # The snapshot and the group list are dropped once the job is done.
-        self._groups: list[tuple] | None = self._ordered_groups()
+        self._groups: list[tuple] | None = iter_groups(schema, snapshot.records)
         self.report.groups_total = len(self._groups)
         # Every direct-mode put carries this one bulk-load stamp.
         self._default_stamp = VersionStamp(BOOTSTRAP_COUNTER, snapshot.taken_at)
@@ -143,12 +143,6 @@ class BootstrapJob:
         # to map or descends from such a key.  A group with one among its
         # parents goes through the queue, which gates writes on parents.
         self._failed_targets: set[Key] = set()
-
-    def _ordered_groups(self) -> list[tuple]:
-        rank = {st: i for i, st in enumerate(self.schema.source_order)}
-        groups = list(iter_groups(self.schema, self.snapshot.records))
-        groups.sort(key=lambda g: (min(rank[st] for st in g[0].source_types), g[1], g[0].name))
-        return groups
 
     @property
     def done(self) -> bool:
@@ -186,7 +180,7 @@ class BootstrapJob:
         # ahead of it, and a group that fails to map has nothing to write:
         # either way the group goes through the queue.
         failed = self._failed_targets
-        blocked = bool(failed) and not failed.isdisjoint(self.schema.parent_target_keys(sources))
+        blocked = not failed.isdisjoint(self.schema.parent_target_keys(sources))
         if not blocked:
             expected, bug = self.schema.map_group(rule, sources, now)
             blocked = bool(bug)

@@ -15,7 +15,10 @@ once for all the tests here.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,6 +104,24 @@ def test_every_fast_shipped_input_is_pinned():
     shipped = [*ROOT.glob("scenarios/*.json"), *ROOT.glob("bench/scenarios/*.json")]
     names = {p.relative_to(ROOT).as_posix() for p in shipped}
     assert names - {"scenarios/default.json"} == set(GOLDEN)
+
+
+@pytest.mark.parametrize("name", ["scenarios/reshape.json", "scenarios/catchall.json"])
+def test_artifacts_do_not_depend_on_the_hash_seed(name, tmp_path):
+    """Set iteration order changes with `PYTHONHASHSEED`; no artifact may.
+    Each run is a fresh interpreter, as the hash seed is fixed at start-up."""
+    got = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
+        subprocess.run(
+            [sys.executable, "-m", "migsim.cli", "run", str(ROOT / name), "--seed", "1",
+             "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        got.append(tuple((out / f).read_bytes() for f in ARTIFACTS))
+    assert got[0] == got[1]
+    assert tuple(hashlib.sha256(b).hexdigest() for b in got[0]) == GOLDEN[name]
 
 
 # Every reason a failed validate-and-fix attempt logs: the check could not

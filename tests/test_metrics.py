@@ -27,16 +27,19 @@ from migsim.metrics import (
     _encode_line,
     _row_class,
     consistency_rate,
+    iter_groups,
     loop_gauges,
     time_to_converge,
     window_ttcs,
 )
 
 from migsim.oracle import window_ttc_bruteforce
+from migsim.rng import named_stream
 from migsim.scenario import BugSpec, load_file
 from migsim.simulation import run_scenario
-from migsim.stores import PutResult, StoreUnavailable
+from migsim.stores import Clock, LegacyStore, PutResult, StoreUnavailable
 from migsim.verifiers import BootstrapJob, RateLimiter
+from migsim.workload import WorkloadGenerator
 
 from conftest import SCENARIO_DIR, build_figure3_schema, build_pipeline, build_split_schema
 
@@ -311,6 +314,32 @@ class TestConsistencyRate:
     def test_empty_views_rate_one(self, pipeline):
         overall, settled, _ = consistency_rate(pipeline.schema, {}, {}, 0, 10)
         assert (overall, settled) == (1.0, 1.0)
+
+
+def _groups_by_definition(schema, records) -> list[tuple]:
+    """Every (rule, group id) with a source in `records`, in the bootstrap's
+    order: the rule's first source type in `source_order`, then group id,
+    then rule name."""
+    rank = {st: i for i, st in enumerate(schema.source_order)}
+    groups = {(rule, key.id) for key in records for rule in schema.rules_for_source(key.etype)}
+    return sorted(groups, key=lambda g: (min(rank[st] for st in g[0].source_types), g[1], g[0].name))
+
+
+SHIPPED_SCENARIOS = [
+    *(p for p in sorted(SCENARIO_DIR.glob("*.json")) if p.stem != "default"),  # 100k; small has its schema
+    *sorted((SCENARIO_DIR.parent / "bench" / "scenarios").glob("*.json")),
+]
+
+
+@pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
+def test_iter_groups_is_the_bootstrap_order(path):
+    scenario = load_file(path)
+    schema = scenario.build_schema()
+    legacy = LegacyStore(Clock(0))
+    gen = WorkloadGenerator(scenario.workload, schema, named_stream(scenario.seed, "workload"))
+    for op in gen.seed_initial():
+        legacy.commit(op.key, op.value)
+    assert iter_groups(schema, legacy.records) == _groups_by_definition(schema, legacy.records)
 
 
 class TestConsistencyTracker:

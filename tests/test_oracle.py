@@ -65,7 +65,7 @@ def violations_by_derivation(log, schema):
                 inputs = {k: source[k] for k in rule.input_keys(row.key.id) if k in source}
                 out += [
                     {"t": row.t, "child": list(row.key), "missing_parent": list(pkey)}
-                    for pkey in schema.parent_target_keys(inputs)
+                    for pkey in sorted(schema.parent_target_keys(inputs))
                     if pkey not in written
                 ]
             written.add(row.key)

@@ -423,9 +423,11 @@ class TestOfflineVerify:
 
 def _full_scan_rows(sim, now: int, horizon: int) -> list[tuple]:
     """The rows an offline sweep at `now` should log, from a full scan of
-    the legacy store against the target (read without fault draws)."""
+    the legacy store against the target (read without fault draws), in
+    (rule name, group id) order as the sweep logs them."""
     rows, scanned = [], 0
-    for rule, gid in iter_groups(sim.schema, sim.legacy.records):
+    groups = iter_groups(sim.schema, sim.legacy.records)
+    for rule, gid in sorted(groups, key=lambda g: (g[0].name, g[1])):
         sources = domain.read_group(rule, gid, sim.legacy.records.get)
         newest = max(rec.version.commit_time for rec in sources.values())
         if newest > horizon:
